@@ -151,6 +151,14 @@ def _monomial_order(args) -> MonomialOrder:
     return GREVLEX if args.monomial_order == "grevlex" else LEX
 
 
+def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
+    """Decode a cochain; malformed JSON becomes a ValueError (exit 1)."""
+    try:
+        return PolyDiffOperator.from_json(ctx, data)
+    except (KeyError, TypeError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -317,21 +325,24 @@ def _run(args) -> int:
         return 0 if report.ok else VALIDATION_ERROR
 
     if args.command in ("hh-cup", "hh-bracket"):
-        p = PolyDiffOperator.from_json(ctx, json.loads(args.P))
-        q = PolyDiffOperator.from_json(ctx, json.loads(args.Q))
+        p = _cochain(ctx, json.loads(args.P))
+        q = _cochain(ctx, json.loads(args.Q))
         out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
         _emit(args, out.to_json(), str(out))
         return 0
 
     if args.command == "hh-brace":
-        p = PolyDiffOperator.from_json(ctx, json.loads(args.P))
-        qs = [PolyDiffOperator.from_json(ctx, item) for item in json.loads(args.Qs)]
+        p = _cochain(ctx, json.loads(args.P))
+        qs = json.loads(args.Qs)
+        if not isinstance(qs, list):
+            raise ValueError("--Qs must be a JSON list of cochains")
+        qs = [_cochain(ctx, item) for item in qs]
         out = brace(p, qs)
         _emit(args, out.to_json(), str(out))
         return 0
 
     if args.command == "hh-d":
-        p = PolyDiffOperator.from_json(ctx, json.loads(args.P))
+        p = _cochain(ctx, json.loads(args.P))
         out = hochschild_differential(p)
         _emit(args, out.to_json(), str(out))
         return 0

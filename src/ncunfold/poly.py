@@ -508,17 +508,30 @@ class HSeries:
         return self.convolve(other, lambda a, b: a * b)
 
     def convolve(self, other: "HSeries", op, order: int | None = None) -> "HSeries":
-        """Sum over i + j = k of op(self[i], other[j]), truncated."""
+        """Sum over i + j = k of op(self[i], other[j]), truncated.
+
+        ``op`` must be bilinear: pairs with a zero operand are skipped, so
+        the cost follows the nonzero coefficients.  An order with no pair
+        of nonzero operands gets ``op`` of one pair with a zero operand,
+        which keeps the coefficient type that ``op`` returns.
+        """
         n = min(self.order, other.order) if order is None else order
+        if n > self.order + other.order:
+            raise ValueError("convolution order exceeds operand orders")
+        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        b = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
+        sums = [None] * (n + 1)
+        for i, x in a:
+            for j, y in b:
+                if i + j > n:
+                    break
+                v = op(x, y)
+                sums[i + j] = v if sums[i + j] is None else sums[i + j] + v
         out = []
-        for k in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                if i <= self.order and k - i <= other.order:
-                    v = op(self.coeffs[i], other.coeffs[k - i])
-                    acc = v if acc is None else acc + v
+        for k, acc in enumerate(sums):
             if acc is None:
-                raise ValueError("convolution order exceeds operand orders")
+                i = min(k, self.order)
+                acc = op(self.coeffs[i], other.coeffs[k - i])
             out.append(acc)
         return HSeries(out, n)
 

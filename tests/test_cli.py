@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ncunfold.cli import main
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import Polynomial, RingContext
@@ -199,6 +201,30 @@ def test_hh_commands(capsys):
     code, out, _ = run(capsys, ["hh-d", "--vars", "x", "--P", blob, "--format", "json"])
     assert code == 0
     assert json.loads(out)["terms"] == []  # derivations are cocycles
+
+
+_EMPTY_COCHAIN = '{"arity": 1, "terms": []}'
+_ZERO_DENOMINATOR = (
+    '{"arity": 1, "terms": [{"alphas": [[1, 0]], '
+    '"coeff": {"terms": [{"exp": [0, 0], "num": "1", "den": "0"}]}}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh-d", "--vars", "x,y", "--P", '{"arity": 1}'],
+        ["hh-cup", "--vars", "x,y", "--P", _ZERO_DENOMINATOR, "--Q", '{"arity": 0, "terms": []}'],
+        ["hh-bracket", "--vars", "x,y", "--P", '{"arity": 1, "terms": 5}', "--Q", _EMPTY_COCHAIN],
+        ["hh-brace", "--vars", "x,y", "--P", _EMPTY_COCHAIN, "--Qs", "5"],
+    ],
+    ids=["missing-terms", "zero-denominator", "terms-not-a-list", "qs-not-a-list"],
+)
+def test_malformed_cochain_json_exit_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_hkr_command(capsys):

@@ -14,7 +14,9 @@ from ncunfold.poly import (
     exact_divide,
 )
 
-from oracles import rand_poly
+from ncunfold.polyvector import GElement, schouten_bracket
+
+from oracles import rand_gelement, rand_poly
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -188,6 +190,47 @@ def test_hseries_matches_polynomial_arithmetic_mod_truncation():
         b = HSeries([rand_poly(rng, CTX2, 2) for _ in range(n_order + 1)], n_order)
         assert to_ext(a + b) == truncate(to_ext(a) + to_ext(b), n_order)
         assert to_ext(a * b) == truncate(to_ext(a) * to_ext(b), n_order)
+
+
+def test_hseries_convolve_matches_naive_double_sum():
+    rng = random.Random(5)
+    kinds = (
+        (lambda: rand_poly(rng, CTX2, 2), Polynomial.zero(CTX2), lambda a, b: a * b),
+        (lambda: rand_gelement(rng, CTX3), GElement.zero(CTX3), schouten_bracket),
+    )
+    for draw, zero, op in kinds:
+        for _ in range(40):
+            a_order, b_order = rng.randint(1, 6), rng.randint(1, 6)
+            a = HSeries([draw() if rng.random() < 0.4 else zero
+                         for _ in range(a_order + 1)], a_order)
+            b = HSeries([draw() if rng.random() < 0.4 else zero
+                         for _ in range(b_order + 1)], b_order)
+            for order in (None, rng.randint(1, a_order + b_order)):
+                calls = []
+
+                def counted(x, y):
+                    calls.append(1)
+                    return op(x, y)
+
+                got = a.convolve(b, counted, order)
+                n = min(a_order, b_order) if order is None else order
+                want = []
+                for k in range(n + 1):
+                    acc = zero
+                    for i in range(max(0, k - b_order), min(k, a_order) + 1):
+                        acc = acc + op(a.coeffs[i], b.coeffs[k - i])
+                    want.append(acc)
+                assert got == HSeries(want, n)
+                nnz_a = sum(not c.is_zero() for c in a.coeffs)
+                nnz_b = sum(not c.is_zero() for c in b.coeffs)
+                assert len(calls) <= nnz_a * nnz_b + n + 1
+
+
+def test_hseries_convolve_rejects_order_beyond_operands():
+    z = Polynomial.zero(CTX2)
+    a = HSeries([z, z], 1)
+    with pytest.raises(ValueError):
+        a.convolve(a, lambda x, y: x * y, 3)
 
 
 def test_hseries_truncation_discards_high_orders():

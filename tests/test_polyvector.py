@@ -32,6 +32,7 @@ from oracles import (
 
 CTX3 = ADE_CONTEXT
 CTX2 = RingContext(("x", "y"))
+CTX4 = RingContext(("x", "y", "z", "w"))
 
 
 def g(text, ctx=CTX3):
@@ -107,10 +108,12 @@ def test_bracket_context_mismatch():
 
 def test_bracket_matches_left_recursion_oracle():
     rng = random.Random(313)
-    for _ in range(60):
-        a = rand_gelement(rng, CTX3, max_eps=1)
-        b = rand_gelement(rng, CTX3, max_eps=1)
-        assert schouten_bracket(a, b) == schouten_oracle(a, b)
+    for ctx in (CTX2, CTX3, CTX4):
+        for max_eps in (0, 1, 2):
+            for _ in range(20):
+                a = rand_gelement(rng, ctx, max_eps=max_eps)
+                b = rand_gelement(rng, ctx, max_eps=max_eps)
+                assert schouten_bracket(a, b) == schouten_oracle(a, b)
 
 
 def test_bracket_on_vectors_matches_derivation_commutator():
