@@ -41,7 +41,6 @@ from .hochschild import (
 )
 from .parsing import (
     format_gelement,
-    format_polynomial,
     format_series,
     parse_gelement,
     parse_polynomial,

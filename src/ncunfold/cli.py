@@ -170,10 +170,6 @@ def _mono_strs(ctx, exps_list):
     return [ctx.format_monomial(tuple(e)) for e in exps_list]
 
 
-def _solution_payload(sol: MCSolution) -> dict:
-    return sol.to_json()
-
-
 def _solution_text(sol: MCSolution) -> str:
     lines = [f"order: {sol.order}"]
     lines.append(f"p: {format_series(sol.p_series)}")
@@ -299,7 +295,7 @@ def _run(args) -> int:
             sol = result
         else:
             sol = quantize_n3(f, p, s, guard)
-        _emit(args, _solution_payload(sol), _solution_text(sol))
+        _emit(args, sol.to_json(), _solution_text(sol))
         return 0
 
     if args.command == "mc-verify":

@@ -341,6 +341,16 @@ class ReductionTrace:
         if acc != self.input:
             raise AssertionError("reduction identity violated")
 
+    def over_source(self, gb) -> "ReductionTrace":
+        """This trace over gb.generators rewritten over the input generators
+        gb.source; the identity is rechecked on construction."""
+        cofs = [Polynomial.zero(self.remainder.ctx) for _ in gb.source]
+        for c, row in zip(self.cofactors, gb.source_cofactors):
+            for j, s in enumerate(row):
+                if not s.is_zero():
+                    cofs[j] = cofs[j] + c * s
+        return ReductionTrace(self.input, gb.source, self.remainder, tuple(cofs))
+
 
 def buchberger(
     gens,
@@ -399,61 +409,34 @@ def module_buchberger(
     )
 
 
+def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int | None):
+    """(remainder, cofactors c) with v == remainder + sum(c_k * basis_k)."""
+    ctx = v.ctx
+    if any(g.ctx != ctx for g in basis):
+        raise ContextMismatch("element from a different ring")
+    zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
+    entries = [
+        _Entry(g, tuple(one if j == k else zero for j in range(len(basis))), g.leading(order))
+        for k, g in enumerate(basis)
+    ]
+    rem, cofs = _reduce(v, (zero,) * len(basis), entries, order, max_degree)
+    # _reduce tracks the remainder's expression; the trace wants the
+    # reduction cofactors of v = sum(c_k g_k) + r, which are the negatives
+    return rem, tuple(-c for c in cofs)
+
+
 def normal_form(p: Polynomial, gb: GroebnerBasis, max_degree: int | None = None) -> ReductionTrace:
     """Fully reduce p modulo gb; cofactors are over gb.generators."""
-    if p.ctx != gb.ctx:
-        raise ContextMismatch("polynomial from a different ring")
-    ctx = p.ctx
-    unit_cofs = []
-    for k in range(len(gb.generators)):
-        row = [Polynomial.zero(ctx)] * len(gb.generators)
-        row[k] = Polynomial.one(ctx)
-        unit_cofs.append(tuple(row))
-    entries = [
-        _Entry(_wrap(g), cof, _wrap(g).leading(gb.order))
-        for g, cof in zip(gb.generators, unit_cofs)
-    ]
-    rem, cofs = _reduce(
-        _wrap(p),
-        tuple(Polynomial.zero(ctx) for _ in gb.generators),
-        entries,
-        gb.order,
-        max_degree,
-    )
-    # _reduce tracks the remainder's expression; the trace wants the
-    # reduction cofactors of p = sum(c_i g_i) + r, which are the negatives
-    return ReductionTrace(
-        input=p,
-        basis=gb.generators,
-        remainder=rem.components[0],
-        cofactors=tuple(-c for c in cofs),
-    )
+    basis = [_wrap(g) for g in gb.generators]
+    rem, cofs = _normal_form(_wrap(p), basis, gb.order, max_degree)
+    return ReductionTrace(p, gb.generators, rem.components[0], cofs)
 
 
 def module_normal_form(
     v: ModuleElement, gb: ModuleGroebnerBasis, max_degree: int | None = None
 ) -> ReductionTrace:
-    ctx = v.ctx
-    entries = []
-    unit_cofs = []
-    for k, g in enumerate(gb.generators):
-        row = [Polynomial.zero(ctx)] * len(gb.generators)
-        row[k] = Polynomial.one(ctx)
-        unit_cofs.append(tuple(row))
-        entries.append(_Entry(g, unit_cofs[-1], g.leading(gb.order)))
-    rem, cofs = _reduce(
-        v,
-        tuple(Polynomial.zero(ctx) for _ in gb.generators),
-        entries,
-        gb.order,
-        max_degree,
-    )
-    return ReductionTrace(
-        input=v,
-        basis=gb.generators,
-        remainder=rem,
-        cofactors=tuple(-c for c in cofs),
-    )
+    rem, cofs = _normal_form(v, gb.generators, gb.order, max_degree)
+    return ReductionTrace(v, gb.generators, rem, cofs)
 
 
 def ideal_membership(
@@ -462,24 +445,10 @@ def ideal_membership(
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
 ) -> tuple[Polynomial, ...] | None:
-    """Cofactors c with p == sum(c_i * gens_i), or None when p is not in the ideal."""
-    gens = list(gens)
-    if p.is_zero():
-        return tuple(Polynomial.zero(p.ctx) for _ in gens)
-    gb = buchberger(gens, order, max_degree)
-    trace = normal_form(p, gb, max_degree)
-    if not trace.remainder.is_zero():
-        return None
-    out = [Polynomial.zero(p.ctx) for _ in gens]
-    for c, src in zip(trace.cofactors, gb.source_cofactors):
-        for j in range(len(gens)):
-            out[j] = out[j] + c * src[j]
-    acc = Polynomial.zero(p.ctx)
-    for c, g in zip(out, gens):
-        acc = acc + c * g
-    if acc != p:
-        raise AssertionError("membership cofactor identity violated")
-    return tuple(out)
+    """Cofactors c with p == sum(c_i * gens_i), or None when p is not in the
+    ideal: the module preimage problem of the one-row matrix of gens."""
+    x = module_preimage([list(gens)], _wrap(p), order, max_degree)
+    return None if x is None else x.components
 
 
 def standard_monomials(gb: GroebnerBasis):
@@ -533,27 +502,19 @@ def module_preimage(
     if rows == 0 or rows != b.rank:
         raise ValueError("matrix/vector dimension mismatch")
     cols = len(matrix[0])
+    if cols == 0:
+        raise ValueError("matrix has no columns")
     if any(len(row) != cols for row in matrix):
         raise ValueError("matrix is ragged")
-    ctx = b.ctx
     columns = [
         ModuleElement(tuple(matrix[r][c] for r in range(rows))) for c in range(cols)
     ]
     if b.is_zero():
-        return ModuleElement.zero(ctx, cols)
+        return ModuleElement.zero(b.ctx, cols)
     if all(col.is_zero() for col in columns):
         return None
     gb = module_buchberger(columns, order, max_degree)
     trace = module_normal_form(b, gb, max_degree)
     if not trace.remainder.is_zero():
         return None
-    x = [Polynomial.zero(ctx) for _ in range(cols)]
-    for c, src in zip(trace.cofactors, gb.source_cofactors):
-        for j in range(cols):
-            x[j] = x[j] + c * src[j]
-    check = ModuleElement.zero(ctx, rows)
-    for j, col in enumerate(columns):
-        check = check + col.scale_poly(x[j])
-    if check != b:
-        raise AssertionError("preimage identity violated")
-    return ModuleElement(tuple(x))
+    return ModuleElement(trace.over_source(gb).cofactors)

@@ -38,8 +38,8 @@ class PolyDiffOperator:
     __slots__ = ("ctx", "arity", "terms")
 
     def __init__(self, ctx: RingContext, arity: int, terms: dict | None = None):
-        if arity < 0:
-            raise ValueError("arity must be >= 0")
+        if type(arity) is not int or arity < 0:
+            raise ValueError(f"arity must be an integer >= 0, got {arity!r}")
         self.ctx = ctx
         self.arity = arity
         clean: dict[tuple, Polynomial] = {}
@@ -50,6 +50,8 @@ class PolyDiffOperator:
                     raise ValueError("alpha count != arity")
                 if any(len(a) != ctx.n for a in alphas):
                     raise ValueError("multi-index arity mismatch")
+                if any(type(e) is not int or e < 0 for a in alphas for e in a):
+                    raise ValueError(f"derivative orders must be integers >= 0, got {alphas}")
                 if coeff.ctx != ctx:
                     raise ContextMismatch("coefficient from a different ring")
                 if not coeff.is_zero():

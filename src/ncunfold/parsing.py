@@ -82,9 +82,6 @@ class _Parser:
 
     # h-polynomial helpers ---------------------------------------------------
 
-    def _zero(self):
-        return {}
-
     def _const(self, q: Fraction):
         if q == 0:
             return {}
@@ -289,10 +286,6 @@ def parse_poly_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
         if k <= order:
             coeffs[k] = coeffs[k] + g.polynomial_part()
     return HSeries(coeffs, order)
-
-
-def format_polynomial(p: Polynomial) -> str:
-    return str(p)
 
 
 def format_gelement(x: GElement) -> str:

@@ -41,10 +41,6 @@ def monomial_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(a: tuple) -> int:
-    return sum(a)
-
-
 def grevlex_key(exps: tuple) -> tuple:
     # graded reverse lex with x_1 < x_2 < ... < x_n: on equal total degree,
     # the monomial with the smaller power of the *earliest* differing
@@ -335,11 +331,6 @@ class Polynomial:
                 res[tuple(new)] = c
         return Polynomial(self.ctx, res)
 
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, sub: "Substitution") -> "Polynomial":
-        return sub(self)
-
     # -- presentation -------------------------------------------------------
 
     def sorted_terms(self, reverse: bool = True) -> list[tuple[tuple, Fraction]]:
@@ -380,6 +371,8 @@ class Polynomial:
         terms = {}
         for t in data["terms"]:
             exps = tuple(t["exp"])
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"exponents must be integers, got {list(exps)}")
             c = Fraction(int(t["num"]), int(t["den"]))
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return cls(ctx, terms)

@@ -9,7 +9,7 @@ k[x_1..x_n] / (df/dx_1, ..., df/dx_n).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotIsolated
 from .groebner import (
@@ -59,7 +59,9 @@ def jacobian(
     """Partials, reduced GB of the Jacobian ideal, Milnor number, W basis."""
     _require_nonconstant(f)
     partials = tuple(f.partial(i) for i in range(1, f.ctx.n + 1))
-    gb = buchberger([p for p in partials if not p.is_zero()], order, max_degree)
+    # zero partials are skipped by the engine but keep their slot in
+    # gb.source, so cofactors over the source line up with the partials
+    gb = buchberger(partials, order, max_degree)
     mu = quotient_dimension(gb)
     if mu == INFINITE:
         w_basis = ()
@@ -78,35 +80,64 @@ def is_isolated(f: Polynomial, max_degree: int | None = None) -> bool:
     return milnor_number(f, max_degree=max_degree) != INFINITE
 
 
-def qc_subspace(f: Polynomial, max_degree: int | None = None) -> list[tuple]:
-    """Monomial basis of the canonical complement W of the Jacobian ideal."""
-    data = jacobian(f, max_degree=max_degree)
-    if data.milnor == INFINITE:
-        raise NotIsolated("f is not an isolated singularity")
-    return list(data.w_basis)
+def qc_subspace(f: Polynomial | Singularity, max_degree: int | None = None) -> list[tuple]:
+    """Monomial basis of the canonical complement W of the Jacobian ideal;
+    f is a Polynomial or a Singularity."""
+    return list(Singularity.of(f, max_degree).isolated_jacobian().w_basis)
 
 
 @dataclass(frozen=True)
 class Singularity:
-    """A polynomial f viewed as a map-germ; the base ring k[y] acts via y = f."""
+    """A polynomial f viewed as a map-germ; the base ring k[y] acts via y = f.
+
+    Owner of the data derived from the Jacobian ideal of f: its
+    JacobianData is computed on first use, once, under the degree guard
+    max_degree given here.  The unfolding functions accept a Singularity
+    in place of f and hand it on, so one top-level call computes it once.
+    """
 
     f: Polynomial
+    max_degree: int | None = None
+    _jacobian: JacobianData | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_nonconstant(self.f)
+
+    @classmethod
+    def of(cls, f, max_degree: int | None = None) -> "Singularity":
+        """f itself when it is a Singularity, else Singularity(f, max_degree);
+        a Singularity built under another max_degree than a given one is a
+        ValueError, never silently overridden."""
+        if not isinstance(f, Singularity):
+            return cls(f, max_degree)
+        if max_degree is not None and max_degree != f.max_degree:
+            raise ValueError(
+                f"max_degree {max_degree} conflicts with the Singularity's {f.max_degree}"
+            )
+        return f
 
     @property
     def ctx(self) -> RingContext:
         return self.f.ctx
 
-    def jacobian(self, max_degree: int | None = None) -> JacobianData:
-        return jacobian(self.f, max_degree=max_degree)
+    def jacobian(self) -> JacobianData:
+        if self._jacobian is None:
+            data = jacobian(self.f, max_degree=self.max_degree)
+            object.__setattr__(self, "_jacobian", data)
+        return self._jacobian
 
-    def milnor_number(self, max_degree: int | None = None):
-        return milnor_number(self.f, max_degree=max_degree)
+    def isolated_jacobian(self) -> JacobianData:
+        """The JacobianData; NotIsolated when the Milnor number is infinite."""
+        data = self.jacobian()
+        if data.milnor == INFINITE:
+            raise NotIsolated("f is not an isolated singularity")
+        return data
 
-    def is_isolated(self, max_degree: int | None = None) -> bool:
-        return is_isolated(self.f, max_degree=max_degree)
+    def milnor_number(self):
+        return self.jacobian().milnor
+
+    def is_isolated(self) -> bool:
+        return self.milnor_number() != INFINITE
 
 
 def _xn_lead(f: Polynomial) -> Polynomial:

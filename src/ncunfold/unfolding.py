@@ -10,6 +10,10 @@ order by order; the residual dw + (1/2)[w, w] of w = p*eps + S decomposes
 as -eps*[f - p, S] + (1/2)[S, S] under the bracket convention of
 ``polyvector``.  Constructive lifting against the Koszul differential
 turns the first equation into a module-preimage problem.
+
+The functions that need the Jacobian ideal take f as a Polynomial or as a
+``Singularity``, which owns the degree guard max_degree and the Jacobian
+data, and hand that one Singularity on, so a call computes the data once.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotACycle, NotIsolated, QCInvalid
+from .errors import NotACycle, QCInvalid
 from .groebner import GREVLEX, ModuleElement, module_preimage, normal_form
-from .poly import INFINITE, HSeries, Polynomial, RingContext
+from .poly import HSeries, Polynomial, RingContext
 from .polyvector import (
     GElement,
     ad_f,
@@ -29,7 +33,7 @@ from .polyvector import (
     mc_residual,
     schouten_bracket,
 )
-from .singularity import jacobian
+from .singularity import Singularity
 
 
 def _wedge_subsets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -72,20 +76,20 @@ def _wedge_degree_of(z: GElement) -> int:
 
 
 def koszul_lift(
-    f: Polynomial, z: GElement, max_degree: int | None = None
+    f: Polynomial | Singularity, z: GElement, max_degree: int | None = None
 ) -> GElement:
-    """T with [f, T] == z, for a cycle z of wedge degree >= 1.
+    """T with [f, T] == z, for a cycle z of wedge degree >= 1; f is a
+    Polynomial or a Singularity.
 
     Distinct errors: NotIsolated when f has infinite Milnor number,
     NotACycle when [f, z] != 0.  For isolated f and a cycle z the lift
     always exists; the result is verified before returning.
     """
-    ctx = f.ctx
+    sing = Singularity.of(f, max_degree)
+    f, ctx = sing.f, sing.ctx
     if not z.is_polyvector():
         raise ValueError("lift input must be eps-free")
-    data = jacobian(f, max_degree=max_degree)
-    if data.milnor == INFINITE:
-        raise NotIsolated("f is not an isolated singularity")
+    sing.isolated_jacobian()
     if not ad_f(f, z).is_zero():
         raise NotACycle("[f, z] != 0")
     if z.is_zero():
@@ -98,7 +102,7 @@ def koszul_lift(
         raise NotACycle("no nonzero cycles in top wedge degree")
     matrix = koszul_differential_matrix(f, k)
     b = ModuleElement(tuple(_components(z, k)))
-    sol = module_preimage(matrix, b, GREVLEX, max_degree)
+    sol = module_preimage(matrix, b, GREVLEX, sing.max_degree)
     if sol is None:
         raise RuntimeError("internal: Koszul lift failed for an isolated f")
     lift = _from_components(ctx, k + 1, sol.components)
@@ -116,27 +120,16 @@ class QCNormalization:
 
 
 def qc_normalize(
-    f: Polynomial, p: Polynomial, max_degree: int | None = None
+    f: Polynomial | Singularity, p: Polynomial, max_degree: int | None = None
 ) -> QCNormalization:
     """Split p into its W-component and a Jacobian-ideal part with explicit
-    cofactors over the partials.  Idempotent on W-supported inputs."""
-    data = jacobian(f, max_degree=max_degree)
-    if data.milnor == INFINITE:
-        raise NotIsolated("f is not an isolated singularity")
-    trace = normal_form(p, data.gb, max_degree)
-    # gb.source rows are over the nonzero partials, in order
-    nonzero_pos = [j for j, g in enumerate(data.partials) if not g.is_zero()]
-    cofs = [Polynomial.zero(f.ctx) for _ in data.partials]
-    for c, src in zip(trace.cofactors, data.gb.source_cofactors):
-        for i, j in enumerate(nonzero_pos):
-            cofs[j] = cofs[j] + c * src[i]
-    w_part = trace.remainder
-    acc = w_part
-    for c, g in zip(cofs, data.partials):
-        acc = acc + c * g
-    if acc != p:
-        raise AssertionError("qc_normalize cofactor identity violated")
-    return QCNormalization(w_part=w_part, cofactors=tuple(cofs))
+    cofactors over the partials; f is a Polynomial or a Singularity.
+    Idempotent on W-supported inputs."""
+    sing = Singularity.of(f, max_degree)
+    gb = sing.isolated_jacobian().gb
+    # gb.source is the tuple of partials, so the cofactors line up with them
+    trace = normal_form(p, gb, sing.max_degree).over_source(gb)
+    return QCNormalization(w_part=trace.remainder, cofactors=trace.cofactors)
 
 
 @dataclass(frozen=True)
@@ -159,15 +152,18 @@ class QuasiClassicalDatum:
     extension_bivector: GElement  # S_2 with [f, S_2] = [p, S]
 
 
-def qc_validate(f: Polynomial, p: Polynomial, s: GElement, max_degree: int | None = None):
-    """QuasiClassicalDatum on success, else the list of violations.
+def qc_validate(
+    f: Polynomial | Singularity, p: Polynomial, s: GElement, max_degree: int | None = None
+):
+    """QuasiClassicalDatum on success, else the list of violations; f is a
+    Polynomial or a Singularity.
 
     The second-order extendability is rechecked constructively: a bivector
     S_2 with [f, S_2] = [p, S] is produced by Koszul lifting (this always
     succeeds for a valid datum)."""
-    data = jacobian(f, max_degree=max_degree)
-    if data.milnor == INFINITE:
-        raise NotIsolated("f is not an isolated singularity")
+    sing = Singularity.of(f, max_degree)
+    f = sing.f
+    sing.isolated_jacobian()
     violations = []
     if not s.is_polyvector() or not (s.wedge_degrees() <= {2}):
         violations.append(
@@ -182,9 +178,9 @@ def qc_validate(f: Polynomial, p: Polynomial, s: GElement, max_degree: int | Non
         violations.append(QCViolation("not_poisson", "[S, S] != 0", ss))
     if violations:
         return violations
-    norm = qc_normalize(f, p, max_degree)
+    norm = qc_normalize(sing, p)
     ps = schouten_bracket(GElement.from_polynomial(p), s)
-    s2 = koszul_lift(f, ps, max_degree)
+    s2 = koszul_lift(sing, ps)
     return QuasiClassicalDatum(
         f=f,
         p_raw=p,
@@ -346,28 +342,25 @@ def mc_verify(f: Polynomial, sol: MCSolution) -> MCReport:
     return MCReport(orders=tuple(orders), witness_consistent=witness_consistent, ok=ok)
 
 
-def _require_valid(f, p1, s1, max_degree):
-    result = qc_validate(f, p1, s1, max_degree)
-    if isinstance(result, list):
-        raise QCInvalid(result)
-    return result
-
-
 def quantize_n3(
-    f: Polynomial, p1: Polynomial, s1: GElement, max_degree: int | None = None
+    f: Polynomial | Singularity, p1: Polynomial, s1: GElement, max_degree: int | None = None
 ) -> MCSolution:
-    """Exact quantization of a valid quasiclassical datum for n = 3.
+    """Exact quantization of a valid quasiclassical datum for n = 3; f is a
+    Polynomial or a Singularity.
 
     With T_1 a Koszul lift of S_1 the pair p = p1*h, T = T_1*h solves the
     deformation equation exactly: S = [f - p, T] = S_1*h - [p1, T_1]*h^2,
     and [S, S] vanishes identically because [T, [f - p, T]] is a
     four-vector.  The residual is verified to be identically zero.
     """
-    ctx = f.ctx
+    sing = Singularity.of(f, max_degree)
+    f, ctx = sing.f, sing.ctx
     if ctx.n != 3:
         raise ValueError("quantize_n3 requires exactly three variables")
-    _require_valid(f, p1, s1, max_degree)
-    t1 = koszul_lift(f, s1, max_degree) if not s1.is_zero() else GElement.zero(ctx)
+    datum = qc_validate(sing, p1, s1)
+    if isinstance(datum, list):
+        raise QCInvalid(datum)
+    t1 = koszul_lift(sing, s1) if not s1.is_zero() else GElement.zero(ctx)
     zero_p = Polynomial.zero(ctx)
     zero_g = GElement.zero(ctx)
     p_series = HSeries([zero_p, p1, zero_p], 2)
@@ -382,14 +375,15 @@ def quantize_n3(
 
 
 def quantize_general(
-    f: Polynomial,
+    f: Polynomial | Singularity,
     p1: Polynomial,
     s1: GElement,
     max_order: int = 8,
     p_higher=None,
     max_degree: int | None = None,
 ):
-    """Order-by-order extension probe for arbitrary n.
+    """Order-by-order extension probe for arbitrary n; f is a Polynomial or
+    a Singularity.
 
     The solution is sought in witness form S = [f - p, T] with
     T = (lift of S_1) * h, which settles [f - p, S] = 0 identically; the
@@ -398,10 +392,9 @@ def quantize_general(
     obstruction.  Higher p-coefficients default to zero but may be
     supplied by the caller.  Returns MCSolution or ObstructionReport.
     """
-    ctx = f.ctx
-    data = jacobian(f, max_degree=max_degree)
-    if data.milnor == INFINITE:
-        raise NotIsolated("f is not an isolated singularity")
+    sing = Singularity.of(f, max_degree)
+    f, ctx = sing.f, sing.ctx
+    sing.isolated_jacobian()
     violations = []
     if not ad_f(f, s1).is_zero():
         violations.append(QCViolation("not_f_compatible", "[f, S1] != 0"))
@@ -420,7 +413,7 @@ def quantize_general(
                 break
             p_coeffs[k] = val
     p_series = HSeries(p_coeffs, max_order)
-    t1 = koszul_lift(f, s1, max_degree) if not s1.is_zero() else zero_g
+    t1 = koszul_lift(sing, s1) if not s1.is_zero() else zero_g
     witness = HSeries([zero_g, t1] + [zero_g] * (max_order - 1), max_order)
     fp = _f_minus_p(f, p_series, ctx)
     s_series = fp.convolve(witness, schouten_bracket)

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,11 @@ _ZERO_DENOMINATOR = (
 )
 
 
+def _one_term_cochain(alpha, exp):
+    term = {"alphas": [alpha], "coeff": {"terms": [{"exp": exp, "num": "1", "den": "1"}]}}
+    return json.dumps({"arity": 1, "terms": [term]})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -217,8 +226,21 @@ _ZERO_DENOMINATOR = (
         ["hh-cup", "--vars", "x,y", "--P", _ZERO_DENOMINATOR, "--Q", '{"arity": 0, "terms": []}'],
         ["hh-bracket", "--vars", "x,y", "--P", '{"arity": 1, "terms": 5}', "--Q", _EMPTY_COCHAIN],
         ["hh-brace", "--vars", "x,y", "--P", _EMPTY_COCHAIN, "--Qs", "5"],
+        ["hh-d", "--vars", "x", "--P", '{"arity":1.5,"terms":[]}'],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([1.5], [0])],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([-1], [0])],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([1], [1.5])],
     ],
-    ids=["missing-terms", "zero-denominator", "terms-not-a-list", "qs-not-a-list"],
+    ids=[
+        "missing-terms",
+        "zero-denominator",
+        "terms-not-a-list",
+        "qs-not-a-list",
+        "fractional-arity",
+        "fractional-derivative-order",
+        "negative-derivative-order",
+        "fractional-exponent",
+    ],
 )
 def test_malformed_cochain_json_exit_1(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -259,3 +281,22 @@ def test_degree_guard_exit_3(capsys):
         ["milnor", "--vars", "x,y,z", "--f", "x^9+y^9+z^9+x*y*z", "--max-degree", "3"],
     )
     assert code == 3
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "cli_corpus.json"
+
+
+def test_golden_cli_corpus_byte_identical():
+    """Every stored argv of the benchmark corpus gives its stored exit code
+    and byte-identical stdout (checked by sha256)."""
+    cases = json.loads(CORPUS.read_text())["cases"]
+    assert len(cases) == 80
+    mismatches = []
+    for case in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(case["argv"]))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (code, digest) != (case["exit"], case["stdout_sha256"]):
+            mismatches.append((case["argv"], code, case["exit"]))
+    assert mismatches == []

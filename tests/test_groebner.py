@@ -91,6 +91,17 @@ def test_ideal_membership_examples():
     assert all(c.is_zero() for c in zeros)
 
 
+def test_ideal_membership_degenerate_generators():
+    # membership is the preimage problem of the one-row matrix of generators
+    x, _, _ = xyz()
+    zero = Polynomial.zero(CTX3)
+    assert ideal_membership(x, [zero, zero]) is None  # x is not in the zero ideal
+    assert ideal_membership(zero, [zero, zero]) == (zero, zero)
+    for p in (x, zero):
+        with pytest.raises(ValueError, match="no columns"):
+            ideal_membership(p, [])
+
+
 def test_ideal_membership_random_combinations():
     rng = random.Random(2718)
     for _ in range(25):

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from ncunfold.errors import NotIsolated
+from ncunfold.errors import DegreeGuardExceeded, NotIsolated
 from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext
 from ncunfold.groebner import normal_form
@@ -103,6 +103,22 @@ def test_singularity_wrapper():
     s = Singularity(a_k(2))
     assert s.milnor_number() == 2
     assert s.is_isolated()
+    assert s.jacobian() is s.isolated_jacobian()  # computed once, then kept
+    assert s.jacobian() == jacobian(a_k(2))
+    assert Singularity.of(s) is s and Singularity.of(s, None) is s
+    with pytest.raises(ValueError, match="conflicts"):
+        Singularity.of(s, 8)
+
+
+def test_singularity_owns_the_degree_guard():
+    guarded = Singularity(e_8(), max_degree=2)  # partials reach degree 4
+    with pytest.raises(DegreeGuardExceeded):
+        guarded.milnor_number()
+    with pytest.raises(DegreeGuardExceeded):
+        qc_subspace(guarded)
+    assert Singularity(e_8(), max_degree=4).milnor_number() == 8
+    with pytest.raises(NotIsolated):
+        Singularity(parse_polynomial("x^2", CTX2)).isolated_jacobian()
 
 
 def test_monicize_examples():

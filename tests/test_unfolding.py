@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncunfold.errors import NotACycle, NotIsolated, QCInvalid
+import ncunfold.singularity as singularity
+from ncunfold.errors import DegreeGuardExceeded, NotACycle, NotIsolated, QCInvalid
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import HSeries, Polynomial, RingContext
 from ncunfold.polyvector import (
@@ -14,7 +15,14 @@ from ncunfold.polyvector import (
     bivector_square,
     schouten_bracket,
 )
-from ncunfold.singularity import ADE_CONTEXT, a_k, ade_catalog, e_8, qc_subspace
+from ncunfold.singularity import (
+    ADE_CONTEXT,
+    Singularity,
+    a_k,
+    ade_catalog,
+    e_8,
+    qc_subspace,
+)
 from ncunfold.unfolding import (
     EXACT,
     MCSolution,
@@ -352,3 +360,74 @@ def test_solution_json_roundtrip():
     assert back.s_series == sol.s_series
     assert back.witness == sol.witness
     assert mc_verify(f, back).ok
+
+
+# -- the Singularity as owner of per-f data --------------------------------------
+
+
+def _ade_datum(f):
+    """A valid datum: S1 the Koszul boundary of a trivector, p1 on all of W."""
+    s1 = ad_f(f, g("x*y*D(1,2,3) + z^2*D(1,2,3)"))
+    p1 = sum((Polynomial.monomial(CTX3, e) for e in qc_subspace(f)), Polynomial.zero(CTX3))
+    return p1, s1
+
+
+def test_quantize_n3_builds_the_jacobian_basis_once(monkeypatch):
+    calls = []
+    real = singularity.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(singularity, "buchberger", counting)
+    for _, f in ade_catalog():
+        p1, s1 = _ade_datum(f)
+        calls.clear()
+        sol = quantize_n3(f, p1, s1)
+        assert len(calls) == 1
+        sing = Singularity(f)
+        assert quantize_n3(sing, p1, s1).to_json() == sol.to_json()
+        assert sing.jacobian() is sing.jacobian()
+
+
+@pytest.mark.parametrize("through", ["argument", "singularity"])
+def test_degree_guard_reaches_lift_and_normal_form(through):
+    f = a_k(1)  # partials of degree 1: the Jacobian basis itself passes a guard of 1
+    assert Singularity(f, max_degree=1).milnor_number() == 1
+    z = ad_f(f, g("x^2*D(1,2,3)"))
+    p = parse_polynomial("x^2", CTX3)
+    assert koszul_lift(f, z, max_degree=64) == g("x^2*D(1,2,3)")
+    assert qc_normalize(f, p, max_degree=64).w_part.is_zero()
+
+    def call(fn, arg):
+        if through == "argument":
+            return fn(f, arg, max_degree=1)
+        return fn(Singularity(f, max_degree=1), arg)
+
+    with pytest.raises(DegreeGuardExceeded):
+        call(koszul_lift, z)
+    with pytest.raises(DegreeGuardExceeded):
+        call(qc_normalize, p)
+
+
+def test_singularity_with_conflicting_max_degree_rejected():
+    f = a_k(1)
+    sing = Singularity(f, max_degree=10)
+    z = ad_f(f, g("D(1,2,3)"))
+    one = Polynomial.one(CTX3)
+    calls = [
+        lambda m: koszul_lift(sing, z, max_degree=m),
+        lambda m: qc_normalize(sing, one, max_degree=m),
+        lambda m: qc_validate(sing, one, z, max_degree=m),
+        lambda m: quantize_n3(sing, one, z, max_degree=m),
+        lambda m: quantize_general(sing, one, z, max_order=2, max_degree=m),
+        lambda m: qc_subspace(sing, max_degree=m),
+    ]
+    for fn in calls:
+        with pytest.raises(ValueError, match="conflicts"):
+            fn(5)
+        fn(10)  # the same guard is no conflict
+        fn(None)  # nor is leaving it out
+    with pytest.raises(ValueError, match="conflicts"):
+        koszul_lift(Singularity(f), z, max_degree=5)
