@@ -1,17 +1,24 @@
 """Buchberger engine for ideals and submodules of free modules over the
-rationals, with cofactor tracking.
+rationals, with cofactor tracking on request.
 
 One engine serves both ranks: an ideal is the rank-1 case.  Module terms
 are keyed by (component, exponent tuple) and compared position-over-term
 with the lower component index winning, so every result is reproducible.
-Every reduction carries cofactors and the identities they assert are
-rechecked on construction, not sampled.
+Every normal form is computed by one routine, `_reduce`: fraction-free on
+a flat map from order keys to integers with one exact rational scale,
+taking each leading term from a heap.  Cofactors over the input are carried
+only where a caller reads them (`buchberger(..., cofactors=True)`, the
+default, `module_buchberger` and the normal forms); the identities they
+assert are rechecked on construction of a ReductionTrace, not sampled.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .errors import ContextMismatch, DegreeGuardExceeded
 from .poly import (
@@ -116,76 +123,169 @@ def _wrap(p: Polynomial) -> ModuleElement:
     return ModuleElement((p,))
 
 
+# -- the reduction kernel ------------------------------------------------------
+#
+# A term (comp, exps) is keyed by a flat int tuple whose minimum under tuple
+# comparison is the leading term: (comp, -deg, *exps) for grevlex and
+# (comp, -e_n, ..., -e_1) for lex.  The key is linear in the exponents, so
+# multiplying a term by x^q adds the key of x^q, and the quotient of two
+# terms is the difference of their keys.
+
+
+def _heap_key(kind: str, comp: int, exps: tuple) -> tuple:
+    if kind == "grevlex":
+        return (comp, -sum(exps)) + exps
+    return (comp,) + tuple(-e for e in reversed(exps))
+
+
+def _key_term(kind: str, key: tuple) -> tuple:
+    """(comp, exps) of a heap key."""
+    if kind == "grevlex":
+        return key[0], key[2:]
+    return key[0], tuple(-e for e in reversed(key[1:]))
+
+
+def _key_degree(kind: str, key: tuple) -> int:
+    return -key[1] if kind == "grevlex" else -sum(key[1:])
+
+
+def _integer_map(v: ModuleElement, kind: str):
+    """({heap key: int}, scale) with v == scale * sum(int * term) and the
+    ints primitive; scale is a positive Fraction."""
+    terms = {
+        _heap_key(kind, comp, exps): c
+        for comp, poly in enumerate(v.components)
+        for exps, c in poly.terms.items()
+    }
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    content = gcd(*ints.values())
+    if content > 1:
+        ints = {k: c // content for k, c in ints.items()}
+    return ints, Fraction(content, den)
+
+
+def _guard(max_degree: int | None, degree: int) -> None:
+    if max_degree is not None and degree > max_degree:
+        raise DegreeGuardExceeded(f"intermediate degree exceeded the limit {max_degree}")
+
+
 @dataclass
 class _Entry:
+    """A monic basis element with its cofactors over the input generators
+    (None when not tracked) and its primitive integer form: leading
+    coefficient lc > 0 and the remaining (heap key, int) terms."""
+
     elem: ModuleElement
-    cofs: tuple[Polynomial, ...]  # over the original input generators
-    lead: tuple  # ((comp, exps), coeff), coeff == 1 after normalization
+    cofs: tuple[Polynomial, ...] | None
+    lead: tuple  # (comp, exps)
+    key: tuple
+    lc: int
+    tail: tuple
 
 
 def _make_entry(elem: ModuleElement, cofs, order: MonomialOrder) -> _Entry:
-    lead = elem.leading(order)
-    lc = lead[1]
+    lead, lc = elem.leading(order)
     if lc != 1:
         inv = 1 / lc
         elem = elem.scale(inv)
-        cofs = tuple(c * inv for c in cofs)
-        lead = (lead[0], lc * inv)
-    return _Entry(elem, tuple(cofs), lead)
+        if cofs is not None:
+            cofs = tuple(c * inv for c in cofs)
+    ints, _ = _integer_map(elem, order.kind)
+    key = _heap_key(order.kind, *lead)
+    b = ints.pop(key)
+    return _Entry(elem, cofs, lead, key, b, tuple(ints.items()))
+
+
+_CONTENT_EVERY = 8  # reduction steps between removals of the integer content
 
 
 def _reduce(
     v: ModuleElement,
-    cofs: tuple[Polynomial, ...],
+    cofs: tuple[Polynomial, ...] | None,
     entries: list[_Entry],
     order: MonomialOrder,
     max_degree: int | None,
 ):
-    """Full normal form of v against the entries.
+    """Full normal form of v against the entries: (remainder, cofactors).
 
-    Maintains the invariant: if v == sum(cofs_in * gens) and every entry
-    satisfies entry.elem == sum(entry.cofs * gens), then the returned
-    remainder equals sum(cofs_out * gens).
+    The divisor of a leading term is the first entry whose leading term
+    divides it.  Fraction-free: v is scale * cur for an integer map cur,
+    and a step with cur's leading coefficient a and the divisor's b,
+    g = gcd(a, b), takes cur to (b/g) * cur - (a/g) * x^q * divisor and
+    scale to scale * g/b.  Irreducible terms leave cur for the remainder
+    as exact Fractions.  When tracked (cofs is not None), the cofactors
+    keep the invariant: if v == sum(cofs_in * gens) and every entry
+    satisfies entry.elem == sum(entry.cofs * gens), then the remainder
+    equals sum(cofs_out * gens).
     """
     ctx = v.ctx
-    rank = v.rank
-    rem = ModuleElement.zero(ctx, rank)
-    cur = v
-    cofs = list(cofs)
-    while not cur.is_zero():
-        if max_degree is not None and cur.max_degree() > max_degree:
-            raise DegreeGuardExceeded(
-                f"intermediate degree exceeded the limit {max_degree}"
-            )
-        (comp, exps), lc = cur.leading(order)
-        divisor = None
-        for entry in entries:
-            (ec, ee), _ = entry.lead
-            if ec == comp and monomial_divides(ee, exps):
-                divisor = entry
+    kind = order.kind
+    cur, scale = _integer_map(v, kind)
+    num, den = scale.numerator, scale.denominator
+    if cur:
+        _guard(max_degree, v.max_degree())
+    heap = list(cur)
+    heapify(heap)
+    leads = [(*e.lead, e) for e in entries]
+    rem = [{} for _ in range(v.rank)]
+    cofs = None if cofs is None else list(cofs)
+    steps = 0
+    while heap:
+        t = heappop(heap)
+        a = cur.pop(t, None)
+        if a is None:
+            continue  # a lazily deleted key
+        comp, exps = _key_term(kind, t)
+        for ec, ee, divisor in leads:
+            if ec == comp and all(map(le, ee, exps)):
                 break
-        if divisor is None:
-            t = Polynomial.monomial(ctx, exps, lc)
-            parts = list(rem.components)
-            parts[comp] = parts[comp] + t
-            rem = ModuleElement(tuple(parts))
-            parts = list(cur.components)
-            parts[comp] = parts[comp] - t
-            cur = ModuleElement(tuple(parts))
         else:
-            (ec, ee), _ = divisor.lead
-            u = Polynomial.monomial(ctx, monomial_div(exps, ee), lc)
-            cur = cur - divisor.elem.scale_poly(u)
-            for j in range(len(cofs)):
-                if not divisor.cofs[j].is_zero():
-                    cofs[j] = cofs[j] - u * divisor.cofs[j]
-    return rem, tuple(cofs)
+            rem[comp][exps] = Fraction(a * num, den)
+            continue
+        b = divisor.lc
+        g = gcd(a, b)
+        ma, mb = a // g, b // g
+        shift = tuple(map(sub, t, divisor.key))
+        if cofs is not None:
+            u = Polynomial.monomial(ctx, _key_term(kind, shift)[1], Fraction(a * num, den))
+            for j, dc in enumerate(divisor.cofs):
+                if not dc.is_zero():
+                    cofs[j] = cofs[j] - u * dc
+        if mb != 1:
+            cur = {k: c * mb for k, c in cur.items()}
+            den *= mb
+        for k, c in divisor.tail:
+            k = tuple(map(add, k, shift))
+            old = cur.get(k)
+            if old is None:
+                if max_degree is not None:
+                    _guard(max_degree, _key_degree(kind, k))
+                cur[k] = -ma * c
+                heappush(heap, k)
+            else:
+                c = old - ma * c
+                if c:
+                    cur[k] = c
+                else:
+                    del cur[k]
+        steps += 1
+        if steps % _CONTENT_EVERY == 0 and cur:
+            content = gcd(*cur.values())
+            if content > 1:
+                cur = {k: c // content for k, c in cur.items()}
+                num *= content
+            g = gcd(num, den)
+            num, den = num // g, den // g
+    remainder = ModuleElement(tuple(Polynomial(ctx, p) for p in rem))
+    return remainder, None if cofs is None else tuple(cofs)
 
 
 def _buchberger_entries(
     gens: list[ModuleElement],
     order: MonomialOrder,
     max_degree: int | None,
+    cofactors: bool,
 ) -> list[_Entry]:
     ctx = gens[0].ctx
     m = len(gens)
@@ -195,32 +295,36 @@ def _buchberger_entries(
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        cofs = list(zero_cof)
-        cofs[idx] = Polynomial.one(ctx)
-        entries.append(_make_entry(g, tuple(cofs), order))
+        # checked here, as a redundant generator is dropped unreduced below
+        _guard(max_degree, g.max_degree())
+        cofs = None
+        if cofactors:
+            cofs = list(zero_cof)
+            cofs[idx] = Polynomial.one(ctx)
+        entries.append(_make_entry(g, cofs, order))
 
     rank_one = gens[0].rank == 1
 
     pairs: list[tuple[int, int, int]] = []
 
     def push_pairs(j: int):
-        (cj, ej), _ = entries[j].lead
+        cj, ej = entries[j].lead
         for i in range(j):
-            (ci, ei), _ = entries[i].lead
+            ci, ei = entries[i].lead
             if ci != cj:
                 continue
             deg = sum(monomial_lcm(ei, ej))
-            heapq.heappush(pairs, (deg, i, j))
+            heappush(pairs, (deg, i, j))
 
     for j in range(len(entries)):
         push_pairs(j)
 
     done: set[tuple[int, int]] = set()
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        (ci, ei), _ = entries[i].lead
-        (cj, ej), _ = entries[j].lead
-        lcm = monomial_lcm(ei, ej)
+        _, i, j = heappop(pairs)
+        ci, ei = entries[i].lead
+        cj, ej = entries[j].lead
+        lcm_ij = monomial_lcm(ei, ej)
         # Buchberger's product criterion: only valid for ideals (rank 1)
         if rank_one and all(min(a, b) == 0 for a, b in zip(ei, ej)):
             done.add((i, j))
@@ -230,8 +334,8 @@ def _buchberger_entries(
         for k, entry in enumerate(entries):
             if k == i or k == j:
                 continue
-            (ck, ek), _ = entry.lead
-            if ck != ci or not monomial_divides(ek, lcm):
+            ck, ek = entry.lead
+            if ck != ci or not monomial_divides(ek, lcm_ij):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -241,48 +345,54 @@ def _buchberger_entries(
         if skip:
             done.add((i, j))
             continue
-        ui = Polynomial.monomial(ctx, monomial_div(lcm, ei), 1)
-        uj = Polynomial.monomial(ctx, monomial_div(lcm, ej), 1)
+        ui = Polynomial.monomial(ctx, monomial_div(lcm_ij, ei), 1)
+        uj = Polynomial.monomial(ctx, monomial_div(lcm_ij, ej), 1)
         spair = entries[i].elem.scale_poly(ui) - entries[j].elem.scale_poly(uj)
-        scofs = tuple(
-            ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs)
-        )
+        scofs = None
+        if cofactors:
+            scofs = tuple(
+                ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs)
+            )
         rem, rcofs = _reduce(spair, scofs, entries, order, max_degree)
         done.add((i, j))
         if not rem.is_zero():
             entries.append(_make_entry(rem, rcofs, order))
             push_pairs(len(entries) - 1)
 
-    # interreduce to the reduced basis, keeping cofactors exact
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(entries)):
-            entry = entries[idx]
-            if entry is None:
-                continue
-            others = [e for k, e in enumerate(entries) if k != idx and e is not None]
-            rem, rcofs = _reduce(entry.elem, entry.cofs, others, order, max_degree)
-            if rem.is_zero():
-                entries[idx] = None
-                changed = True
-            elif rem != entry.elem:
-                entries[idx] = _make_entry(rem, rcofs, order)
-                changed = True
+    # One interreduction pass in entry order.  An entry whose leading term
+    # another entry's divides would reduce to zero and is dropped unreduced;
+    # every other entry is reduced once against the current others, so
+    # its leading term stays and its tail becomes standard.  The reduced
+    # basis is unique but its cofactors are not: these are the ones that
+    # repeating such passes until nothing changes gives, since a second
+    # pass changes nothing.
+    for idx, entry in enumerate(entries):
+        others = [e for e in entries if e is not None and e is not entry]
+        comp, exps = entry.lead
+        if any(e.lead[0] == comp and monomial_divides(e.lead[1], exps) for e in others):
+            entries[idx] = None
+            continue
+        rem, rcofs = _reduce(entry.elem, entry.cofs, others, order, max_degree)
+        if rem != entry.elem:
+            entries[idx] = _make_entry(rem, rcofs, order)
     final = [e for e in entries if e is not None]
-    final.sort(key=lambda e: order.module_key(*e.lead[0]))
+    final.sort(key=lambda e: order.module_key(*e.lead))
     return final
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal, with cofactors over the input."""
+    """Reduced Groebner basis of an ideal; source_cofactors expresses each
+    generator over the input, or is empty when not computed."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool
     source: tuple[Polynomial, ...] = field(repr=False, default=())
-    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(repr=False, default=())
+    # a certificate, not part of the basis: cofactors are not unique
+    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(
+        repr=False, compare=False, default=()
+    )
 
     @property
     def ctx(self) -> RingContext:
@@ -310,7 +420,10 @@ class ModuleGroebnerBasis:
     rank: int
     reduced: bool
     source: tuple[ModuleElement, ...] = field(repr=False, default=())
-    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(repr=False, default=())
+    # a certificate, not part of the basis: cofactors are not unique
+    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(
+        repr=False, compare=False, default=()
+    )
 
     def to_json(self) -> dict:
         return {
@@ -343,7 +456,10 @@ class ReductionTrace:
 
     def over_source(self, gb) -> "ReductionTrace":
         """This trace over gb.generators rewritten over the input generators
-        gb.source; the identity is rechecked on construction."""
+        gb.source; the identity is rechecked on construction.  ValueError
+        when gb was computed without cofactors."""
+        if len(gb.source_cofactors) != len(gb.generators):
+            raise ValueError("the basis was computed without cofactors")
         cofs = [Polynomial.zero(self.remainder.ctx) for _ in gb.source]
         for c, row in zip(self.cofactors, gb.source_cofactors):
             for j, s in enumerate(row):
@@ -356,11 +472,15 @@ def buchberger(
     gens,
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
+    *,
+    cofactors: bool = True,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic: pairs are selected by lcm degree with input-index
-    tie-break, and the final basis is sorted by leading term.
+    tie-break, and the final basis is sorted by leading term.  With
+    cofactors=False the expressions of the basis over gens are not
+    computed and source_cofactors is empty.
     """
     gens = list(gens)
     if not gens or all(g.is_zero() for g in gens):
@@ -368,13 +488,13 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    entries = _buchberger_entries([_wrap(g) for g in gens], order, max_degree)
+    entries = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
         reduced=True,
         source=tuple(gens),
-        source_cofactors=tuple(e.cofs for e in entries),
+        source_cofactors=tuple(e.cofs for e in entries) if cofactors else (),
     )
 
 
@@ -398,7 +518,7 @@ def module_buchberger(
         raise ContextMismatch("mixed contexts in generator list")
     if all(g.is_zero() for g in gens):
         return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    entries = _buchberger_entries(gens, order, max_degree)
+    entries = _buchberger_entries(gens, order, max_degree, True)
     return ModuleGroebnerBasis(
         generators=tuple(e.elem for e in entries),
         order=order,
@@ -416,7 +536,7 @@ def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int 
         raise ContextMismatch("element from a different ring")
     zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
     entries = [
-        _Entry(g, tuple(one if j == k else zero for j in range(len(basis))), g.leading(order))
+        _make_entry(g, tuple(one if j == k else zero for j in range(len(basis))), order)
         for k, g in enumerate(basis)
     ]
     rem, cofs = _reduce(v, (zero,) * len(basis), entries, order, max_degree)

@@ -28,7 +28,6 @@ from .poly import HSeries, Polynomial, RingContext
 from .polyvector import (
     GElement,
     ad_f,
-    bivector_square,
     mask_of,
     mc_residual,
     schouten_bracket,
@@ -152,6 +151,21 @@ class QuasiClassicalDatum:
     extension_bivector: GElement  # S_2 with [f, S_2] = [p, S]
 
 
+def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
+    """The first-order conditions on S: an eps-free bivector (checked
+    first, alone), [f, S] = 0 and [S, S] = 0."""
+    if not s.is_polyvector() or not (s.wedge_degrees() <= {2}):
+        return [QCViolation("wrong_degree", "S must be an eps-free bivector", s)]
+    violations = []
+    fs = ad_f(f, s)
+    if not fs.is_zero():
+        violations.append(QCViolation("not_f_compatible", "[f, S] != 0", fs))
+    ss = schouten_bracket(s, s)
+    if not ss.is_zero():
+        violations.append(QCViolation("not_poisson", "[S, S] != 0", ss))
+    return violations
+
+
 def qc_validate(
     f: Polynomial | Singularity, p: Polynomial, s: GElement, max_degree: int | None = None
 ):
@@ -164,18 +178,7 @@ def qc_validate(
     sing = Singularity.of(f, max_degree)
     f = sing.f
     sing.isolated_jacobian()
-    violations = []
-    if not s.is_polyvector() or not (s.wedge_degrees() <= {2}):
-        violations.append(
-            QCViolation("wrong_degree", "S must be an eps-free bivector", s)
-        )
-        return violations
-    fs = ad_f(f, s)
-    if not fs.is_zero():
-        violations.append(QCViolation("not_f_compatible", "[f, S] != 0", fs))
-    ss = schouten_bracket(s, s)
-    if not ss.is_zero():
-        violations.append(QCViolation("not_poisson", "[S, S] != 0", ss))
+    violations = _qc_violations(f, s)
     if violations:
         return violations
     norm = qc_normalize(sing, p)
@@ -395,11 +398,7 @@ def quantize_general(
     sing = Singularity.of(f, max_degree)
     f, ctx = sing.f, sing.ctx
     sing.isolated_jacobian()
-    violations = []
-    if not ad_f(f, s1).is_zero():
-        violations.append(QCViolation("not_f_compatible", "[f, S1] != 0"))
-    if not bivector_square(s1).is_zero():
-        violations.append(QCViolation("not_poisson", "[S1, S1] != 0"))
+    violations = _qc_violations(f, s1)
     if violations:
         raise QCInvalid(violations)
     if max_order < 2:

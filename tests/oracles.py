@@ -5,7 +5,9 @@ it checks: the bracket oracle recurses on the *left* argument where the
 library recurses on the right; the Milnor oracle is straight sparse linear
 algebra with no Groebner machinery; the differential oracle evaluates the
 classical alternating-sum formula pointwise instead of composing
-operators.
+operators; the Groebner oracle is the textbook Buchberger algorithm on
+plain term dicts, every pair and no criteria, with the reduced basis
+formed afterwards.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ncunfold.poly import Polynomial, grevlex_key
+from ncunfold.poly import Polynomial, grevlex_key, lex_key
 from ncunfold.polyvector import GElement, bits_of
 
 
@@ -292,6 +294,99 @@ def milnor_oracle(f: Polynomial):
         if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
             return counts[-1]
     return "infinite"
+
+
+# ---------------------------------------------------------------------------
+# reduced Groebner basis by the textbook Buchberger algorithm
+
+def oracle_vector(elem):
+    """{(comp, exps): Fraction} of a Polynomial or a tuple of components."""
+    comps = (elem,) if isinstance(elem, Polynomial) else tuple(elem)
+    return {(i, e): c for i, p in enumerate(comps) for e, c in p.terms.items()}
+
+
+def _term_key(kind):
+    # position over term, the lower component index first
+    key = grevlex_key if kind == "grevlex" else lex_key
+    return lambda t: (-t[0], key(t[1]))
+
+
+def _divides(a, b):
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def _normal_form_naive(v, basis, key):
+    """Remainder of v after division by basis (each entry monic)."""
+    v, rem = dict(v), {}
+    while v:
+        t = max(v, key=key)
+        c = v.pop(t)
+        for g in basis:
+            lead = max(g, key=key)
+            if _divides(lead, t):
+                q = tuple(a - b for a, b in zip(t[1], lead[1]))
+                for (comp, e), gc in g.items():
+                    if (comp, e) == lead:
+                        continue
+                    k = (comp, tuple(a + b for a, b in zip(e, q)))
+                    s = v.get(k, Fraction(0)) - c * gc
+                    if s:
+                        v[k] = s
+                    else:
+                        v.pop(k, None)
+                break
+        else:
+            rem[t] = c
+    return rem
+
+
+def _monic(v, key):
+    lc = v[max(v, key=key)]
+    return {t: c / lc for t, c in v.items()}
+
+
+def naive_buchberger(gens, kind="grevlex"):
+    """Reduced Groebner basis of the ideal or submodule spanned by gens
+    (Polynomials or tuples of components), as a list of monic
+    {(comp, exps): Fraction} in increasing order of leading terms."""
+    key = _term_key(kind)
+    basis = [_monic(v, key) for v in map(oracle_vector, gens) if v]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # the pair of least lcm degree next, which keeps the basis small
+        lcms = []
+        for i, j in pairs:
+            la, lb = max(basis[i], key=key), max(basis[j], key=key)
+            lcm = tuple(max(x, y) for x, y in zip(la[1], lb[1]))
+            lcms.append((sum(lcm) if la[0] == lb[0] else -1, i, j))
+        _, i, j = min(lcms)
+        pairs.remove((i, j))
+        a, b = basis[i], basis[j]
+        la, lb = max(a, key=key), max(b, key=key)
+        if la[0] != lb[0]:
+            continue  # no S-vector between different components
+        lcm = tuple(max(x, y) for x, y in zip(la[1], lb[1]))
+        s = {}
+        for g, lead, sign in ((a, la, 1), (b, lb, -1)):
+            q = tuple(x - y for x, y in zip(lcm, lead[1]))
+            for (comp, e), c in g.items():
+                k = (comp, tuple(x + y for x, y in zip(e, q)))
+                s[k] = s.get(k, Fraction(0)) + sign * c
+        r = _normal_form_naive({t: c for t, c in s.items() if c}, basis, key)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_monic(r, key))
+    minimal = []
+    for idx, g in enumerate(basis):
+        lead = max(g, key=key)
+        rest = minimal + basis[idx + 1:]
+        if not any(_divides(max(h, key=key), lead) for h in rest):
+            minimal.append(g)
+    reduced = [
+        _normal_form_naive(g, minimal[:k] + minimal[k + 1:], key)
+        for k, g in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lambda g: key(max(g, key=key)))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,22 @@ def test_qc_check_valid_and_invalid(capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_general_quantize_wrong_wedge_degree_exit_2(capsys):
+    """A vector field where a bivector belongs is a validation failure in
+    every command that validates (p, S), --general included."""
+    datum = ["--vars", "x,y,z", "--f", "x^2+y^2+z^2", "--p", "0",
+             "--S", "y*D(1)-x*D(2)"]
+    codes = []
+    for argv in (["qc-check"] + datum, ["quantize"] + datum,
+                 ["quantize"] + datum + ["--general"]):
+        code, out, err = run(capsys, argv)
+        codes.append(code)
+        if "--general" in argv:
+            assert out == ""
+            assert "bivector" in err
+    assert codes == [2, 2, 2]
+
+
 def test_jacobian_report_schema(capsys):
     code, out, _ = run(
         capsys, ["jacobian", "--vars", "x,y,z", "--f", "x^3+y^2+z^2", "--format", "json"]

@@ -1,11 +1,13 @@
 """Groebner engine: bases, normal forms, membership, modules, preimages."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ncunfold.errors import DegreeGuardExceeded
 from ncunfold.groebner import (
     GREVLEX,
     LEX,
@@ -19,9 +21,10 @@ from ncunfold.groebner import (
     quotient_dimension,
     standard_monomials,
 )
-from ncunfold.poly import INFINITE, Polynomial, RingContext, monomial_divides
+from ncunfold.poly import INFINITE, Polynomial, RingContext, grevlex_key, monomial_divides
+from ncunfold.singularity import milnor_number
 
-from oracles import rand_poly
+from oracles import naive_buchberger, oracle_vector, rand_poly
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -316,3 +319,124 @@ def test_module_basis_json_schema():
         for comps in blob["generators"]
     ]
     assert rebuilt == list(gb.generators)
+
+
+# -- differential gate: the engine against the textbook algorithm -------------
+
+
+def _proper_poly(rng, ctx, max_degree, n_terms):
+    """Random polynomial without constant term, so ideals are mostly proper."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * ctx.n
+        for _ in range(rng.randint(1, max_degree)):
+            exps[rng.randrange(ctx.n)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_reduced_basis_matches_naive_buchberger(order):
+    """buchberger with and without cofactors and module_buchberger on the
+    rank-1 module give the textbook reduced basis exactly, on random
+    ideals in two and three variables; so does module_buchberger on random
+    rank-2 modules."""
+    rng = random.Random(4242)
+    sizes = []
+    for _ in range(30):
+        ctx = rng.choice([CTX2, CTX3])
+        gens = [_proper_poly(rng, ctx, 3, 3) for _ in range(rng.randint(2, 3))]
+        if all(g.is_zero() for g in gens):
+            continue
+        want = naive_buchberger(gens, order.kind)
+        sizes.append(len(want))
+        for cofactors in (True, False):
+            gb = buchberger(gens, order, cofactors=cofactors)
+            assert [oracle_vector(g) for g in gb.generators] == want
+        rank_one = module_buchberger([ModuleElement((g,)) for g in gens], order)
+        assert [oracle_vector(g.components) for g in rank_one.generators] == want
+    assert max(sizes) >= 3  # the draw reaches nontrivial bases
+    for _ in range(20):
+        ctx = rng.choice([CTX2, CTX3])
+        gens = [
+            (_proper_poly(rng, ctx, 2, 2), _proper_poly(rng, ctx, 2, 2))
+            for _ in range(rng.randint(2, 3))
+        ]
+        gb = module_buchberger([ModuleElement(g) for g in gens], order)
+        assert [oracle_vector(g.components) for g in gb.generators] == naive_buchberger(
+            gens, order.kind
+        )
+
+
+# -- the degree guard ----------------------------------------------------------
+
+
+GUARD_MESSAGE = "intermediate degree exceeded the limit 5"
+
+
+@pytest.mark.parametrize("cofactors", [True, False])
+def test_degree_guard_below_input_degree(cofactors):
+    x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
+    gens = [x ** 6 + y, y ** 2]  # x^6 + y is already a basis element's lead
+    with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+        buchberger(gens, GREVLEX, 5, cofactors=cofactors)
+    with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+        normal_form(x ** 6, buchberger([y]), max_degree=5)
+    assert len(buchberger(gens, GREVLEX, 6, cofactors=cofactors).generators) == 2
+
+
+@pytest.mark.parametrize("cofactors", [True, False])
+def test_degree_guard_crossed_by_an_intermediate_term(cofactors):
+    """Under lex (y > x) every input and the S-pair -x^3*y - x stay within
+    degree 5, but reducing it by y - x^3 creates x^6."""
+    x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
+    gens = [y - x ** 3, y ** 2 + x]
+    with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+        buchberger(gens, LEX, 5, cofactors=cofactors)
+    assert buchberger(gens, LEX, 6, cofactors=cofactors) == buchberger(gens, LEX)
+    gb = buchberger([y - x ** 3], LEX, 5, cofactors=cofactors)
+    with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+        normal_form(y ** 2, gb, max_degree=5)
+    assert normal_form(y ** 2, gb, max_degree=6).remainder == x ** 6
+
+
+# -- cofactors are computed only when asked for --------------------------------
+
+
+def test_basis_without_cofactors():
+    x, y, z = xyz()
+    gens = [x * y - z, y ** 2 - x, z ** 2 - y]
+    full = buchberger(gens)
+    bare = buchberger(gens, cofactors=False)
+    assert bare.generators == full.generators
+    assert bare.source == full.source
+    assert bare.source_cofactors == ()
+    assert len(full.source_cofactors) == len(full.generators)
+    for g, row in zip(full.generators, full.source_cofactors):
+        assert sum((c * s for c, s in zip(row, gens)), Polynomial.zero(CTX3)) == g
+    trace = normal_form(x ** 3 * z, bare)
+    assert trace.cofactors  # over the basis itself the trace is complete
+    with pytest.raises(ValueError, match="without cofactors"):
+        trace.over_source(bare)
+    assert trace.over_source(full).remainder == trace.remainder
+
+
+def test_dense_jacobian_basis_matches_naive_buchberger():
+    """The Milnor workload's shape: dense f of degree 4 in three variables,
+    whose Jacobian basis has coefficients of hundreds of bits.  The basis
+    equals the textbook one and mu is the Bezout count (d-1)^n = 27.  (The
+    linear-algebra milnor_oracle takes minutes at this size.)"""
+    rng = random.Random(34)
+    monomials = [e for e in itertools.product(range(5), repeat=3) if 2 <= sum(e) <= 4]
+    for _ in range(2):
+        f = Polynomial(CTX3, {e: rng.randint(-9, 9) for e in monomials})
+        partials = [f.partial(i) for i in (1, 2, 3)]
+        want = naive_buchberger(partials)
+        gb = buchberger(partials, cofactors=False)
+        assert [oracle_vector(g) for g in gb.generators] == want
+        leads = [max(g, key=lambda t: grevlex_key(t[1]))[1] for g in want]
+        standard = [
+            e for e in itertools.product(range(13), repeat=3)
+            if not any(monomial_divides(lead, e) for lead in leads)
+        ]
+        assert milnor_number(f) == len(standard) == 27

@@ -176,3 +176,25 @@ def test_monicize_random_preserves_milnor():
         sigma, image = monicize(f)
         assert is_monic_in_last(image)
         assert milnor_number(image) == milnor_number(f)
+
+
+def test_free_jacobian_skips_cofactors_and_singularity_keeps_them():
+    """milnor_number and the CLI read no cofactors, so the free jacobian
+    leaves them out; Singularity.jacobian keeps them for qc_normalize."""
+    for _, f in ade_catalog():
+        bare = jacobian(f).gb
+        assert bare.source_cofactors == ()
+        data = Singularity(f).jacobian()
+        gb = data.gb
+        assert gb == bare  # cofactors are a certificate, not part of the basis
+        assert gb.source == data.partials
+        assert len(gb.source_cofactors) == len(gb.generators)
+        for g, row in zip(gb.generators, gb.source_cofactors):
+            acc = Polynomial.zero(ADE_CONTEXT)
+            for c, partial in zip(row, data.partials):
+                acc = acc + c * partial
+            assert acc == g
+        p = parse_polynomial("x^3*y + z^4", ADE_CONTEXT)
+        with pytest.raises(ValueError, match="without cofactors"):
+            normal_form(p, bare).over_source(bare)
+        assert normal_form(p, gb).over_source(gb).remainder == normal_form(p, bare).remainder
