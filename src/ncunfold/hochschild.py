@@ -248,12 +248,15 @@ def _insert_one(ctx, alphas, coeff, slot, q_alphas, q_coeff):
         dcoeff = q_coeff.derive(gamma0)
         if dcoeff.is_zero():
             continue
+        if multi != 1:
+            # scale the small factor, not the product
+            dcoeff = dcoeff * multi
         block = tuple(
             tuple(b + g for b, g in zip(beta, gamma))
             for beta, gamma in zip(q_alphas, rest)
         )
         new_alphas = alphas[:slot] + block + alphas[slot + 1 :]
-        yield new_alphas, coeff * dcoeff * multi
+        yield new_alphas, coeff * dcoeff
 
 
 def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:

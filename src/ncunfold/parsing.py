@@ -123,8 +123,9 @@ class _Parser:
         while e:
             if e & 1:
                 result = self._mul(result, base)
-            base = self._mul(base, base)
             e >>= 1
+            if e:
+                base = self._mul(base, base)
         return result
 
     # token plumbing ---------------------------------------------------------

@@ -5,13 +5,20 @@ always kept in canonical form (no stored zero coefficients).  Serialized
 forms order terms by graded reverse lexicographic order with
 x_1 < x_2 < ... < x_n.  Everything here is immutable after construction
 and safe to share between threads.
+
+Arithmetic contract: a product of two polynomials is computed on integer
+numerators over each operand's common denominator, with one Fraction
+built per nonzero output term; every stored value stays an exact,
+reduced Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ContextMismatch
 
@@ -23,10 +30,6 @@ INFINITE = "infinite"
 
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
-
-def monomial_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def monomial_divides(a: tuple, b: tuple) -> bool:
     """True iff x^a divides x^b."""
@@ -206,18 +209,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_ctx(self, other)
-        res: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = monomial_mul(e1, e2)
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
+        # each operand as integer numerators over its common denominator
+        da = math.lcm(*[c.denominator for c in self.terms.values()])
+        db = math.lcm(*[c.denominator for c in other.terms.values()])
+        a = [(e, c.numerator * (da // c.denominator)) for e, c in self.terms.items()]
+        b = [(e, c.numerator * (db // c.denominator)) for e, c in other.terms.items()]
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        den = da * db
         out = Polynomial.__new__(Polynomial)
         out.ctx = self.ctx
-        out.terms = res
+        out.terms = {e: Fraction(v, den) for e, v in acc.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -235,8 +241,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -7,7 +7,8 @@ algebra with no Groebner machinery; the differential oracle evaluates the
 classical alternating-sum formula pointwise instead of composing
 operators; the Groebner oracle is the textbook Buchberger algorithm on
 plain term dicts, every pair and no criteria, with the reduced basis
-formed afterwards.
+formed afterwards; the product oracle sums Fraction products term by term
+where the library multiplies integer numerators over common denominators.
 """
 
 from __future__ import annotations
@@ -20,15 +21,33 @@ from ncunfold.polyvector import GElement, bits_of
 
 
 # ---------------------------------------------------------------------------
+# polynomial product
+
+def naive_poly_mul(a: Polynomial, b: Polynomial) -> dict:
+    """Terms of a*b as a plain Fraction double sum, zeros dropped at the end."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in acc.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
 # random generators (plain `random.Random` instances are passed in)
 
-def rand_poly(rng, ctx, max_degree=2, n_terms=3, zero_ok=True):
+def rand_poly(rng, ctx, max_degree=2, n_terms=3, zero_ok=True, coeff=None):
+    """Random polynomial; `coeff(rng)` draws each coefficient (default:
+    numerator in [-4, 4] over a denominator in [1, 3])."""
     terms = {}
     for _ in range(n_terms):
         exps = [0] * ctx.n
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(ctx.n)] += 1
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if coeff is None:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            c = coeff(rng)
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + c
     p = Polynomial(ctx, terms)
     if not zero_ok and p.is_zero():

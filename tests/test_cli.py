@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,3 +319,32 @@ def test_golden_cli_corpus_byte_identical():
         if (code, digest) != (case["exit"], case["stdout_sha256"]):
             mismatches.append((case["argv"], code, case["exit"]))
     assert mismatches == []
+
+
+DETERMINISM_COMMANDS = ("quantize", "jacobian", "hh-brace", "hh-d", "schouten", "mc-verify")
+
+
+def test_cli_stdout_independent_of_hash_seed():
+    """Golden argv run in fresh interpreters under PYTHONHASHSEED 0, 1 and 2
+    print byte-identical stdout."""
+    cases = json.loads(CORPUS.read_text())["cases"]
+    src = str(CORPUS.parent.parent / "src")
+    argvs = []
+    for command in DETERMINISM_COMMANDS:
+        argv = next(c["argv"] for c in cases if c["argv"][0] == command and c["exit"] == 0)
+        if "--format" not in argv:
+            argv = argv + ["--format", "json"]
+        argvs.append(argv)
+    for argv in argvs:
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncunfold.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv

@@ -7,6 +7,7 @@ import pytest
 
 from ncunfold.errors import ParseError
 from ncunfold.parsing import (
+    _Parser,
     format_series,
     parse_gelement,
     parse_polynomial,
@@ -125,3 +126,26 @@ def test_format_series_roundtrip():
 
         s = HSeries(coeffs, 3)
         assert parse_series(format_series(s), CTX3, order=3) == s
+
+
+def test_power_matches_polynomial_power():
+    q = parse_polynomial("x+y+z", CTX3)
+    for k in range(7):
+        assert parse_polynomial(f"(x+y+z)^{k}", CTX3) == q ** k
+    assert parse_polynomial("(1/2*x - 3*y)^5", CTX2) == parse_polynomial("1/2*x - 3*y", CTX2) ** 5
+
+
+def test_power_multiplication_count(monkeypatch):
+    """Square-and-multiply stops squaring after the top exponent bit."""
+    calls = []
+    mul = _Parser._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_Parser, "_mul", counted)
+    for e in (1, 2, 3, 5, 7, 8, 64, 100):
+        calls.clear()
+        parse_polynomial(f"(x+y)^{e}", CTX2)
+        assert len(calls) == bin(e).count("1") + e.bit_length() - 1

@@ -1,7 +1,9 @@
 """Polynomial core: arithmetic, derivatives, substitution, division, series."""
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,7 @@ from ncunfold.poly import (
 
 from ncunfold.polyvector import GElement, schouten_bracket
 
-from oracles import rand_gelement, rand_poly
+from oracles import naive_poly_mul, rand_gelement, rand_poly
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -58,6 +60,126 @@ def test_mul_units():
     assert (Polynomial.zero(CTX3) * f).is_zero()
     assert Polynomial.one(CTX3) * f == f
     assert (x + y) * (x - y) == x ** 2 - y ** 2
+
+
+# distinct primes from 30 to 521 bits
+LARGE_PRIMES = (
+    2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1,
+    2**107 - 1, 2**127 - 1, 2**521 - 1,
+)
+
+
+def _monic_500_bit(rng, ctx, n_terms):
+    """A monic polynomial whose other coefficients share a ~500-bit
+    denominator, like the entries of a reduced Groebner basis."""
+    den = rng.getrandbits(500) | (1 << 499) | 1
+    p = rand_poly(
+        rng, ctx, 3, n_terms, coeff=lambda r: Fraction(r.randint(-(2**500), 2**500), den)
+    )
+    return p + Polynomial.monomial(ctx, (5,) * ctx.n)
+
+
+COEFFICIENTS = {
+    "integer": lambda r: Fraction(r.randint(-9, 9)),
+    "small_den": lambda r: Fraction(r.randint(-9, 9), r.randint(1, 6)),
+    "prime_den": lambda r: Fraction(r.randint(-(2**40), 2**40), r.choice(LARGE_PRIMES)),
+}
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is Fraction
+        assert c != 0
+
+
+def assert_product_matches_oracle(a, b):
+    prod = a * b
+    assert_canonical(prod)
+    assert prod.terms == naive_poly_mul(a, b)
+    assert (b * a).terms == prod.terms
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_mul_matches_naive_double_sum(kind):
+    rng = random.Random(f"mul-{kind}")
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
+        a = rand_poly(rng, ctx, 4, rng.randint(1, 8), coeff=COEFFICIENTS[kind])
+        b = rand_poly(rng, ctx, 4, rng.randint(1, 8), coeff=COEFFICIENTS[kind])
+        assert_product_matches_oracle(a, b)
+
+
+def test_mul_matches_naive_on_monic_large_denominators():
+    rng = random.Random("mul-monic")
+    for _ in range(20):
+        a = _monic_500_bit(rng, CTX3, rng.randint(2, 8))
+        b = _monic_500_bit(rng, CTX3, rng.randint(2, 8))
+        assert_product_matches_oracle(a, b)
+        small = rand_poly(rng, CTX3, 4, 3, coeff=COEFFICIENTS["small_den"])
+        assert_product_matches_oracle(a, small)
+
+
+def test_mul_cancellation():
+    x, y, z = xyz()
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    # every cross term cancels, leaving two terms
+    assert_product_matches_oracle(third * x - fifth * y, third * x + fifth * y)
+    assert (x + y) * (x ** 2 - x * y + y ** 2) == x ** 3 + y ** 3
+    assert_product_matches_oracle(1 - x, sum((x ** k for k in range(7)), Polynomial.zero(CTX3)))
+    rng = random.Random("mul-cancel")
+    for _ in range(40):
+        b = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=COEFFICIENTS["small_den"])
+        c = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=COEFFICIENTS["small_den"])
+        # (b + c)(b - c) = b^2 - c^2 cancels the b*c cross terms
+        assert_product_matches_oracle(b + c, b - c)
+        assert (b + c) * (b - c) == b * b - c * c
+
+
+def test_mul_single_term_and_zero_operands():
+    rng = random.Random("mul-edge")
+    zero = Polynomial.zero(CTX3)
+    for _ in range(30):
+        kind = rng.choice(sorted(COEFFICIENTS))
+        a = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=COEFFICIENTS[kind])
+        mono = rand_poly(rng, CTX3, 4, 1, coeff=lambda r: COEFFICIENTS[kind](r) or Fraction(1, 7))
+        assert_product_matches_oracle(a, mono)
+        assert_product_matches_oracle(mono, mono)
+        assert (a * zero).terms == {} and (zero * a).terms == {}
+        assert (zero * zero).terms == {}
+
+
+def test_mul_by_scalars():
+    rng = random.Random("mul-scalar")
+    for _ in range(30):
+        a = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=COEFFICIENTS["prime_den"])
+        for q in (3, -1, Fraction(2, 7), Fraction(-(2**89 - 1), 3)):
+            expected = naive_poly_mul(a, Polynomial.constant(CTX3, q))
+            for prod in (a * q, q * a):
+                assert_canonical(prod)
+                assert prod.terms == expected
+        for q in (0, Fraction(0)):
+            assert (a * q).terms == {} and (q * a).terms == {}
+
+
+def test_pow_multiplication_count(monkeypatch):
+    """Square-and-multiply stops squaring after the top exponent bit."""
+    x, y, _ = xyz()
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for e in (1, 2, 3, 5, 7, 8, 64, 100):
+        calls.clear()
+        p = (x + y) ** e
+        assert len(calls) == bin(e).count("1") + e.bit_length() - 1
+        assert p.terms == {(i, e - i, 0): Fraction(math.comb(e, i)) for i in range(e + 1)}
+    calls.clear()
+    assert (x + y) ** 0 == 1 and calls == []
 
 
 def test_context_mismatch_raises():
