@@ -62,6 +62,13 @@ class _UsageError(Exception):
     pass
 
 
+def _order(text: str) -> int:
+    """--order: an integer >= 1, else a usage error."""
+    if not text.strip().lstrip("+").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _CliParser(prog="unfold", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vars", required=True, help="comma-separated variable names")
         if needs_f:
             p.add_argument("--f", required=True, help="polynomial expression")
-        p.add_argument("--order", type=int, default=8, help="h-truncation order")
+        p.add_argument("--order", type=_order, default=8, help="h-truncation order")
         p.add_argument(
             "--monomial-order", choices=["grevlex", "lex"], default="grevlex"
         )

@@ -5,11 +5,12 @@ One engine serves both ranks: an ideal is the rank-1 case.  Module terms
 are keyed by (component, exponent tuple) and compared position-over-term
 with the lower component index winning, so every result is reproducible.
 Every normal form is computed by one routine, `_reduce`: fraction-free on
-a flat map from order keys to integers with one exact rational scale,
-taking each leading term from a heap.  Cofactors over the input are carried
-only where a caller reads them (`buchberger(..., cofactors=True)`, the
-default, `module_buchberger` and the normal forms); the identities they
-assert are rechecked on construction of a ReductionTrace, not sampled.
+a flat map from order keys to the polynomials' integer numerators over
+one denominator, taking each leading term from a heap.  Cofactors over
+the input are carried only where a caller reads them (`buchberger(...,
+cofactors=True)`, the default, `module_buchberger` and the normal forms);
+the identities they assert are rechecked on construction of a
+ReductionTrace, not sampled.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .poly import (
     INFINITE,
     Polynomial,
     RingContext,
+    from_ints,
     grevlex_key,
     lex_key,
     monomial_div,
@@ -97,9 +99,6 @@ class ModuleElement:
     def scale_poly(self, p: Polynomial) -> "ModuleElement":
         return ModuleElement(tuple(p * a for a in self.components))
 
-    def scale(self, q) -> "ModuleElement":
-        return ModuleElement(tuple(a * q for a in self.components))
-
     def max_degree(self) -> int:
         return max(c.total_degree() for c in self.components)
 
@@ -150,19 +149,24 @@ def _key_degree(kind: str, key: tuple) -> int:
 
 
 def _integer_map(v: ModuleElement, kind: str):
-    """({heap key: int}, scale) with v == scale * sum(int * term) and the
-    ints primitive; scale is a positive Fraction."""
-    terms = {
-        _heap_key(kind, comp, exps): c
-        for comp, poly in enumerate(v.components)
-        for exps, c in poly.terms.items()
+    """({heap key: int}, den) with v == sum(int * term) / den: the numerators
+    of the components on the lcm of their denominators."""
+    den = lcm(*(p.den for p in v.components))
+    ints = {
+        _heap_key(kind, comp, exps): c * (den // p.den)
+        for comp, p in enumerate(v.components)
+        for exps, c in p.nums.items()
     }
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-    content = gcd(*ints.values())
-    if content > 1:
-        ints = {k: c // content for k, c in ints.items()}
-    return ints, Fraction(content, den)
+    return ints, den
+
+
+def _element(ctx: RingContext, rank: int, kind: str, items, den: int) -> ModuleElement:
+    """The module element sum(c * term for (heap key, c) in items) / den."""
+    comps = [{} for _ in range(rank)]
+    for k, c in items:
+        comp, exps = _key_term(kind, k)
+        comps[comp][exps] = c
+    return ModuleElement(tuple(from_ints(ctx, nums, den) for nums in comps))
 
 
 def _guard(max_degree: int | None, degree: int) -> None:
@@ -172,11 +176,10 @@ def _guard(max_degree: int | None, degree: int) -> None:
 
 @dataclass
 class _Entry:
-    """A monic basis element with its cofactors over the input generators
-    (None when not tracked) and its primitive integer form: leading
-    coefficient lc > 0 and the remaining (heap key, int) terms."""
+    """A monic basis element (lc * lead + tail) / lc of a primitive integer
+    map with lc > 0 and (heap key, int) tail terms, and its cofactors over
+    the input generators (None when not tracked)."""
 
-    elem: ModuleElement
     cofs: tuple[Polynomial, ...] | None
     lead: tuple  # (comp, exps)
     key: tuple
@@ -184,53 +187,51 @@ class _Entry:
     tail: tuple
 
 
-def _make_entry(elem: ModuleElement, cofs, order: MonomialOrder) -> _Entry:
-    lead, lc = elem.leading(order)
-    if lc != 1:
-        inv = 1 / lc
-        elem = elem.scale(inv)
-        if cofs is not None:
-            cofs = tuple(c * inv for c in cofs)
-    ints, _ = _integer_map(elem, order.kind)
-    key = _heap_key(order.kind, *lead)
-    b = ints.pop(key)
-    return _Entry(elem, cofs, lead, key, b, tuple(ints.items()))
+def _make_entry(ints: dict, den: int, cofs, kind: str) -> _Entry:
+    """The entry of the monic multiple of v = sum(int * term) / den for a
+    nonzero integer map ints, given the cofactors of v."""
+    key = min(ints)
+    content = gcd(*ints.values())
+    if ints[key] < 0:
+        content = -content
+    if content != 1:
+        ints = {k: c // content for k, c in ints.items()}
+    lc = ints[key]
+    if cofs is not None and den != content * lc:  # v's leading coefficient is not 1
+        cofs = tuple(c * Fraction(den, content * lc) for c in cofs)
+    tail = tuple(item for item in ints.items() if item[0] != key)
+    return _Entry(cofs, _key_term(kind, key), key, lc, tail)
 
 
 _CONTENT_EVERY = 8  # reduction steps between removals of the integer content
 
 
-def _reduce(
-    v: ModuleElement,
-    cofs: tuple[Polynomial, ...] | None,
-    entries: list[_Entry],
-    order: MonomialOrder,
-    max_degree: int | None,
-):
-    """Full normal form of v against the entries: (remainder, cofactors).
+def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
+            order: MonomialOrder, max_degree: int | None):
+    """Full normal form of v = sum(cur[k] * term k) / den against the
+    entries, consuming cur: (ints, rden, cofactors), the remainder being
+    sum(ints[k] * term k) / rden.
 
     The divisor of a leading term is the first entry whose leading term
-    divides it.  Fraction-free: v is scale * cur for an integer map cur,
-    and a step with cur's leading coefficient a and the divisor's b,
-    g = gcd(a, b), takes cur to (b/g) * cur - (a/g) * x^q * divisor and
-    scale to scale * g/b.  Irreducible terms leave cur for the remainder
-    as exact Fractions.  When tracked (cofs is not None), the cofactors
-    keep the invariant: if v == sum(cofs_in * gens) and every entry
-    satisfies entry.elem == sum(entry.cofs * gens), then the remainder
-    equals sum(cofs_out * gens).
+    divides it.  Fraction-free: v is num/den * cur, and a step with cur's
+    leading coefficient a and the divisor's b, g = gcd(a, b), takes cur to
+    (b/g) * cur - (a/g) * x^q * divisor and num/den to num/den * g/b.  An
+    irreducible term a leaves cur as the numerator a * num over den; the
+    remainder goes on one denominator at the end.  When tracked (cofs is
+    not None), the cofactors keep the invariant: if v == sum(cofs_in *
+    gens) and every entry satisfies entry == sum(entry.cofs * gens), then
+    the remainder equals sum(cofs_out * gens).
     """
-    ctx = v.ctx
     kind = order.kind
-    cur, scale = _integer_map(v, kind)
-    num, den = scale.numerator, scale.denominator
-    if cur:
-        _guard(max_degree, v.max_degree())
+    if cur and max_degree is not None:
+        _guard(max_degree, max(_key_degree(kind, k) for k in cur))
     heap = list(cur)
     heapify(heap)
     leads = [(*e.lead, e) for e in entries]
-    rem = [{} for _ in range(v.rank)]
+    rem = []
     cofs = None if cofs is None else list(cofs)
     steps = 0
+    num = 1
     while heap:
         t = heappop(heap)
         a = cur.pop(t, None)
@@ -241,16 +242,16 @@ def _reduce(
             if ec == comp and all(map(le, ee, exps)):
                 break
         else:
-            rem[comp][exps] = Fraction(a * num, den)
+            rem.append((t, a * num, den))
             continue
         b = divisor.lc
         g = gcd(a, b)
         ma, mb = a // g, b // g
         shift = tuple(map(sub, t, divisor.key))
         if cofs is not None:
-            u = Polynomial.monomial(ctx, _key_term(kind, shift)[1], Fraction(a * num, den))
+            u = from_ints(ctx, {_key_term(kind, shift)[1]: a * num}, den)
             for j, dc in enumerate(divisor.cofs):
-                if not dc.is_zero():
+                if dc:
                     cofs[j] = cofs[j] - u * dc
         if mb != 1:
             cur = {k: c * mb for k, c in cur.items()}
@@ -277,8 +278,26 @@ def _reduce(
                 num *= content
             g = gcd(num, den)
             num, den = num // g, den // g
-    remainder = ModuleElement(tuple(Polynomial(ctx, p) for p in rem))
-    return remainder, None if cofs is None else tuple(cofs)
+    rden = lcm(*{d for _, _, d in rem})
+    ints = {t: n * (rden // d) for t, n, d in rem}
+    return ints, rden, None if cofs is None else tuple(cofs)
+
+
+def _s_pair(p: _Entry, q: _Entry, top: tuple):
+    """(cur, den) with x^u * p - x^v * q == sum(cur[k] * term k) / den, where
+    x^u * lead(p) == x^v * lead(q) is the term with heap key top."""
+    den = lcm(p.lc, q.lc)
+    cur = {}
+    for entry, mult in ((p, den // p.lc), (q, -(den // q.lc))):
+        shift = tuple(map(sub, top, entry.key))
+        for k, c in entry.tail:
+            k = tuple(map(add, k, shift))
+            s = cur.get(k, 0) + mult * c
+            if s:
+                cur[k] = s
+            else:
+                del cur[k]
+    return cur, den
 
 
 def _buchberger_entries(
@@ -286,8 +305,10 @@ def _buchberger_entries(
     order: MonomialOrder,
     max_degree: int | None,
     cofactors: bool,
-) -> list[_Entry]:
+) -> list[tuple[ModuleElement, tuple | None]]:
+    """The reduced basis as (monic element, cofactors or None) pairs."""
     ctx = gens[0].ctx
+    kind = order.kind
     m = len(gens)
     zero_cof = tuple(Polynomial.zero(ctx) for _ in range(m))
 
@@ -301,9 +322,9 @@ def _buchberger_entries(
         if cofactors:
             cofs = list(zero_cof)
             cofs[idx] = Polynomial.one(ctx)
-        entries.append(_make_entry(g, cofs, order))
+        entries.append(_make_entry(*_integer_map(g, kind), cofs, kind))
 
-    rank_one = gens[0].rank == 1
+    rank = gens[0].rank
 
     pairs: list[tuple[int, int, int]] = []
 
@@ -326,7 +347,7 @@ def _buchberger_entries(
         cj, ej = entries[j].lead
         lcm_ij = monomial_lcm(ei, ej)
         # Buchberger's product criterion: only valid for ideals (rank 1)
-        if rank_one and all(min(a, b) == 0 for a, b in zip(ei, ej)):
+        if rank == 1 and all(min(a, b) == 0 for a, b in zip(ei, ej)):
             done.add((i, j))
             continue
         # chain criterion against already-processed pairs
@@ -345,18 +366,18 @@ def _buchberger_entries(
         if skip:
             done.add((i, j))
             continue
-        ui = Polynomial.monomial(ctx, monomial_div(lcm_ij, ei), 1)
-        uj = Polynomial.monomial(ctx, monomial_div(lcm_ij, ej), 1)
-        spair = entries[i].elem.scale_poly(ui) - entries[j].elem.scale_poly(uj)
+        cur, den = _s_pair(entries[i], entries[j], _heap_key(kind, ci, lcm_ij))
         scofs = None
         if cofactors:
+            ui = from_ints(ctx, {monomial_div(lcm_ij, ei): 1}, 1)
+            uj = from_ints(ctx, {monomial_div(lcm_ij, ej): 1}, 1)
             scofs = tuple(
                 ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs)
             )
-        rem, rcofs = _reduce(spair, scofs, entries, order, max_degree)
+        ints, den, rcofs = _reduce(ctx, cur, den, scofs, entries, order, max_degree)
         done.add((i, j))
-        if not rem.is_zero():
-            entries.append(_make_entry(rem, rcofs, order))
+        if ints:
+            entries.append(_make_entry(ints, den, rcofs, kind))
             push_pairs(len(entries) - 1)
 
     # One interreduction pass in entry order.  An entry whose leading term
@@ -372,12 +393,13 @@ def _buchberger_entries(
         if any(e.lead[0] == comp and monomial_divides(e.lead[1], exps) for e in others):
             entries[idx] = None
             continue
-        rem, rcofs = _reduce(entry.elem, entry.cofs, others, order, max_degree)
-        if rem != entry.elem:
-            entries[idx] = _make_entry(rem, rcofs, order)
+        cur = dict(entry.tail)
+        cur[entry.key] = entry.lc
+        ints, den, rcofs = _reduce(ctx, cur, entry.lc, entry.cofs, others, order, max_degree)
+        entries[idx] = _make_entry(ints, den, rcofs, kind)
     final = [e for e in entries if e is not None]
     final.sort(key=lambda e: order.module_key(*e.lead))
-    return final
+    return [(_element(ctx, rank, kind, ((e.key, e.lc),) + e.tail, e.lc), e.cofs) for e in final]
 
 
 @dataclass(frozen=True)
@@ -399,7 +421,7 @@ class GroebnerBasis:
         return self.generators[0].ctx
 
     def leading_exponents(self) -> list[tuple]:
-        return [max(g.terms, key=self.order.key) for g in self.generators]
+        return [max(g.nums, key=self.order.key) for g in self.generators]
 
     def to_json(self) -> dict:
         return {
@@ -488,13 +510,13 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    entries = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
+    basis = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
     return GroebnerBasis(
-        generators=tuple(e.elem.components[0] for e in entries),
+        generators=tuple(elem.components[0] for elem, _ in basis),
         order=order,
         reduced=True,
         source=tuple(gens),
-        source_cofactors=tuple(e.cofs for e in entries) if cofactors else (),
+        source_cofactors=tuple(cofs for _, cofs in basis) if cofactors else (),
     )
 
 
@@ -518,14 +540,14 @@ def module_buchberger(
         raise ContextMismatch("mixed contexts in generator list")
     if all(g.is_zero() for g in gens):
         return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    entries = _buchberger_entries(gens, order, max_degree, True)
+    basis = _buchberger_entries(gens, order, max_degree, True)
     return ModuleGroebnerBasis(
-        generators=tuple(e.elem for e in entries),
+        generators=tuple(elem for elem, _ in basis),
         order=order,
         rank=rank,
         reduced=True,
         source=tuple(gens),
-        source_cofactors=tuple(e.cofs for e in entries),
+        source_cofactors=tuple(cofs for _, cofs in basis),
     )
 
 
@@ -534,15 +556,19 @@ def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int 
     ctx = v.ctx
     if any(g.ctx != ctx for g in basis):
         raise ContextMismatch("element from a different ring")
+    kind = order.kind
     zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
     entries = [
-        _make_entry(g, tuple(one if j == k else zero for j in range(len(basis))), order)
+        _make_entry(
+            *_integer_map(g, kind), tuple(one if j == k else zero for j in range(len(basis))), kind
+        )
         for k, g in enumerate(basis)
     ]
-    rem, cofs = _reduce(v, (zero,) * len(basis), entries, order, max_degree)
+    ints, den, cofs = _reduce(ctx, *_integer_map(v, kind), (zero,) * len(basis), entries, order,
+                              max_degree)
     # _reduce tracks the remainder's expression; the trace wants the
     # reduction cofactors of v = sum(c_k g_k) + r, which are the negatives
-    return rem, tuple(-c for c in cofs)
+    return _element(ctx, v.rank, kind, ints.items(), den), tuple(-c for c in cofs)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis, max_degree: int | None = None) -> ReductionTrace:

@@ -18,12 +18,13 @@ relation is pinned by the test-suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .errors import ContextMismatch
-from .poly import Polynomial, RingContext
+from .poly import Polynomial, RingContext, accumulate
 from .polyvector import GElement, bits_of
 
 
@@ -83,12 +84,7 @@ class PolyDiffOperator:
             raise ValueError("arity mismatch in sum")
         res = dict(self.terms)
         for key, c in other.terms.items():
-            s = res.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = s
+            accumulate(res, key, c)
         out = PolyDiffOperator.__new__(PolyDiffOperator)
         out.ctx, out.arity, out.terms = self.ctx, self.arity, res
         return out
@@ -191,23 +187,16 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     res: dict[tuple, Polynomial] = {}
     for a1, c1 in p.terms.items():
         for a2, c2 in q.terms.items():
-            key = a1 + a2
-            piece = c1 * c2
-            s = res.get(key)
-            s = piece if s is None else s + piece
-            if s.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = s
+            accumulate(res, a1 + a2, c1 * c2)
     return PolyDiffOperator(p.ctx, p.arity + q.arity, res)
 
 
-def _splits(alpha: tuple, parts: int):
+def _splits(alpha: tuple, parts: int) -> tuple:
     """All splits of a multi-index into `parts` pieces, with multinomials.
 
-    Yields (pieces, multinomial) where pieces is a tuple of multi-indices
-    summing to alpha and multinomial is the product over coordinates of
-    alpha_d! / prod(pieces[t][d]!).
+    A tuple of (pieces, multinomial) where pieces is a tuple of
+    multi-indices summing to alpha and multinomial is the product over
+    coordinates of alpha_d! / prod(pieces[t][d]!).
     """
     n = len(alpha)
 
@@ -219,31 +208,26 @@ def _splits(alpha: tuple, parts: int):
             for rest in splits_1d(total - first, k - 1):
                 yield (first,) + rest
 
-    per_coord = []
-    for d in range(n):
-        options = []
-        for split in splits_1d(alpha[d], parts):
-            m = math.factorial(alpha[d])
-            for s in split:
-                m //= math.factorial(s)
-            options.append((split, m))
-        per_coord.append(options)
-    for combo in itertools.product(*per_coord):
-        pieces = tuple(
-            tuple(combo[d][0][t] for d in range(n)) for t in range(parts)
+    per_coord = [
+        [(split, math.factorial(a) // math.prod(map(math.factorial, split)))
+         for split in splits_1d(a, parts)]
+        for a in alpha
+    ]
+    return tuple(
+        (
+            tuple(tuple(combo[d][0][t] for d in range(n)) for t in range(parts)),
+            math.prod(combo[d][1] for d in range(n)),
         )
-        coeff = 1
-        for d in range(n):
-            coeff *= combo[d][1]
-        yield pieces, coeff
+        for combo in itertools.product(*per_coord)
+    )
 
 
-def _insert_one(ctx, alphas, coeff, slot, q_alphas, q_coeff):
+def _insert_one(splits, alphas, coeff, slot, q_alphas, q_coeff):
     """Insert one operator term into `slot`, expanding the iterated-partials
-    Leibniz rule.  Yields (new_alphas_list, new_coeff)."""
+    Leibniz rule by `splits`, a `_splits` table.  Yields (new_alphas, new_coeff)."""
     alpha = alphas[slot]
     q = len(q_alphas)
-    for pieces, multi in _splits(alpha, q + 1):
+    for pieces, multi in splits(alpha, q + 1):
         gamma0, rest = pieces[0], pieces[1:]
         dcoeff = q_coeff.derive(gamma0)
         if dcoeff.is_zero():
@@ -273,6 +257,8 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         return p
     arities = [q.arity for q in qs]
     out_arity = p.arity - l + sum(arities)
+    # every inserted term asks again for the same few (alpha, parts)
+    splits = functools.cache(_splits)
     res: dict[tuple, Polynomial] = {}
     for slots in itertools.combinations(range(p.arity), l):
         # offsets: argument positions in front of each inserted block
@@ -292,19 +278,14 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
                     for q_alphas, q_coeff in qs[t].terms.items():
                         new_stack.extend(
                             _insert_one(
-                                p.ctx, alphas, coeff, slots[t], q_alphas, q_coeff
+                                splits, alphas, coeff, slots[t], q_alphas, q_coeff
                             )
                         )
                 stack = new_stack
             for alphas, coeff in stack:
                 if negate:
                     coeff = -coeff
-                s = res.get(alphas)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    res.pop(alphas, None)
-                else:
-                    res[alphas] = s
+                accumulate(res, alphas, coeff)
     return PolyDiffOperator(p.ctx, out_arity, res)
 
 
@@ -364,10 +345,5 @@ def hkr(x: GElement) -> PolyDiffOperator:
             piece = coeff * norm
             if inversions & 1:
                 piece = -piece
-            s = res.get(key)
-            s = piece if s is None else s + piece
-            if s.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = s
+            accumulate(res, key, piece)
     return PolyDiffOperator(ctx, k, res)

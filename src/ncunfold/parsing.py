@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import HSeries, Polynomial, RingContext
+from .poly import HSeries, Polynomial, RingContext, accumulate
 from .polyvector import GElement
 
 _SYMBOLS = set("+-*^(),/")
@@ -90,12 +90,7 @@ class _Parser:
     def _add(self, a, b):
         out = dict(a)
         for k, v in b.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, v)
         return out
 
     def _neg(self, a):
@@ -109,12 +104,7 @@ class _Parser:
                 if prod.is_zero():
                     continue
                 k = ka + kb
-                s = out.get(k)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(out, k, prod)
         return out
 
     def _pow(self, a, e: int):

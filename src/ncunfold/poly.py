@@ -1,15 +1,18 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a sparse map from exponent tuples to nonzero Fractions,
-always kept in canonical form (no stored zero coefficients).  Serialized
-forms order terms by graded reverse lexicographic order with
+A polynomial is a sparse map from exponent tuples to nonzero coefficients.
+Serialized forms order terms by graded reverse lexicographic order with
 x_1 < x_2 < ... < x_n.  Everything here is immutable after construction
 and safe to share between threads.
 
-Arithmetic contract: a product of two polynomials is computed on integer
-numerators over each operand's common denominator, with one Fraction
-built per nonzero output term; every stored value stays an exact,
-reduced Fraction.
+Arithmetic contract: a polynomial is stored as integer numerators
+``nums`` over one denominator ``den > 0``, kept canonical: no zero
+numerator, gcd(den, all numerators) = 1, and the zero polynomial is
+({}, 1).  So equality and hashing compare (ring, den, nums) exactly.  Sums
+rescale once to the lcm of the two denominators; negation, scalar
+products, derivatives and products are integer loops with one gcd pass to
+restore the canonical form.  ``terms`` is a read-only Fraction view, built
+on first use and cached; printing and serialization go through it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, ge, sub
+from types import MappingProxyType
 
 from .errors import ContextMismatch
 
@@ -97,17 +101,44 @@ class RingContext:
 
 
 def _check_ctx(a: "Polynomial", b: "Polynomial") -> None:
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatch(f"rings differ: {a.ctx.names} vs {b.ctx.names}")
 
 
-class Polynomial:
-    """Sparse exact polynomial; terms map exponent tuples to nonzero Fractions."""
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value in a map to ring elements that stores no zero."""
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
-    __slots__ = ("ctx", "terms")
+
+def from_ints(ctx: RingContext, nums: dict, den: int) -> "Polynomial":
+    """The polynomial nums / den, brought to canonical form; nums must hold
+    no zero value and den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    out = Polynomial.__new__(Polynomial)
+    out.ctx, out.nums, out.den, out._terms = ctx, nums, den, None
+    return out
+
+
+class Polynomial:
+    """Sparse exact polynomial: integer numerators over one denominator.
+
+    ``nums`` maps exponent tuples to nonzero ints and ``den`` is the common
+    denominator; both are read-only.  ``terms`` is the same polynomial as
+    a read-only map from exponent tuples to Fractions.
+    """
+
+    __slots__ = ("ctx", "nums", "den", "_terms")
 
     def __init__(self, ctx: RingContext, terms: dict | None = None):
-        self.ctx = ctx
         clean: dict[tuple, Fraction] = {}
         if terms:
             n = ctx.n
@@ -120,21 +151,36 @@ class Polynomial:
                 c = Fraction(c)
                 if c != 0:
                     clean[exps] = c
-        self.terms = clean
+        # the lcm of reduced denominators leaves no content shared with it
+        den = math.lcm(*[c.denominator for c in clean.values()])
+        self.ctx, self.den, self._terms = ctx, den, None
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {exps: Fraction} view, built on first use."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
+        return self._terms
+
+    def __reduce__(self):
+        return from_ints, (self.ctx, self.nums, self.den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: RingContext) -> "Polynomial":
-        return cls(ctx)
+        return from_ints(ctx, {}, 1)
 
     @classmethod
     def constant(cls, ctx: RingContext, value) -> "Polynomial":
-        return cls(ctx, {(0,) * ctx.n: Fraction(value)})
+        q = Fraction(value)
+        return from_ints(ctx, {(0,) * ctx.n: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def one(cls, ctx: RingContext) -> "Polynomial":
-        return cls.constant(ctx, 1)
+        return from_ints(ctx, {(0,) * ctx.n: 1}, 1)
 
     @classmethod
     def variable(cls, ctx: RingContext, i: int) -> "Polynomial":
@@ -143,7 +189,7 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{ctx.n}")
         exps = [0] * ctx.n
         exps[i - 1] = 1
-        return cls(ctx, {tuple(exps): Fraction(1)})
+        return from_ints(ctx, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, ctx: RingContext, exps: tuple, coeff=1) -> "Polynomial":
@@ -152,79 +198,77 @@ class Polynomial:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
         zero = (0,) * self.ctx.n
-        return all(e == zero for e in self.terms)
+        return all(e == zero for e in self.nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ctx.n, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.ctx.n, 0), self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ctx, other)
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """self + sign * other for sign = 1 or -1, on the lcm of the denominators."""
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.ctx, other)
         _check_ctx(self, other)
-        res = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = res.get(exps, Fraction(0)) + c
-            if s == 0:
-                res.pop(exps, None)
+        if not other.nums:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            res = dict(self.nums)
+        else:
+            g = math.gcd(da, db)
+            ma = db // g
+            sign *= da // g
+            da *= ma
+            res = {e: c * ma for e, c in self.nums.items()}
+        get = res.get
+        for e, c in other.nums.items():
+            s = get(e, 0) + sign * c
+            if s:
+                res[e] = s
             else:
-                res[exps] = s
-        out = Polynomial.__new__(Polynomial)
-        out.ctx = self.ctx
-        out.terms = res
-        return out
+                del res[e]
+        return from_ints(self.ctx, res, da)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.ctx = self.ctx
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return from_ints(self.ctx, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ctx, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            out = Polynomial.__new__(Polynomial)
-            out.ctx = self.ctx
-            out.terms = {} if q == 0 else {e: c * q for e, c in self.terms.items()}
-            return out
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return Polynomial.zero(self.ctx)
+            p = other.numerator
+            return from_ints(
+                self.ctx, {e: c * p for e, c in self.nums.items()}, self.den * other.denominator
+            )
         _check_ctx(self, other)
-        # each operand as integer numerators over its common denominator
-        da = math.lcm(*[c.denominator for c in self.terms.values()])
-        db = math.lcm(*[c.denominator for c in other.terms.values()])
-        a = [(e, c.numerator * (da // c.denominator)) for e, c in self.terms.items()]
-        b = [(e, c.numerator * (db // c.denominator)) for e, c in other.terms.items()]
         acc: dict[tuple, int] = {}
         get = acc.get
-        for e1, c1 in a:
+        b = other.nums.items()
+        for e1, c1 in self.nums.items():
             for e2, c2 in b:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
-        den = da * db
-        out = Polynomial.__new__(Polynomial)
-        out.ctx = self.ctx
-        out.terms = {e: Fraction(v, den) for e, v in acc.items() if v}
-        return out
+        return from_ints(self.ctx, {e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -251,92 +295,64 @@ class Polynomial:
             other = Polynomial.constant(self.ctx, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums and self.ctx == other.ctx
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- calculus -----------------------------------------------------------
+    # The exponent maps of partial and derive are injective, so no two
+    # terms meet and only vanishing ones drop.
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.ctx.n:
             raise IndexError(f"variable index {i} out of range 1..{self.ctx.n}")
         j = i - 1
-        res: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
+        res = {}
+        for exps, c in self.nums.items():
             e = exps[j]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[j] = e - 1
-            key = tuple(new)
-            s = res.get(key, Fraction(0)) + c * e
-            if s == 0:
-                res.pop(key, None)
-            else:
-                res[key] = s
-        out = Polynomial.__new__(Polynomial)
-        out.ctx = self.ctx
-        out.terms = res
-        return out
+            if e:
+                res[exps[:j] + (e - 1,) + exps[i:]] = c * e
+        return from_ints(self.ctx, res, self.den)
 
     def derive(self, alpha: tuple) -> "Polynomial":
         """Iterated partial derivative d^alpha, no factorial normalization."""
         if len(alpha) != self.ctx.n:
             raise ValueError("multi-index arity mismatch")
-        res: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
-            factor = 1
-            new = []
-            ok = True
-            for e, a in zip(exps, alpha):
-                if e < a:
-                    ok = False
-                    break
-                for t in range(a):
-                    factor *= e - t
-                new.append(e - a)
-            if not ok:
-                continue
-            key = tuple(new)
-            s = res.get(key, Fraction(0)) + c * factor
-            if s == 0:
-                res.pop(key, None)
-            else:
-                res[key] = s
-        out = Polynomial.__new__(Polynomial)
-        out.ctx = self.ctx
-        out.terms = res
-        return out
+        if not any(alpha):
+            return self
+        res = {}
+        for exps, c in self.nums.items():
+            if all(map(ge, exps, alpha)):
+                for e, a in zip(exps, alpha):
+                    if a:
+                        c *= math.perm(e, a)
+                res[tuple(map(sub, exps, alpha))] = c
+        return from_ints(self.ctx, res, self.den)
 
     # -- degrees ------------------------------------------------------------
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree_in(self, i: int) -> int:
         """Degree in x_i (1-based); -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(e[i - 1] for e in self.terms)
+        return max(e[i - 1] for e in self.nums)
 
     def coefficient_of_power(self, i: int, d: int) -> "Polynomial":
         """Coefficient of x_i^d, as a polynomial with the x_i exponent removed."""
         j = i - 1
-        res = {}
-        for exps, c in self.terms.items():
-            if exps[j] == d:
-                new = list(exps)
-                new[j] = 0
-                res[tuple(new)] = c
-        return Polynomial(self.ctx, res)
+        res = {exps[:j] + (0,) + exps[i:]: c for exps, c in self.nums.items() if exps[j] == d}
+        return from_ints(self.ctx, res, self.den)
 
     # -- presentation -------------------------------------------------------
 
@@ -344,7 +360,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=reverse)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -390,16 +406,16 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial | None:
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     _check_ctx(a, b)
-    lt_b = max(b.terms, key=grevlex_key)
-    lc_b = b.terms[lt_b]
+    lt_b = max(b.nums, key=grevlex_key)
+    lc_b = Fraction(b.nums[lt_b], b.den)
     quotient: dict[tuple, Fraction] = {}
     rem = a
     while not rem.is_zero():
-        lt_r = max(rem.terms, key=grevlex_key)
+        lt_r = max(rem.nums, key=grevlex_key)
         if not monomial_divides(lt_b, lt_r):
             return None
         e = monomial_div(lt_r, lt_b)
-        c = rem.terms[lt_r] / lc_b
+        c = Fraction(rem.nums[lt_r], rem.den) / lc_b
         quotient[e] = quotient.get(e, Fraction(0)) + c
         rem = rem - Polynomial.monomial(a.ctx, e, c) * b
     return Polynomial(a.ctx, quotient)
@@ -434,13 +450,9 @@ class Substitution:
             raise ContextMismatch("substitution applied in a different ring")
         # power cache per variable, up to the max exponent appearing in f
         powers: list[list[Polynomial]] = []
-        max_e = [0] * self.ctx.n
-        for exps in f.terms:
-            for j, e in enumerate(exps):
-                max_e[j] = max(max_e[j], e)
         for j in range(self.ctx.n):
             ladder = [Polynomial.one(self.ctx)]
-            for _ in range(max_e[j]):
+            for _ in range(f.degree_in(j + 1)):
                 ladder.append(ladder[-1] * self.images[j])
             powers.append(ladder)
         total = Polynomial.zero(self.ctx)

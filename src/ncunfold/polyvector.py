@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatch
-from .poly import HSeries, Polynomial, RingContext
+from .poly import HSeries, Polynomial, RingContext, accumulate
 
 
 def _popcount(m: int) -> int:
@@ -181,12 +181,7 @@ class GElement:
             raise ContextMismatch("mixed contexts")
         res = dict(self.terms)
         for key, c in other.terms.items():
-            s = res.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = s
+            accumulate(res, key, c)
         out = GElement.__new__(GElement)
         out.ctx = self.ctx
         out.terms = res
@@ -224,14 +219,8 @@ class GElement:
                 sign = _merge_sign(m1, m2)
                 if sign == 0:
                     continue
-                key = (e1 + e2, m1 | m2)
                 piece = c1 * c2 if sign > 0 else -(c1 * c2)
-                s = res.get(key)
-                s = piece if s is None else s + piece
-                if s.is_zero():
-                    res.pop(key, None)
-                else:
-                    res[key] = s
+                accumulate(res, (e1 + e2, m1 | m2), piece)
         out = GElement.__new__(GElement)
         out.ctx = self.ctx
         out.terms = res

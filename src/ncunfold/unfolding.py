@@ -46,10 +46,8 @@ def _components(z: GElement, k: int) -> list[Polynomial]:
 
 
 def _from_components(ctx: RingContext, k: int, values) -> GElement:
-    acc = GElement.zero(ctx)
-    for sub, c in zip(_wedge_subsets(ctx.n, k), values):
-        acc = acc + GElement(ctx, {(0, mask_of(sub)): c})
-    return acc
+    subsets = _wedge_subsets(ctx.n, k)
+    return GElement(ctx, {(0, mask_of(sub)): c for sub, c in zip(subsets, values)})
 
 
 def koszul_differential_matrix(f: Polynomial, k: int) -> list[list[Polynomial]]:

@@ -8,7 +8,9 @@ classical alternating-sum formula pointwise instead of composing
 operators; the Groebner oracle is the textbook Buchberger algorithm on
 plain term dicts, every pair and no criteria, with the reduced basis
 formed afterwards; the product oracle sums Fraction products term by term
-where the library multiplies integer numerators over common denominators.
+where the library multiplies integer numerators over common denominators,
+and the sum, scale and derivative oracles likewise work on Fraction
+terms where the library works on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -31,6 +33,34 @@ def naive_poly_mul(a: Polynomial, b: Polynomial) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             acc[e] = acc.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in acc.items() if c != 0}
+
+
+def naive_poly_add(a: Polynomial, b: Polynomial, sign=1) -> dict:
+    """Terms of a + sign * b, summed as Fractions term by term."""
+    acc = dict(a.terms)
+    for e, c in b.terms.items():
+        acc[e] = acc.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in acc.items() if c != 0}
+
+
+def naive_poly_scale(a: Polynomial, q) -> dict:
+    """Terms of q * a, one Fraction product per term (negation is q = -1)."""
+    return {e: c * q for e, c in a.terms.items() if c * q != 0}
+
+
+def naive_derive(a: Polynomial, alpha) -> dict:
+    """Terms of d^alpha a, lowering one exponent by one at a time with
+    Fraction coefficients; a partial derivative is a unit alpha."""
+    terms = dict(a.terms)
+    for j, k in enumerate(alpha):
+        for _ in range(k):
+            lowered = {}
+            for e, c in terms.items():
+                if e[j]:
+                    f = e[:j] + (e[j] - 1,) + e[j + 1:]
+                    lowered[f] = lowered.get(f, Fraction(0)) + c * e[j]
+            terms = {e: c for e, c in lowered.items() if c != 0}
+    return terms
 
 
 # ---------------------------------------------------------------------------

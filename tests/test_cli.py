@@ -51,6 +51,30 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+QUANTIZE_ARGV = ["quantize", "--vars", "x,y,z", "--f", "x^2+y^2+z^2", "--p", "0", "--S", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        QUANTIZE_ARGV + ["--order", "-3"],
+        QUANTIZE_ARGV + ["--order", "0"],
+        ["mc-verify", "--vars", "x", "--f", "x^2", "--p", "0", "--S", "0", "--order", "0"],
+        ["milnor", "--vars", "x,y", "--f", "x^2+y^3", "--order", "two"],
+    ],
+)
+def test_order_flag_out_of_range_is_usage_error(capsys, argv):
+    """A bad --order is rejected while parsing, before any work."""
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "argument --order" in err
+
+
+def test_order_flag_at_its_lower_bound(capsys):
+    code, out, _ = run(capsys, QUANTIZE_ARGV + ["--order", "1"])
+    assert code == 0 and out
+
+
 def test_non_isolated_exit_2(capsys):
     code, _, err = run(capsys, ["qc-subspace", "--vars", "x,y", "--f", "x^2*y"])
     assert code == 2

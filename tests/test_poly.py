@@ -1,7 +1,9 @@
 """Polynomial core: arithmetic, derivatives, substitution, division, series."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,14 @@ from ncunfold.poly import (
 
 from ncunfold.polyvector import GElement, schouten_bracket
 
-from oracles import naive_poly_mul, rand_gelement, rand_poly
+from oracles import (
+    naive_derive,
+    naive_poly_add,
+    naive_poly_mul,
+    naive_poly_scale,
+    rand_gelement,
+    rand_poly,
+)
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -87,6 +96,12 @@ COEFFICIENTS = {
 
 
 def assert_canonical(p):
+    """nums over den > 0 with gcd 1 and no zero numerator; the Fraction view
+    agrees with it."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.terms == {e: Fraction(c, p.den) for e, c in p.nums.items()}
     for c in p.terms.values():
         assert type(c) is Fraction
         assert c != 0
@@ -160,6 +175,109 @@ def test_mul_by_scalars():
                 assert prod.terms == expected
         for q in (0, Fraction(0)):
             assert (a * q).terms == {} and (q * a).terms == {}
+
+
+# each coefficient of a "mixed" polynomial from a random one of the kinds above
+KINDS = {**COEFFICIENTS, "mixed": lambda r: COEFFICIENTS[r.choice(sorted(COEFFICIENTS))](r)}
+SCALARS = (0, 1, -1, 3, Fraction(2, 7), Fraction(-(2**89 - 1), 3), Fraction(5, 2**61 - 1))
+
+
+def assert_matches(p, expected):
+    assert_canonical(p)
+    assert p.terms == expected
+
+
+def assert_linear_ops_match_oracle(a, b, rng):
+    ctx = a.ctx
+    assert_matches(a + b, naive_poly_add(a, b))
+    assert_matches(a - b, naive_poly_add(a, b, -1))
+    assert_matches(-a, naive_poly_scale(a, -1))
+    q = rng.choice(SCALARS)
+    assert_matches(a * q, naive_poly_scale(a, q))
+    assert_matches(q * a, naive_poly_scale(a, q))
+    if q:
+        assert_matches(a / q, naive_poly_scale(a, 1 / Fraction(q)))
+    i = rng.randint(1, ctx.n)
+    unit = tuple(int(j == i) for j in range(1, ctx.n + 1))
+    assert_matches(a.partial(i), naive_derive(a, unit))
+    alpha = tuple(rng.randint(0, 3) for _ in range(ctx.n))
+    assert_matches(a.derive(alpha), naive_derive(a, alpha))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_linear_ops_and_derivatives_match_fraction_oracle(kind):
+    rng = random.Random(f"linear-{kind}")
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
+        a = rand_poly(rng, ctx, 5, rng.randint(0, 8), coeff=KINDS[kind])
+        b = rand_poly(rng, ctx, 5, rng.randint(0, 8), coeff=KINDS[kind])
+        assert_canonical(a)
+        assert_linear_ops_match_oracle(a, b, rng)
+
+
+def test_linear_ops_match_oracle_on_monic_large_denominators():
+    rng = random.Random("linear-monic")
+    for _ in range(20):
+        a = _monic_500_bit(rng, CTX3, rng.randint(2, 8))
+        b = _monic_500_bit(rng, CTX3, rng.randint(2, 8))
+        assert_linear_ops_match_oracle(a, b, rng)
+        small = rand_poly(rng, CTX3, 4, 3, coeff=COEFFICIENTS["prime_den"])
+        assert_linear_ops_match_oracle(a, small, rng)
+
+
+def test_exact_cancellation_reaches_canonical_zero_and_lower_denominators():
+    rng = random.Random("linear-cancel")
+    x, y, _ = xyz()
+    for _ in range(40):
+        a = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=KINDS["mixed"])
+        b = rand_poly(rng, CTX3, 4, rng.randint(1, 6), coeff=KINDS["mixed"])
+        for zero in (a - a, a + (-a), (a + b) - a - b, a * 0, a.derive((9, 9, 9))):
+            assert_canonical(zero)
+            assert zero.nums == {} and zero.den == 1
+        assert_canonical((a + b) - b)
+    # content shared with the denominator only after the operation
+    sixth = Fraction(1, 6) * x
+    assert_matches(sixth + sixth, {(1, 0, 0): Fraction(1, 3)})
+    assert_matches(sixth + Fraction(1, 3) * x, {(1, 0, 0): Fraction(1, 2)})
+    assert_matches((Fraction(1, 2) * x ** 2).partial(1), {(1, 0, 0): Fraction(1)})
+    assert_matches((Fraction(1, 6) * x ** 3 * y).derive((2, 1, 0)), {(1, 0, 0): Fraction(1)})
+    quarters = Fraction(1, 4) * x + Fraction(3, 4) * y
+    assert_matches(quarters * 2, naive_poly_scale(quarters, 2))
+
+
+def test_equal_polynomials_hash_equal_across_routes():
+    rng = random.Random("linear-hash")
+    for _ in range(40):
+        kind = rng.choice(sorted(KINDS))
+        a = rand_poly(rng, CTX3, 4, rng.randint(0, 6), coeff=KINDS[kind])
+        b = rand_poly(rng, CTX3, 4, rng.randint(0, 6), coeff=KINDS[kind])
+        routes = (
+            (a + b) - b,
+            -(-a),
+            a * Fraction(7, 3) * Fraction(3, 7),
+            Polynomial(CTX3, dict(a.terms)),
+            Polynomial.from_json(CTX3, a.to_json()),
+            b + a - b,
+        )
+        for q in routes:
+            assert q == a
+            assert hash(q) == hash(a)
+    third = Polynomial.constant(CTX3, Fraction(1, 3))
+    assert hash((Fraction(1, 6) + Polynomial.zero(CTX3)) * 2) == hash(third)
+
+
+def test_terms_view_is_read_only():
+    x, y, _ = xyz()
+    p = Fraction(1, 2) * x + y
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 1)] = Fraction(1)
+    assert p.terms is p.terms  # built once
+    assert p.terms == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1)}
+    # the cached view does not travel: a copy is rebuilt from nums and den
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p) and q._terms is None
+    assert copy.deepcopy(p) == p
 
 
 def test_pow_multiplication_count(monkeypatch):
