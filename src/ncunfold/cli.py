@@ -64,9 +64,10 @@ class _UsageError(Exception):
 
 def _order(text: str) -> int:
     """--order: an integer >= 1, else a usage error."""
-    if not text.strip().lstrip("+").isdigit() or int(text) < 1:
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,10 +176,11 @@ def _guard(max_degree: int | None, degree: int) -> None:
 
 @dataclass
 class _Entry:
-    """A monic basis element (lc * lead + tail) / lc of a primitive integer
-    map with lc > 0 and (heap key, int) tail terms, and its cofactors over
-    the input generators (None when not tracked)."""
+    """A monic basis element with its cofactors over the input generators
+    (None when not tracked) and its primitive integer form: leading
+    coefficient lc > 0 and the remaining (heap key, int) terms."""
 
+    elem: ModuleElement
     cofs: tuple[Polynomial, ...] | None
     lead: tuple  # (comp, exps)
     key: tuple
@@ -187,7 +188,7 @@ class _Entry:
     tail: tuple
 
 
-def _make_entry(ints: dict, den: int, cofs, kind: str) -> _Entry:
+def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs, kind: str) -> _Entry:
     """The entry of the monic multiple of v = sum(int * term) / den for a
     nonzero integer map ints, given the cofactors of v."""
     key = min(ints)
@@ -199,8 +200,9 @@ def _make_entry(ints: dict, den: int, cofs, kind: str) -> _Entry:
     lc = ints[key]
     if cofs is not None and den != content * lc:  # v's leading coefficient is not 1
         cofs = tuple(c * Fraction(den, content * lc) for c in cofs)
+    elem = _element(ctx, rank, kind, ints.items(), lc)
     tail = tuple(item for item in ints.items() if item[0] != key)
-    return _Entry(cofs, _key_term(kind, key), key, lc, tail)
+    return _Entry(elem, cofs, _key_term(kind, key), key, lc, tail)
 
 
 _CONTENT_EVERY = 8  # reduction steps between removals of the integer content
@@ -283,32 +285,15 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
     return ints, rden, None if cofs is None else tuple(cofs)
 
 
-def _s_pair(p: _Entry, q: _Entry, top: tuple):
-    """(cur, den) with x^u * p - x^v * q == sum(cur[k] * term k) / den, where
-    x^u * lead(p) == x^v * lead(q) is the term with heap key top."""
-    den = lcm(p.lc, q.lc)
-    cur = {}
-    for entry, mult in ((p, den // p.lc), (q, -(den // q.lc))):
-        shift = tuple(map(sub, top, entry.key))
-        for k, c in entry.tail:
-            k = tuple(map(add, k, shift))
-            s = cur.get(k, 0) + mult * c
-            if s:
-                cur[k] = s
-            else:
-                del cur[k]
-    return cur, den
-
-
 def _buchberger_entries(
     gens: list[ModuleElement],
     order: MonomialOrder,
     max_degree: int | None,
     cofactors: bool,
-) -> list[tuple[ModuleElement, tuple | None]]:
-    """The reduced basis as (monic element, cofactors or None) pairs."""
+) -> list[_Entry]:
     ctx = gens[0].ctx
     kind = order.kind
+    rank = gens[0].rank
     m = len(gens)
     zero_cof = tuple(Polynomial.zero(ctx) for _ in range(m))
 
@@ -322,9 +307,7 @@ def _buchberger_entries(
         if cofactors:
             cofs = list(zero_cof)
             cofs[idx] = Polynomial.one(ctx)
-        entries.append(_make_entry(*_integer_map(g, kind), cofs, kind))
-
-    rank = gens[0].rank
+        entries.append(_make_entry(ctx, rank, *_integer_map(g, kind), cofs, kind))
 
     pairs: list[tuple[int, int, int]] = []
 
@@ -366,18 +349,19 @@ def _buchberger_entries(
         if skip:
             done.add((i, j))
             continue
-        cur, den = _s_pair(entries[i], entries[j], _heap_key(kind, ci, lcm_ij))
+        ui = from_ints(ctx, {monomial_div(lcm_ij, ei): 1}, 1)
+        uj = from_ints(ctx, {monomial_div(lcm_ij, ej): 1}, 1)
+        spair = entries[i].elem.scale_poly(ui) - entries[j].elem.scale_poly(uj)
         scofs = None
         if cofactors:
-            ui = from_ints(ctx, {monomial_div(lcm_ij, ei): 1}, 1)
-            uj = from_ints(ctx, {monomial_div(lcm_ij, ej): 1}, 1)
             scofs = tuple(
                 ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs)
             )
-        ints, den, rcofs = _reduce(ctx, cur, den, scofs, entries, order, max_degree)
+        ints, den, rcofs = _reduce(ctx, *_integer_map(spair, kind), scofs, entries, order,
+                                   max_degree)
         done.add((i, j))
         if ints:
-            entries.append(_make_entry(ints, den, rcofs, kind))
+            entries.append(_make_entry(ctx, rank, ints, den, rcofs, kind))
             push_pairs(len(entries) - 1)
 
     # One interreduction pass in entry order.  An entry whose leading term
@@ -396,10 +380,10 @@ def _buchberger_entries(
         cur = dict(entry.tail)
         cur[entry.key] = entry.lc
         ints, den, rcofs = _reduce(ctx, cur, entry.lc, entry.cofs, others, order, max_degree)
-        entries[idx] = _make_entry(ints, den, rcofs, kind)
+        entries[idx] = _make_entry(ctx, rank, ints, den, rcofs, kind)
     final = [e for e in entries if e is not None]
     final.sort(key=lambda e: order.module_key(*e.lead))
-    return [(_element(ctx, rank, kind, ((e.key, e.lc),) + e.tail, e.lc), e.cofs) for e in final]
+    return final
 
 
 @dataclass(frozen=True)
@@ -510,13 +494,13 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    basis = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
+    entries = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
     return GroebnerBasis(
-        generators=tuple(elem.components[0] for elem, _ in basis),
+        generators=tuple(e.elem.components[0] for e in entries),
         order=order,
         reduced=True,
         source=tuple(gens),
-        source_cofactors=tuple(cofs for _, cofs in basis) if cofactors else (),
+        source_cofactors=tuple(e.cofs for e in entries) if cofactors else (),
     )
 
 
@@ -540,14 +524,14 @@ def module_buchberger(
         raise ContextMismatch("mixed contexts in generator list")
     if all(g.is_zero() for g in gens):
         return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    basis = _buchberger_entries(gens, order, max_degree, True)
+    entries = _buchberger_entries(gens, order, max_degree, True)
     return ModuleGroebnerBasis(
-        generators=tuple(elem for elem, _ in basis),
+        generators=tuple(e.elem for e in entries),
         order=order,
         rank=rank,
         reduced=True,
         source=tuple(gens),
-        source_cofactors=tuple(cofs for _, cofs in basis),
+        source_cofactors=tuple(e.cofs for e in entries),
     )
 
 
@@ -559,9 +543,8 @@ def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int 
     kind = order.kind
     zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
     entries = [
-        _make_entry(
-            *_integer_map(g, kind), tuple(one if j == k else zero for j in range(len(basis))), kind
-        )
+        _make_entry(ctx, v.rank, *_integer_map(g, kind),
+                    tuple(one if j == k else zero for j in range(len(basis))), kind)
         for k, g in enumerate(basis)
     ]
     ints, den, cofs = _reduce(ctx, *_integer_map(v, kind), (zero,) * len(basis), entries, order,

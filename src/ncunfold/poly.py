@@ -12,7 +12,7 @@ numerator, gcd(den, all numerators) = 1, and the zero polynomial is
 rescale once to the lcm of the two denominators; negation, scalar
 products, derivatives and products are integer loops with one gcd pass to
 restore the canonical form.  ``terms`` is a read-only Fraction view, built
-on first use and cached; printing and serialization go through it.
+on each read; printing and serialization go through it.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def from_ints(ctx: RingContext, nums: dict, den: int) -> "Polynomial":
             nums = {e: c // g for e, c in nums.items()}
             den //= g
     out = Polynomial.__new__(Polynomial)
-    out.ctx, out.nums, out.den, out._terms = ctx, nums, den, None
+    out.ctx, out.nums, out.den = ctx, nums, den
     return out
 
 
@@ -136,7 +136,7 @@ class Polynomial:
     a read-only map from exponent tuples to Fractions.
     """
 
-    __slots__ = ("ctx", "nums", "den", "_terms")
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: RingContext, terms: dict | None = None):
         clean: dict[tuple, Fraction] = {}
@@ -153,19 +153,14 @@ class Polynomial:
                     clean[exps] = c
         # the lcm of reduced denominators leaves no content shared with it
         den = math.lcm(*[c.denominator for c in clean.values()])
-        self.ctx, self.den, self._terms = ctx, den, None
+        self.ctx, self.den = ctx, den
         self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only {exps: Fraction} view, built on first use."""
-        if self._terms is None:
-            den = self.den
-            self._terms = MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
-        return self._terms
-
-    def __reduce__(self):
-        return from_ints, (self.ctx, self.nums, self.den)
+        """Read-only {exps: Fraction} view, built on each read."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
     # -- constructors -------------------------------------------------------
 
