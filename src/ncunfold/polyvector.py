@@ -30,6 +30,13 @@ q-alg/9709040), which is what `schouten_bracket` evaluates directly:
 where d<-/dd_i is the right derivative in the odd generator, taking
 d_I to (-1)^#{j in I : j > i} d_{I - i} when i is in I.  eps is central
 and bracket-inert, so eps powers just add.
+
+With half(a, b) the first sum on terms a, b and sigma(a, b) = +1 when both
+wedge parts are even, -1 otherwise, relabelling the second sum gives
+
+    [X, X] = sum_{a, b} (1 + sigma(a, b)) half(a, b):
+
+term pairs with an odd wedge part cancel and the rest count twice.
 """
 
 from __future__ import annotations
@@ -340,6 +347,16 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
     return out
 
 
+def _square(x: GElement) -> GElement:
+    """[X, X] by the closed form in the header: one half per pair of even terms."""
+    even = [(k, c) for k, c in x.terms.items() if not _popcount(k[1]) & 1]
+    res: dict[tuple[int, int], Polynomial] = {}
+    for (e1, m1), c1 in even:
+        for (e2, m2), c2 in even:
+            _add_half(res, e1 + e2, m1, c1, m2, c2, 1)
+    return GElement(x.ctx, {k: c + c for k, c in res.items()})
+
+
 def ad_f(f: Polynomial, x: GElement) -> GElement:
     """[f, x]: the Koszul differential on polyvector fields."""
     return schouten_bracket(GElement.from_polynomial(f), x)
@@ -364,11 +381,21 @@ def _check_degree_one(w: HSeries, ctx: RingContext) -> None:
 
 
 def mc_residual(f: Polynomial, w: HSeries) -> HSeries:
-    """dw + (1/2)[w, w] for a deformation series w with coefficients p*eps + S."""
+    """dw + (1/2)[w, w] for a deformation series w with coefficients p*eps + S.
+
+    The coefficients have degree 2, so [w_i, w_j] = [w_j, w_i] and the
+    h^k part of (1/2)[w, w] is the sum of [w_i, w_j] over i < j, i + j = k,
+    plus (1/2)[w_i, w_i] by the closed form of the header when k = 2i."""
     _check_degree_one(w, f.ctx)
-    dw = w.map(lambda c: g_differential(f, c))
-    ww = w.convolve(w, schouten_bracket)
-    return dw + ww.scale(Fraction(1, 2))
+    out = [g_differential(f, c) for c in w.coeffs]
+    nonzero = [(i, c) for i, c in enumerate(w.coeffs) if not c.is_zero()]
+    for a, (i, x) in enumerate(nonzero):
+        if 2 * i <= w.order:
+            out[2 * i] = out[2 * i] + _square(x).scale(Fraction(1, 2))
+        for j, y in nonzero[a + 1:]:
+            if i + j <= w.order:
+                out[i + j] = out[i + j] + schouten_bracket(x, y)
+    return HSeries(out, w.order)
 
 
 def bivector_square(s: GElement) -> GElement:
@@ -377,4 +404,4 @@ def bivector_square(s: GElement) -> GElement:
         raise ValueError("bivector must be eps-free")
     if not s.wedge_degrees() <= {2}:
         raise ValueError("bivector must be homogeneous of wedge degree 2")
-    return schouten_bracket(s, s)
+    return _square(s)

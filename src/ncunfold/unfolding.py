@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotACycle, QCInvalid
 from .groebner import GREVLEX, ModuleElement, module_preimage, normal_form
@@ -28,6 +27,8 @@ from .poly import HSeries, Polynomial, RingContext
 from .polyvector import (
     GElement,
     ad_f,
+    bits_of,
+    bivector_square,
     mask_of,
     mc_residual,
     schouten_bracket,
@@ -158,7 +159,7 @@ def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
     fs = ad_f(f, s)
     if not fs.is_zero():
         violations.append(QCViolation("not_f_compatible", "[f, S] != 0", fs))
-    ss = schouten_bracket(s, s)
+    ss = bivector_square(s)
     if not ss.is_zero():
         violations.append(QCViolation("not_poisson", "[S, S] != 0", ss))
     return violations
@@ -298,48 +299,46 @@ def _f_minus_p(f: Polynomial, p_series: HSeries, ctx: RingContext) -> HSeries:
 
 
 def mc_verify(f: Polynomial, sol: MCSolution) -> MCReport:
-    """Per-order values of [f - p, S], [S, S], and the assembled residual.
+    """Per-order values of [f - p, S], [S, S], and the residual, all
+    recomputed from sol.
 
-    The three are also checked for mutual consistency
-    (residual = -eps*[f - p, S] + (1/2)[S, S] at each order).
+    One residual series dw + (1/2)[w, w] of w = p*eps + S is computed.
+    Its eps*wedge-1 terms are -eps*[f - p, S] and its eps-free wedge-3
+    terms are (1/2)[S, S], so the two brackets are read off it by eps
+    power; a term of any other kind raises AssertionError.  A witness T
+    is checked against S = [f - p, T] through the truncation order, or
+    for an exact solution through every order [f - p, T] reaches.
     """
+    return _mc_report(f, sol, check_witness=True)
+
+
+def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
+    """mc_verify; without check_witness for a caller that built S as [f - p, T]."""
     ctx = f.ctx
-    if sol.order == EXACT:
-        dp = sol.p_series.order
-        ds = sol.s_series.order
-        check_order = max(dp + ds, 2 * ds, 1)
-    else:
-        check_order = sol.order
-    zero_p = Polynomial.zero(ctx)
-    zero_g = GElement.zero(ctx)
+    zero_p, zero_g = Polynomial.zero(ctx), GElement.zero(ctx)
+    dp, ds = sol.p_series.order, sol.s_series.order
+    check_order = max(dp + ds, 2 * ds, 1) if sol.order == EXACT else sol.order
     p = sol.p_series.padded(check_order, zero_p)
     s = sol.s_series.padded(check_order, zero_g)
-    fp = _f_minus_p(f, p, ctx)
-    bracket = fp.convolve(s, schouten_bracket)
-    square = s.convolve(s, schouten_bracket)
-    w = _w_series(p, s, ctx)
-    residual = mc_residual(f, w)
-    eps = GElement.eps(ctx)
+    residual = mc_residual(f, _w_series(p, s, ctx))
     orders = []
-    ok = True
-    for k in range(check_order + 1):
-        b_k = bracket.coeffs[k]
-        s_k = square.coeffs[k]
-        r_k = residual.coeffs[k]
-        expected = -(eps * b_k) + s_k.scale(Fraction(1, 2))
-        if r_k != expected:
-            raise AssertionError("residual decomposition violated")
-        orders.append(OrderResidual(k, b_k, s_k, r_k))
-        if not r_k.is_zero():
-            ok = False
+    for k, r_k in enumerate(residual.coeffs):
+        split = {(1, 1): {}, (0, 3): {}}
+        for (e, m), c in r_k.terms.items():
+            part = split.get((e, len(bits_of(m))))
+            if part is None:
+                raise AssertionError("residual decomposition violated")
+            part[(0, m)] = c
+        b_k = -GElement(ctx, split[1, 1])
+        orders.append(OrderResidual(k, b_k, GElement(ctx, split[0, 3]).scale(2), r_k))
     witness_consistent = None
-    if sol.witness is not None:
-        t = sol.witness.padded(check_order, zero_g)
-        rebuilt = fp.convolve(t, schouten_bracket)
-        witness_consistent = all(
-            rebuilt.coeffs[k] == s.coeffs[k] for k in range(check_order + 1)
-        )
-        ok = ok and witness_consistent
+    if check_witness and sol.witness is not None:
+        # [f - p, T] reaches h^(dp + dt), past check_order for an exact T
+        n = max(check_order, dp + sol.witness.order) if sol.order == EXACT else check_order
+        fp = _f_minus_p(f, sol.p_series.padded(n, zero_p), ctx)
+        rebuilt = fp.convolve(sol.witness.padded(n, zero_g), schouten_bracket)
+        witness_consistent = rebuilt == sol.s_series.padded(n, zero_g)
+    ok = all(r.is_zero() for r in residual.coeffs) and witness_consistent is not False
     return MCReport(orders=tuple(orders), witness_consistent=witness_consistent, ok=ok)
 
 
@@ -369,8 +368,7 @@ def quantize_n3(
     fp = _f_minus_p(f, p_series, ctx)
     s_series = fp.convolve(witness, schouten_bracket)
     sol = MCSolution(EXACT, p_series, s_series, witness)
-    report = mc_verify(f, sol)
-    if not report.ok:
+    if not _mc_report(f, sol, check_witness=False).ok:
         raise RuntimeError("internal: quantize_n3 produced a nonzero residual")
     return sol
 
@@ -414,16 +412,11 @@ def quantize_general(
     witness = HSeries([zero_g, t1] + [zero_g] * (max_order - 1), max_order)
     fp = _f_minus_p(f, p_series, ctx)
     s_series = fp.convolve(witness, schouten_bracket)
-    square = s_series.convolve(s_series, schouten_bracket)
-    for k in range(2, max_order + 1):
-        if not square.coeffs[k].is_zero():
-            return ObstructionReport(
-                failing_order=k,
-                obstruction=square.coeffs[k],
-                kind="poisson_failure",
-            )
     sol = MCSolution(max_order, p_series, s_series, witness)
-    report = mc_verify(f, sol)
+    report = _mc_report(f, sol, check_witness=False)
+    for o in report.orders[2:]:
+        if not o.poisson_square.is_zero():
+            return ObstructionReport(o.h_power, o.poisson_square, "poisson_failure")
     if not report.ok:
         raise RuntimeError("internal: quantize_general produced a nonzero residual")
     return sol

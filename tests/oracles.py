@@ -10,7 +10,10 @@ plain term dicts, every pair and no criteria, with the reduced basis
 formed afterwards; the product oracle sums Fraction products term by term
 where the library multiplies integer numerators over common denominators,
 and the sum, scale and derivative oracles likewise work on Fraction
-terms where the library works on integer numerators over one denominator.
+terms where the library works on integer numerators over one denominator;
+the Maurer-Cartan report oracle convolves [f - p, S], [S, S] and the
+ordered [w, w] as three series where the library reads both brackets off
+one symmetric residual.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ncunfold.poly import Polynomial, grevlex_key, lex_key
-from ncunfold.polyvector import GElement, bits_of
+from ncunfold.poly import HSeries, Polynomial, grevlex_key, lex_key
+from ncunfold.polyvector import GElement, bits_of, g_differential, schouten_bracket
+from ncunfold.unfolding import EXACT, MCReport, OrderResidual
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +440,48 @@ def naive_buchberger(gens, kind="grevlex"):
         for k, g in enumerate(minimal)
     ]
     return sorted(reduced, key=lambda g: key(max(g, key=key)))
+
+
+# ---------------------------------------------------------------------------
+# Maurer-Cartan report from three separate convolutions
+
+def mc_verify_oracle(f: Polynomial, sol) -> MCReport:
+    """The mc_verify report with [f - p, S], [S, S] and [w, w] convolved
+    as three series, every ordered pair (i, j) bracketed on its own, and
+    residual == -eps*[f - p, S] + (1/2)[S, S] asserted at each order.
+    An exact witness T is compared with S through h^(dp + dt)."""
+    ctx = f.ctx
+    zero_p, zero_g = Polynomial.zero(ctx), GElement.zero(ctx)
+    eps = GElement.eps(ctx)
+    exact = sol.order == EXACT
+    dp, ds = sol.p_series.order, sol.s_series.order
+    check = max(dp + ds, 2 * ds, 1) if exact else sol.order
+
+    def f_minus_p(n):
+        p = sol.p_series.padded(n, zero_p).coeffs
+        return HSeries([GElement.from_polynomial(f - p[0])]
+                       + [GElement.from_polynomial(-c) for c in p[1:]], n)
+
+    p = sol.p_series.padded(check, zero_p)
+    s = sol.s_series.padded(check, zero_g)
+    bracket = f_minus_p(check).convolve(s, schouten_bracket)
+    square = s.convolve(s, schouten_bracket)
+    w = HSeries([GElement.from_polynomial(c) * eps for c in p.coeffs], check) + s
+    ww = w.convolve(w, schouten_bracket)
+    orders = []
+    for k in range(check + 1):
+        r_k = g_differential(f, w.coeffs[k]) + ww.coeffs[k].scale(Fraction(1, 2))
+        b_k, s_k = bracket.coeffs[k], square.coeffs[k]
+        assert r_k == -(eps * b_k) + s_k.scale(Fraction(1, 2))
+        orders.append(OrderResidual(k, b_k, s_k, r_k))
+    witness_consistent = None
+    if sol.witness is not None:
+        n = max(check, dp + sol.witness.order) if exact else check
+        rebuilt = f_minus_p(n).convolve(sol.witness.padded(n, zero_g), schouten_bracket)
+        target = sol.s_series.padded(n, zero_g)
+        witness_consistent = all(rebuilt.coeffs[k] == target.coeffs[k] for k in range(n + 1))
+    ok = all(o.residual.is_zero() for o in orders) and witness_consistent is not False
+    return MCReport(tuple(orders), witness_consistent, ok)
 
 
 # ---------------------------------------------------------------------------

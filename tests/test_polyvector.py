@@ -11,6 +11,7 @@ from ncunfold.parsing import parse_gelement
 from ncunfold.poly import HSeries, Polynomial, RingContext
 from ncunfold.polyvector import (
     GElement,
+    _square,
     ad_f,
     bivector_square,
     g_differential,
@@ -269,31 +270,41 @@ def test_mc_residual_nonzero_term():
 
 
 def test_mc_residual_decomposition():
-    # residual_k = -eps * [f - p, S]_k + (1/2) [S, S]_k, term by term
+    # residual_k = -eps * [f - p, S]_k + (1/2) [S, S]_k, term by term, with
+    # p_k and S_k nonzero at h^1 and h^2 so that the pairs (1, 2) and (2, 1)
+    # of [w, w] meet as well as the diagonal ones
     rng = random.Random(61)
     f = a_k(2)
     eps = GElement.eps(CTX3)
+    order = 4
+    zero = GElement.zero(CTX3)
+    crossed = 0
     for _ in range(15):
-        p = rand_poly(rng, CTX3, 2)
-        s = rand_bivector(rng, CTX3)
-        order = 4
-        zero = GElement.zero(CTX3)
+        ps = [rand_poly(rng, CTX3, 2, zero_ok=False) for _ in range(2)]
+        ss = [rand_bivector(rng, CTX3) for _ in range(2)]
+        while any(s.is_zero() for s in ss):
+            ss = [rand_bivector(rng, CTX3) for _ in range(2)]
         w = HSeries(
-            [zero, GElement.from_polynomial(p) * eps + s, zero, zero, zero], order
+            [zero] + [GElement.from_polynomial(p) * eps + s for p, s in zip(ps, ss)]
+            + [zero, zero],
+            order,
         )
         res = mc_residual(f, w)
         fp = HSeries(
-            [GElement.from_polynomial(f), GElement.from_polynomial(-p), zero, zero, zero],
+            [GElement.from_polynomial(f)] + [GElement.from_polynomial(-p) for p in ps]
+            + [zero, zero],
             order,
         )
-        sser = HSeries([zero, s, zero, zero, zero], order)
+        sser = HSeries([zero] + ss + [zero, zero], order)
         bracket = fp.convolve(sser, schouten_bracket)
         square = sser.convolve(sser, schouten_bracket)
+        crossed += not square.coeffs[3].is_zero()
         for k in range(order + 1):
             expected = -(eps * bracket.coeffs[k]) + square.coeffs[k].scale(
                 Fraction(1, 2)
             )
             assert res.coeffs[k] == expected
+    assert crossed
 
 
 def test_mc_residual_rejects_bad_degrees():
@@ -328,6 +339,20 @@ def test_bivector_square_example_vs_oracle():
     s2 = g("z*D(1,2) + x*y*D(2,3)")
     assert bivector_square(s2) == schouten_oracle(s2, s2)
     assert not bivector_square(s2).is_zero()
+
+
+def test_self_bracket_matches_bracket_and_oracle_mixed_parity():
+    # odd wedge parts and eps powers mixed in one element: the odd pairs
+    # cancel in the closed form, the even ones count twice
+    rng = random.Random(71)
+    seen_odd = seen_eps = 0
+    for _ in range(30):
+        x = rand_gelement(rng, CTX3, max_eps=2, n_terms=4)
+        seen_odd += any(bin(m).count("1") & 1 for _, m in x.terms)
+        seen_eps += any(e for e, _ in x.terms)
+        square = _square(x)
+        assert square == schouten_bracket(x, x) == schouten_oracle(x, x)
+    assert seen_odd and seen_eps
 
 
 def test_bivector_square_rejects_wrong_degree():

@@ -1,5 +1,6 @@
 """Koszul lifting, quasiclassical data, quantization, residual reports."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from ncunfold.unfolding import (
     quantize_n3,
 )
 
-from oracles import rand_poly, rand_trivector3
+from oracles import mc_verify_oracle, rand_bivector, rand_poly, rand_trivector3
 
 CTX3 = ADE_CONTEXT
 CTX2 = RingContext(("x", "y"))
@@ -347,6 +348,97 @@ def test_verify_witness_consistency():
                           sol.witness.map(lambda c: c + c))
     bad = mc_verify(f, tampered)
     assert bad.witness_consistent is False and not bad.ok
+
+
+def test_verify_compares_exact_witness_past_the_residual_orders():
+    # p = S = 0 through h^1 puts the residual check at h^2, but the witness
+    # T = D(1,2,3) h^3 gives [f - p, T] = [f, D(1,2,3)] h^3 != S_3 = 0
+    f = parse_polynomial("x^2+y^2+z^2", CTX3)
+    t3 = g("D(1,2,3)")
+    assert not ad_f(f, t3).is_zero()
+    zero_g = GElement.zero(CTX3)
+    sol = MCSolution(
+        EXACT,
+        HSeries([Polynomial.zero(CTX3)] * 2, 1),
+        HSeries([zero_g] * 2, 1),
+        HSeries([zero_g] * 3 + [t3], 3),
+    )
+    report = mc_verify(f, sol)
+    assert len(report.orders) == 3 and all(o.is_zero() for o in report.orders)
+    assert report.witness_consistent is False and not report.ok
+
+
+def _same_report(f, sol):
+    report = mc_verify(f, sol)
+    want = json.dumps(mc_verify_oracle(f, sol).to_json(), sort_keys=True)
+    assert json.dumps(report.to_json(), sort_keys=True) == want
+    return report
+
+
+def test_verify_matches_oracle_on_ade_quantizations():
+    for _, f in ade_catalog():
+        p1, s1 = _ade_datum(f)
+        assert _same_report(f, quantize_n3(f, p1, s1)).ok
+        assert _same_report(f, quantize_general(f, p1, s1, max_order=4)).ok
+
+
+def _random_non_solution(rng, f, order, with_witness):
+    """p and S nonzero at two or three of h^1..h^3, S not built from p, and
+    optionally a random trivector witness reaching up to h^5."""
+    ctx = f.ctx
+    p = [Polynomial.zero(ctx)] * 4
+    s = [GElement.zero(ctx)] * 4
+    for k in rng.sample(range(1, 4), rng.randint(2, 3)):
+        p[k] = rand_poly(rng, ctx, 2, zero_ok=False)
+        s[k] = rand_bivector(rng, ctx)
+    witness = None
+    if with_witness:
+        dt = rng.randint(3, 5)
+        witness = HSeries([GElement.zero(ctx)] + [rand_trivector3(rng, ctx) for _ in range(dt)])
+    return MCSolution(order, HSeries(p), HSeries(s), witness)
+
+
+def test_verify_matches_oracle_on_non_solutions():
+    rng = random.Random(89)
+    f = a_k(2)
+    seen_bracket = seen_square = 0
+    for order in (EXACT, 2, 5):
+        for with_witness in (False, True):
+            for _ in range(4):
+                sol = _random_non_solution(rng, f, order, with_witness)
+                report = _same_report(f, sol)
+                assert not report.ok
+                seen_bracket += any(not o.bracket_f_minus_p_s.is_zero() for o in report.orders)
+                seen_square += any(not o.poisson_square.is_zero() for o in report.orders)
+    # both brackets must be nonzero in most reports, or a wrong split
+    # would go unseen
+    assert min(seen_bracket, seen_square) >= 18
+
+
+@pytest.mark.parametrize(
+    "t, p", [("z*D(1,2,3) + z*D(1,2,4)", "x*y"), ("y*D(1,2,4) + z*D(1,2,4)", "x")]
+)
+def test_verify_matches_oracle_on_general_obstructions(t, p):
+    # quantize_general stops at h^3 on these n = 4 data; its obstruction is
+    # [S, S]_3 of the solution it built through h^2
+    ctx4 = RingContext(("x", "y", "z", "w"))
+    f = parse_polynomial("x^2+y^2+z^2+w^2", ctx4)
+    p1 = parse_polynomial(p, ctx4)
+    s1 = ad_f(f, parse_gelement(t, ctx4))
+    obstruction = quantize_general(f, p1, s1, max_order=4)
+    assert isinstance(obstruction, ObstructionReport)
+    assert obstruction.failing_order == 3
+    head = quantize_general(f, p1, s1, max_order=2)
+    zero_g = GElement.zero(ctx4)
+    sol = MCSolution(
+        4,
+        head.p_series.padded(4, Polynomial.zero(ctx4)),
+        head.s_series.padded(4, zero_g),
+        head.witness.padded(4, zero_g),
+    )
+    report = _same_report(f, sol)
+    assert report.orders[3].poisson_square == obstruction.obstruction
+    assert not report.ok and report.witness_consistent
 
 
 def test_solution_json_roundtrip():
