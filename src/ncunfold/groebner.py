@@ -11,6 +11,13 @@ the input are carried only where a caller reads them (`buchberger(...,
 cofactors=True)`, the default, `module_buchberger` and the normal forms);
 the identities they assert are rechecked on construction of a
 ReductionTrace, not sampled.
+
+Two loops feed the kernel.  Bases with cofactors, which are not unique
+and reach the CLI output, run Buchberger's loop with the product and
+chain criteria, taking pairs by lcm degree.  A cofactor-free ideal basis
+runs an incremental signature-based loop, which does no reduction to
+zero on a regular sequence.  Both end in one interreduction pass and
+give the same reduced basis.
 """
 
 from __future__ import annotations
@@ -186,6 +193,7 @@ class _Entry:
     key: tuple
     lc: int
     tail: tuple
+    sig: tuple | None = None  # (input index, exps) in the signature loop
 
 
 def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs, kind: str) -> _Entry:
@@ -209,20 +217,21 @@ _CONTENT_EVERY = 8  # reduction steps between removals of the integer content
 
 
 def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
-            order: MonomialOrder, max_degree: int | None):
+            order: MonomialOrder, max_degree: int | None, below=None):
     """Full normal form of v = sum(cur[k] * term k) / den against the
     entries, consuming cur: (ints, rden, cofactors), the remainder being
     sum(ints[k] * term k) / rden.
 
     The divisor of a leading term is the first entry whose leading term
-    divides it.  Fraction-free: v is num/den * cur, and a step with cur's
-    leading coefficient a and the divisor's b, g = gcd(a, b), takes cur to
-    (b/g) * cur - (a/g) * x^q * divisor and num/den to num/den * g/b.  An
-    irreducible term a leaves cur as the numerator a * num over den; the
-    remainder goes on one denominator at the end.  When tracked (cofs is
-    not None), the cofactors keep the invariant: if v == sum(cofs_in *
-    gens) and every entry satisfies entry == sum(entry.cofs * gens), then
-    the remainder equals sum(cofs_out * gens).
+    divides it and, when a predicate below is given, for which below(entry,
+    exps of the term) holds.  Fraction-free: v is num/den * cur, and a step
+    with cur's leading coefficient a and the divisor's b, g = gcd(a, b),
+    takes cur to (b/g) * cur - (a/g) * x^q * divisor and num/den to
+    num/den * g/b.  An irreducible term a leaves cur as the numerator
+    a * num over den; the remainder goes on one denominator at the end.
+    When tracked (cofs is not None), the cofactors keep the invariant: if
+    v == sum(cofs_in * gens) and every entry satisfies entry ==
+    sum(entry.cofs * gens), then the remainder equals sum(cofs_out * gens).
     """
     kind = order.kind
     if cur and max_degree is not None:
@@ -241,7 +250,7 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
             continue  # a lazily deleted key
         comp, exps = _key_term(kind, t)
         for ec, ee, divisor in leads:
-            if ec == comp and all(map(le, ee, exps)):
+            if ec == comp and all(map(le, ee, exps)) and (below is None or below(divisor, exps)):
                 break
         else:
             rem.append((t, a * num, den))
@@ -285,12 +294,20 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
     return ints, rden, None if cofs is None else tuple(cofs)
 
 
+def _spair(ctx: RingContext, a: _Entry, b: _Entry):
+    """(ua, ub, ua * a - ub * b) for the monomials ua, ub that take the
+    leading terms of a and b to their lcm."""
+    lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
+    ua = from_ints(ctx, {monomial_div(lcm_ab, a.lead[1]): 1}, 1)
+    ub = from_ints(ctx, {monomial_div(lcm_ab, b.lead[1]): 1}, 1)
+    return ua, ub, a.elem.scale_poly(ua) - b.elem.scale_poly(ub)
+
+
 def _buchberger_entries(
-    gens: list[ModuleElement],
-    order: MonomialOrder,
-    max_degree: int | None,
-    cofactors: bool,
+    gens: list[ModuleElement], order: MonomialOrder, max_degree: int | None
 ) -> list[_Entry]:
+    """Entries of the basis of gens with their cofactors, by Buchberger's
+    loop with the product and chain criteria, pairs taken by lcm degree."""
     ctx = gens[0].ctx
     kind = order.kind
     rank = gens[0].rank
@@ -303,10 +320,8 @@ def _buchberger_entries(
             continue
         # checked here, as a redundant generator is dropped unreduced below
         _guard(max_degree, g.max_degree())
-        cofs = None
-        if cofactors:
-            cofs = list(zero_cof)
-            cofs[idx] = Polynomial.one(ctx)
+        cofs = list(zero_cof)
+        cofs[idx] = Polynomial.one(ctx)
         entries.append(_make_entry(ctx, rank, *_integer_map(g, kind), cofs, kind))
 
     pairs: list[tuple[int, int, int]] = []
@@ -349,28 +364,110 @@ def _buchberger_entries(
         if skip:
             done.add((i, j))
             continue
-        ui = from_ints(ctx, {monomial_div(lcm_ij, ei): 1}, 1)
-        uj = from_ints(ctx, {monomial_div(lcm_ij, ej): 1}, 1)
-        spair = entries[i].elem.scale_poly(ui) - entries[j].elem.scale_poly(uj)
-        scofs = None
-        if cofactors:
-            scofs = tuple(
-                ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs)
-            )
+        ui, uj, spair = _spair(ctx, entries[i], entries[j])
+        scofs = tuple(ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs))
         ints, den, rcofs = _reduce(ctx, *_integer_map(spair, kind), scofs, entries, order,
                                    max_degree)
         done.add((i, j))
         if ints:
             entries.append(_make_entry(ctx, rank, ints, den, rcofs, kind))
             push_pairs(len(entries) - 1)
+    return _interreduce(ctx, rank, entries, order, max_degree)
 
-    # One interreduction pass in entry order.  An entry whose leading term
-    # another entry's divides would reduce to zero and is dropped unreduced;
-    # every other entry is reduced once against the current others, so
-    # its leading term stays and its tail becomes standard.  The reduced
-    # basis is unique but its cofactors are not: these are the ones that
-    # repeating such passes until nothing changes gives, since a second
-    # pass changes nothing.
+
+def _signature_entries(
+    gens: list[ModuleElement], order: MonomialOrder, max_degree: int | None
+) -> list[_Entry]:
+    """Entries of an ideal basis of rank-1 gens, without cofactors, by an
+    incremental signature-based loop (F5-style, in the form of Eder and
+    Faugere's survey, JSC 2017).
+
+    Zero generators are dropped.  Generator idx is fully reduced by the
+    entries of the generators before it and enters with signature 1 (at
+    index idx).  Its S-pairs are then taken in increasing signature: the
+    signature of ua * a - ub * b is the larger of ua * sig(a) and
+    ub * sig(b), a signature of an earlier index being the smaller.  A
+    pair is skipped when its signature is a multiple of an earlier-index
+    leading monomial or of a signature that reduced to zero (both are
+    signatures of syzygies), when both sides have the same signature, when
+    its signature was already processed, or when an entry added after its
+    top side has a signature dividing it (the rewrite criterion).  A
+    reducer is admitted only when its shifted signature is below the
+    pair's, so the result keeps the pair's signature, and every nonzero
+    result is added, also one whose leading term only a reducer of equal
+    signature divides.  On a regular sequence nothing reduces to zero.
+    """
+    ctx = gens[0].ctx
+    kind, key = order.kind, order.key
+    gens = [g for g in gens if not g.is_zero()]
+    entries: list[_Entry] = []
+
+    for idx, g in enumerate(gens):
+        earlier = [e.lead[1] for e in entries]
+        ints, den, _ = _reduce(ctx, *_integer_map(g, kind), None, entries, order, max_degree)
+        if not ints:
+            continue  # every signature of index idx is a syzygy's
+        pairs: list = []
+        zeros: list[tuple] = []
+        done: set[tuple] = set()
+
+        def append(ints: dict, den: int, sig: tuple):
+            a = _make_entry(ctx, 1, ints, den, None, kind)
+            a.sig = (idx, sig)
+            k = len(entries)
+            entries.append(a)
+            for j, b in enumerate(entries[:k]):
+                lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
+                sa = tuple(map(add, monomial_div(lcm_ab, a.lead[1]), sig))
+                if b.sig[0] < idx:
+                    heappush(pairs, (key(sa), -k, j, sa))
+                    continue
+                sb = tuple(map(add, monomial_div(lcm_ab, b.lead[1]), b.sig[1]))
+                if sa != sb:
+                    top, other, s = (k, j, sa) if key(sa) > key(sb) else (j, k, sb)
+                    heappush(pairs, (key(s), -top, other, s))
+
+        append(ints, den, (0,) * ctx.n)
+        while pairs:
+            skey, top, other, sig = heappop(pairs)
+            top = -top
+            if (
+                sig in done
+                or any(monomial_divides(m, sig) for m in earlier)
+                or any(monomial_divides(m, sig) for m in zeros)
+                or any(monomial_divides(e.sig[1], sig) for e in entries[top + 1:])
+            ):
+                continue
+            done.add(sig)
+
+            def below(e: _Entry, exps: tuple) -> bool:
+                i, s = e.sig
+                return i < idx or key(tuple(map(add, s, monomial_div(exps, e.lead[1])))) < skey
+
+            _, _, spair = _spair(ctx, entries[top], entries[other])
+            ints, den, _ = _reduce(ctx, *_integer_map(spair, kind), None, entries, order,
+                                   max_degree, below)
+            if ints:
+                append(ints, den, sig)
+            else:
+                zeros.append(sig)
+    return _interreduce(ctx, 1, entries, order, max_degree)
+
+
+def _interreduce(ctx: RingContext, rank: int, entries: list, order: MonomialOrder,
+                 max_degree: int | None) -> list[_Entry]:
+    """The reduced basis of a Groebner basis given as entries, sorted by
+    leading term.
+
+    One interreduction pass in entry order.  An entry whose leading term
+    another entry's divides would reduce to zero and is dropped unreduced;
+    every other entry is reduced once against the current others, so its
+    leading term stays and its tail becomes standard.  The reduced basis is
+    unique but its cofactors are not: these are the ones that repeating
+    such passes until nothing changes gives, since a second pass changes
+    nothing.
+    """
+    kind = order.kind
     for idx, entry in enumerate(entries):
         others = [e for e in entries if e is not None and e is not entry]
         comp, exps = entry.lead
@@ -486,7 +583,9 @@ def buchberger(
     Deterministic: pairs are selected by lcm degree with input-index
     tie-break, and the final basis is sorted by leading term.  With
     cofactors=False the expressions of the basis over gens are not
-    computed and source_cofactors is empty.
+    computed, source_cofactors is empty, and the basis comes from the
+    signature loop (`_signature_entries`), which selects pairs by
+    signature; the reduced basis is the same.
     """
     gens = list(gens)
     if not gens or all(g.is_zero() for g in gens):
@@ -494,7 +593,11 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    entries = _buchberger_entries([_wrap(g) for g in gens], order, max_degree, cofactors)
+    gens_1 = [_wrap(g) for g in gens]
+    if cofactors:
+        entries = _buchberger_entries(gens_1, order, max_degree)
+    else:
+        entries = _signature_entries(gens_1, order, max_degree)
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
@@ -524,7 +627,7 @@ def module_buchberger(
         raise ContextMismatch("mixed contexts in generator list")
     if all(g.is_zero() for g in gens):
         return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    entries = _buchberger_entries(gens, order, max_degree, True)
+    entries = _buchberger_entries(gens, order, max_degree)
     return ModuleGroebnerBasis(
         generators=tuple(e.elem for e in entries),
         order=order,
