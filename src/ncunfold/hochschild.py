@@ -8,6 +8,11 @@ with plain iterated partials (no factorial normalization).  Cup product,
 brace insertions, the Gerstenhaber bracket, the differential d = [mu, -],
 and the cochain-level HKR map are implemented on this model.
 
+A brace expands each inserted Q through one insertion table per
+derivative multi-index alpha at its slot: the Leibniz terms of d^alpha of
+Q's output, built once and reused by every term of P, so the cost is
+proportional to the nonzero terms of the expansion.
+
 Sign conventions: a brace insertion P{Q_1..Q_l} carries the sign
 (-1)^(sum (q_t - 1) * o_t) where o_t is the number of argument positions
 in front of the t-th inserted block; the bracket is
@@ -22,6 +27,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ContextMismatch
 from .poly import Polynomial, RingContext, accumulate
@@ -62,6 +68,13 @@ class PolyDiffOperator:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _make(cls, ctx: RingContext, arity: int, terms: dict) -> "PolyDiffOperator":
+        """Trusted constructor: `terms` has valid keys and no zero coefficient."""
+        out = cls.__new__(cls)
+        out.ctx, out.arity, out.terms = ctx, arity, terms
+        return out
+
+    @classmethod
     def zero(cls, ctx: RingContext, arity: int) -> "PolyDiffOperator":
         return cls(ctx, arity)
 
@@ -85,25 +98,18 @@ class PolyDiffOperator:
         res = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(res, key, c)
-        out = PolyDiffOperator.__new__(PolyDiffOperator)
-        out.ctx, out.arity, out.terms = self.ctx, self.arity, res
-        return out
+        return self._make(self.ctx, self.arity, res)
 
     def __neg__(self) -> "PolyDiffOperator":
-        out = PolyDiffOperator.__new__(PolyDiffOperator)
-        out.ctx, out.arity = self.ctx, self.arity
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return self._make(self.ctx, self.arity, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
         return self + (-other)
 
     def scale(self, q) -> "PolyDiffOperator":
         q = Fraction(q)
-        out = PolyDiffOperator.__new__(PolyDiffOperator)
-        out.ctx, out.arity = self.ctx, self.arity
-        out.terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
-        return out
+        terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
+        return self._make(self.ctx, self.arity, terms)
 
     def __eq__(self, other):
         if not isinstance(other, PolyDiffOperator):
@@ -188,7 +194,7 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     for a1, c1 in p.terms.items():
         for a2, c2 in q.terms.items():
             accumulate(res, a1 + a2, c1 * c2)
-    return PolyDiffOperator(p.ctx, p.arity + q.arity, res)
+    return PolyDiffOperator._make(p.ctx, p.arity + q.arity, res)
 
 
 def _splits(alpha: tuple, parts: int) -> tuple:
@@ -196,13 +202,15 @@ def _splits(alpha: tuple, parts: int) -> tuple:
 
     A tuple of (pieces, multinomial) where pieces is a tuple of
     multi-indices summing to alpha and multinomial is the product over
-    coordinates of alpha_d! / prod(pieces[t][d]!).
+    coordinates of alpha_d! / prod(pieces[t][d]!).  Zero pieces split
+    alpha = 0 once, into the empty tuple, and any other alpha never.
     """
     n = len(alpha)
 
     def splits_1d(total: int, k: int):
-        if k == 1:
-            yield (total,)
+        if k == 0:
+            if total == 0:
+                yield ()
             return
         for first in range(total + 1):
             for rest in splits_1d(total - first, k - 1):
@@ -222,27 +230,6 @@ def _splits(alpha: tuple, parts: int) -> tuple:
     )
 
 
-def _insert_one(splits, alphas, coeff, slot, q_alphas, q_coeff):
-    """Insert one operator term into `slot`, expanding the iterated-partials
-    Leibniz rule by `splits`, a `_splits` table.  Yields (new_alphas, new_coeff)."""
-    alpha = alphas[slot]
-    q = len(q_alphas)
-    for pieces, multi in splits(alpha, q + 1):
-        gamma0, rest = pieces[0], pieces[1:]
-        dcoeff = q_coeff.derive(gamma0)
-        if dcoeff.is_zero():
-            continue
-        if multi != 1:
-            # scale the small factor, not the product
-            dcoeff = dcoeff * multi
-        block = tuple(
-            tuple(b + g for b, g in zip(beta, gamma))
-            for beta, gamma in zip(q_alphas, rest)
-        )
-        new_alphas = alphas[:slot] + block + alphas[slot + 1 :]
-        yield new_alphas, coeff * dcoeff
-
-
 def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
     """The brace P{Q_1, ..., Q_l}: order-preserving insertions with the
     Gerstenhaber sign."""
@@ -257,36 +244,48 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         return p
     arities = [q.arity for q in qs]
     out_arity = p.arity - l + sum(arities)
-    # every inserted term asks again for the same few (alpha, parts)
+    # the tables ask again for the same few (alpha, parts)
     splits = functools.cache(_splits)
+
+    @functools.cache
+    def table(t: int, alpha: tuple) -> list:
+        """[(block, coeff)]: the terms of d^alpha applied to Q_t's output.
+        gamma0, the part of alpha on Q_t's coefficient, runs over the box
+        where its derivative can be nonzero, weighted by prod C(alpha, gamma0);
+        the rest of alpha is split over Q_t's arguments."""
+        entries = []
+        for q_alphas, q_coeff in qs[t].terms.items():
+            box = [range(min(a, q_coeff.degree_in(d)) + 1) for d, a in enumerate(alpha, 1)]
+            for gamma0 in itertools.product(*box):
+                dcoeff = q_coeff.derive(gamma0)
+                if dcoeff.is_zero():
+                    continue
+                binom = math.prod(map(math.comb, alpha, gamma0))
+                for rest, multi in splits(tuple(map(sub, alpha, gamma0)), arities[t]):
+                    block = tuple(tuple(map(add, b, g)) for b, g in zip(q_alphas, rest))
+                    scale = binom * multi
+                    entries.append((block, dcoeff * scale if scale != 1 else dcoeff))
+        return entries
+
     res: dict[tuple, Polynomial] = {}
     for slots in itertools.combinations(range(p.arity), l):
-        # offsets: argument positions in front of each inserted block
-        sign = 0
-        shift = 0
-        for t, s in enumerate(slots):
-            offset = s + shift
-            sign += (arities[t] - 1) * offset
-            shift += arities[t] - 1
-        negate = sign & 1
+        # offset of block t: argument positions in front of it
+        negate = sum((arities[t] - 1) * (s + sum(arities[:t]) - t)
+                     for t, s in enumerate(slots)) & 1
         for p_alphas, p_coeff in p.terms.items():
-            stack = [(p_alphas, p_coeff)]
+            stack = [(p_alphas, -p_coeff if negate else p_coeff)]
             # insert right-to-left so earlier slot indices stay valid
             for t in reversed(range(l)):
-                new_stack = []
-                for alphas, coeff in stack:
-                    for q_alphas, q_coeff in qs[t].terms.items():
-                        new_stack.extend(
-                            _insert_one(
-                                splits, alphas, coeff, slots[t], q_alphas, q_coeff
-                            )
-                        )
-                stack = new_stack
+                s = slots[t]
+                entries = table(t, p_alphas[s])
+                stack = [
+                    (alphas[:s] + block + alphas[s + 1 :], coeff * dcoeff)
+                    for alphas, coeff in stack
+                    for block, dcoeff in entries
+                ]
             for alphas, coeff in stack:
-                if negate:
-                    coeff = -coeff
                 accumulate(res, alphas, coeff)
-    return PolyDiffOperator(p.ctx, out_arity, res)
+    return PolyDiffOperator._make(p.ctx, out_arity, res)
 
 
 def _brace_or_zero(p: PolyDiffOperator, qs) -> PolyDiffOperator:

@@ -13,15 +13,22 @@ and the sum, scale and derivative oracles likewise work on Fraction
 terms where the library works on integer numerators over one denominator;
 the Maurer-Cartan report oracle convolves [f - p, S], [S, S] and the
 ordered [w, w] as three series where the library reads both brackets off
-one symmetric residual.
+one symmetric residual; the brace oracle splits each derivative multi-index
+over an inserted term's coefficient and arguments afresh for every term of
+P, over every split, where the library reuses one insertion table per
+inserted operator and multi-index and enumerates only the coefficient's
+degree box.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
-from ncunfold.poly import HSeries, Polynomial, grevlex_key, lex_key
+from ncunfold.hochschild import PolyDiffOperator
+from ncunfold.poly import HSeries, Polynomial, accumulate, grevlex_key, lex_key
 from ncunfold.polyvector import GElement, bits_of, g_differential, schouten_bracket
 from ncunfold.unfolding import EXACT, MCReport, OrderResidual
 
@@ -532,3 +539,97 @@ def operators_agree_on_monomials(p, q, max_degree=None) -> bool:
         if p.apply(combo) != q.apply(combo):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# brace insertions, one Leibniz split of alpha at a time
+
+def _oracle_splits(alpha: tuple, parts: int) -> tuple:
+    """All splits of a multi-index into `parts` >= 1 pieces, with the
+    multinomial prod_d alpha_d! / prod_t pieces[t][d]!."""
+    n = len(alpha)
+
+    def splits_1d(total: int, k: int):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in splits_1d(total - first, k - 1):
+                yield (first,) + rest
+
+    per_coord = [
+        [(split, math.factorial(a) // math.prod(map(math.factorial, split)))
+         for split in splits_1d(a, parts)]
+        for a in alpha
+    ]
+    return tuple(
+        (
+            tuple(tuple(combo[d][0][t] for d in range(n)) for t in range(parts)),
+            math.prod(combo[d][1] for d in range(n)),
+        )
+        for combo in itertools.product(*per_coord)
+    )
+
+
+def _insert_one(splits, alphas, coeff, slot, q_alphas, q_coeff):
+    """Insert one operator term into `slot`, expanding the iterated-partials
+    Leibniz rule by `splits`, an `_oracle_splits` table.  Yields
+    (new_alphas, new_coeff)."""
+    alpha = alphas[slot]
+    q = len(q_alphas)
+    for pieces, multi in splits(alpha, q + 1):
+        gamma0, rest = pieces[0], pieces[1:]
+        dcoeff = q_coeff.derive(gamma0)
+        if dcoeff.is_zero():
+            continue
+        if multi != 1:
+            # scale the small factor, not the product
+            dcoeff = dcoeff * multi
+        block = tuple(
+            tuple(b + g for b, g in zip(beta, gamma))
+            for beta, gamma in zip(q_alphas, rest)
+        )
+        new_alphas = alphas[:slot] + block + alphas[slot + 1 :]
+        yield new_alphas, coeff * dcoeff
+
+
+def brace_oracle(p, qs):
+    """P{Q_1, ..., Q_l} inserting one term of Q_t at a time, right to left,
+    every split of the slot's alpha into (coefficient, arguments) tried."""
+    qs = list(qs)
+    l = len(qs)
+    if l > p.arity:
+        raise ValueError(f"cannot insert {l} operators into arity {p.arity}")
+    if l == 0:
+        return p
+    arities = [q.arity for q in qs]
+    out_arity = p.arity - l + sum(arities)
+    splits = functools.cache(_oracle_splits)
+    res = {}
+    for slots in itertools.combinations(range(p.arity), l):
+        # offsets: argument positions in front of each inserted block
+        sign = 0
+        shift = 0
+        for t, s in enumerate(slots):
+            offset = s + shift
+            sign += (arities[t] - 1) * offset
+            shift += arities[t] - 1
+        negate = sign & 1
+        for p_alphas, p_coeff in p.terms.items():
+            stack = [(p_alphas, p_coeff)]
+            # insert right-to-left so earlier slot indices stay valid
+            for t in reversed(range(l)):
+                new_stack = []
+                for alphas, coeff in stack:
+                    for q_alphas, q_coeff in qs[t].terms.items():
+                        new_stack.extend(
+                            _insert_one(
+                                splits, alphas, coeff, slots[t], q_alphas, q_coeff
+                            )
+                        )
+                stack = new_stack
+            for alphas, coeff in stack:
+                if negate:
+                    coeff = -coeff
+                accumulate(res, alphas, coeff)
+    return PolyDiffOperator(p.ctx, out_arity, res)

@@ -10,12 +10,16 @@ and the homotopy-commutativity identity takes the form
 Both relations are asserted exactly below.
 """
 
+import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from ncunfold.hochschild import (
     PolyDiffOperator,
+    _splits,
     brace,
     cup,
     gerstenhaber_bracket,
@@ -30,6 +34,7 @@ from ncunfold.polyvector import GElement, schouten_bracket
 
 from oracles import (
     alternating_sum_d,
+    brace_oracle,
     operator_args_pool,
     operators_agree_on_monomials,
     rand_homogeneous,
@@ -201,6 +206,106 @@ def test_brace_pre_lie_symmetry():
         rhs = brace(brace(p, [r]), [q]) - brace(p, [brace(r, [q])])
         sign = (-1) ** ((q.arity - 1) * (r.arity - 1))
         assert lhs == rhs.scale(sign)
+
+
+def test_splits_into_zero_parts():
+    # only alpha = 0 splits into no pieces, once
+    assert _splits((0, 0), 0) == (((), 1),)
+    assert _splits((0, 1), 0) == ()
+    assert _splits((3,), 0) == ()
+    assert _splits((2, 1), 1) == ((((2, 1),), 1),)
+
+
+def test_brace_with_constants():
+    # an arity-0 Q takes the whole of alpha on its value
+    x = Polynomial.variable(CTX1, 1)
+    p = PolyDiffOperator(CTX1, 1, {((2,),): Polynomial.one(CTX1)})
+    assert brace(p, [PolyDiffOperator.constant(x ** 3)]) == PolyDiffOperator.constant(6 * x)
+    assert brace(p, [PolyDiffOperator.constant(x)]).is_zero()
+    two = rand_operator(random.Random(41), CTX2, 2)
+    a, b = (PolyDiffOperator.constant(parse_polynomial(s, CTX2)) for s in ("x^2*y", "y^3 - x"))
+    both = brace(two, [a, b])
+    assert both == PolyDiffOperator.constant(two.apply([a.terms[()], b.terms[()]]))
+    assert not both.is_zero()
+
+
+DENOMINATORS = (1, 1, 2, 3, 7, 1024, 2 ** 61 - 1)
+
+
+def draw_operator(rng, ctx, arity, max_order):
+    """Up to three terms; coefficients of degree 0..2, some constant, with
+    denominators up to a 61-bit prime, under orders up to max_order."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        alphas = tuple(
+            tuple(rng.randint(0, max_order) for _ in range(ctx.n)) for _ in range(arity)
+        )
+        terms[alphas] = rand_poly(
+            rng, ctx, rng.randint(0, 2), rng.randint(1, 3), zero_ok=False,
+            coeff=lambda r: Fraction(r.choice((-9, -2, -1, 1, 3, 8)), r.choice(DENOMINATORS)),
+        )
+    return PolyDiffOperator(ctx, arity, terms)
+
+
+def assert_same_operator(got, want):
+    assert got == want
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_brace_matches_oracle_random_draw():
+    rng = random.Random(2024)
+    seen = {"arity0_q": 0, "l3": 0, "past_degree": 0, "nonzero": 0}
+    for _ in range(240):
+        ctx = (CTX1, CTX2, CTX3)[rng.randint(0, 2)]
+        l = rng.randint(0, 3)
+        p_arity = rng.randint(l, 3)
+        # l insertions multiply the term count; keep every case small
+        max_order = 3 if ctx.n * l <= 3 else 1
+        p = draw_operator(rng, ctx, p_arity, max_order)
+        qs = [draw_operator(rng, ctx, rng.randint(0, 2), max_order) for _ in range(l)]
+        got = brace(p, qs)
+        assert_same_operator(got, brace_oracle(p, qs))
+        seen["arity0_q"] += any(q.arity == 0 for q in qs)
+        seen["l3"] += l == 3
+        seen["past_degree"] += any(
+            a > c.degree_in(d) for q in qs for c in q.terms.values()
+            for alphas in p.terms for alpha in alphas for d, a in enumerate(alpha, 1)
+        )
+        seen["nonzero"] += not got.is_zero()
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1, 2, 2), (2, 3, 3, 1, 1), (3, 3, 2, 2, 1)])
+def test_nested_brace_matches_oracle(shape):
+    # the hochschild_ops shapes: (n, arity of P, Q, R, derivative order)
+    n, pa, qa, ra, order = shape
+    rng = random.Random(sum(shape))
+    ctx = (CTX1, CTX2, CTX3)[n - 1]
+    for _ in range(3):
+        p, q, r = (draw_operator(rng, ctx, a, order) for a in (pa, qa, ra))
+        assert_same_operator(brace(brace(p, [q]), [r]), brace_oracle(brace_oracle(p, [q]), [r]))
+        assert_same_operator(brace(q, [p]), brace_oracle(q, [p]))
+
+
+def test_brace_cost_follows_output_size():
+    # P = d^(k,k), Q = x^2 * (a, b) -> a*b: only gamma0 in {0, 1, 2} x {0}
+    # differentiates x^2, so P{Q} has sum_g (k - g + 1)(k + 1) terms.  Every
+    # split of alpha into three pieces, about k^4 / 4 of them, took minutes.
+    k = 100
+    x, y = Polynomial.variable(CTX2, 1), Polynomial.variable(CTX2, 2)
+    p = PolyDiffOperator(CTX2, 1, {((k, k),): Polynomial.one(CTX2)})
+    q = PolyDiffOperator(CTX2, 2, {((0, 0), (0, 0)): x ** 2})
+    start = time.perf_counter()
+    pq = brace(p, [q])
+    assert time.perf_counter() - start < 10
+    assert len(pq.terms) == 30_300
+    for a, b in (
+        (x ** 50 * y ** 60, x ** 49 * y ** 41),
+        (x ** 70 * y ** 30 - Fraction(3, 2) * x ** 40, x ** 30 * y ** 72 + y ** 101),
+        (x ** 99 + y ** 99, x * y + x ** 10 * y ** 5),
+    ):
+        assert pq.apply([a, b]) == (x ** 2 * a * b).derive((k, k))
+    assert not pq.apply([x ** 50 * y ** 60, x ** 49 * y ** 41]).is_zero()
 
 
 # -- Gerstenhaber bracket -----------------------------------------------------------
