@@ -365,13 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (json.JSONDecodeError, ValueError) as e:
+    except (_UsageError, ParseError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except (NotIsolated, NotACycle, QCInvalid) as e:

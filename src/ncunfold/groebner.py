@@ -678,8 +678,8 @@ def ideal_membership(
     max_degree: int | None = None,
 ) -> tuple[Polynomial, ...] | None:
     """Cofactors c with p == sum(c_i * gens_i), or None when p is not in the
-    ideal: the module preimage problem of the one-row matrix of gens."""
-    x = module_preimage([list(gens)], _wrap(p), order, max_degree)
+    ideal: the module preimage problem of the rank-1 columns gens."""
+    x = module_preimage([_wrap(g) for g in gens], _wrap(p), order, max_degree)
     return None if x is None else x.components
 
 
@@ -723,26 +723,20 @@ def quotient_dimension(gb: GroebnerBasis):
 
 
 def module_preimage(
-    matrix: list[list[Polynomial]],
+    columns: list[ModuleElement],
     b: ModuleElement,
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
 ) -> ModuleElement | None:
-    """Solve M x = b over the polynomial ring; None iff b is outside the
-    column module.  The returned x is verified by back-multiplication."""
-    rows = len(matrix)
-    if rows == 0 or rows != b.rank:
-        raise ValueError("matrix/vector dimension mismatch")
-    cols = len(matrix[0])
-    if cols == 0:
+    """Solve sum(x_j * columns_j) == b over the polynomial ring; None iff b
+    is outside the column module.  The returned x is verified by
+    back-multiplication."""
+    if not columns:
         raise ValueError("matrix has no columns")
-    if any(len(row) != cols for row in matrix):
-        raise ValueError("matrix is ragged")
-    columns = [
-        ModuleElement(tuple(matrix[r][c] for r in range(rows))) for c in range(cols)
-    ]
+    if any(col.rank != b.rank for col in columns):
+        raise ValueError("matrix/vector dimension mismatch")
     if b.is_zero():
-        return ModuleElement.zero(b.ctx, cols)
+        return ModuleElement.zero(b.ctx, len(columns))
     if all(col.is_zero() for col in columns):
         return None
     gb = module_buchberger(columns, order, max_degree)

@@ -391,7 +391,10 @@ class Polynomial:
             exps = tuple(t["exp"])
             if any(type(e) is not int for e in exps):
                 raise ValueError(f"exponents must be integers, got {list(exps)}")
-            c = Fraction(int(t["num"]), int(t["den"]))
+            num, den = t["num"], t["den"]
+            if any(type(v) not in (str, int) for v in (num, den)):
+                raise ValueError(f"num and den must be strings or integers, got {num!r}/{den!r}")
+            c = Fraction(int(num), int(den))
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return cls(ctx, terms)
 

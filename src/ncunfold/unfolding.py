@@ -51,21 +51,6 @@ def _from_components(ctx: RingContext, k: int, values) -> GElement:
     return GElement(ctx, {(0, mask_of(sub)): c for sub, c in zip(subsets, values)})
 
 
-def koszul_differential_matrix(f: Polynomial, k: int) -> list[list[Polynomial]]:
-    """Matrix of [f, -] from wedge degree k+1 to wedge degree k, in the
-    bases of increasing index subsets."""
-    ctx = f.ctx
-    rows = _wedge_subsets(ctx.n, k)
-    cols = _wedge_subsets(ctx.n, k + 1)
-    matrix = [[Polynomial.zero(ctx) for _ in cols] for _ in rows]
-    row_index = {sub: i for i, sub in enumerate(rows)}
-    for j, sub in enumerate(cols):
-        image = ad_f(f, GElement.wedge_monomial(ctx, sub))
-        for idx, coeff in image.wedge_components(k).items():
-            matrix[row_index[idx]][j] = coeff
-    return matrix
-
-
 def _wedge_degree_of(z: GElement) -> int:
     degs = z.wedge_degrees()
     if len(degs) != 1:
@@ -95,12 +80,13 @@ def koszul_lift(
     k = _wedge_degree_of(z)
     if k < 1:
         raise ValueError("lift input must have wedge degree >= 1")
-    if k >= ctx.n:
-        # wedge degree n+1 vanishes; the only degree-n cycle is 0
-        raise NotACycle("no nonzero cycles in top wedge degree")
-    matrix = koszul_differential_matrix(f, k)
-    b = ModuleElement(tuple(_components(z, k)))
-    sol = module_preimage(matrix, b, GREVLEX, sing.max_degree)
+    # [f, -] from wedge degree k+1 to k, one column [f, d_J] per index subset J
+    columns = [
+        ModuleElement(_components(ad_f(f, GElement.wedge_monomial(ctx, sub)), k))
+        for sub in _wedge_subsets(ctx.n, k + 1)
+    ]
+    b = ModuleElement(_components(z, k))
+    sol = module_preimage(columns, b, GREVLEX, sing.max_degree)
     if sol is None:
         raise RuntimeError("internal: Koszul lift failed for an isolated f")
     lift = _from_components(ctx, k + 1, sol.components)
@@ -140,14 +126,15 @@ class QCViolation:
 @dataclass(frozen=True)
 class QuasiClassicalDatum:
     """First-order data (p, S) with [f, S] = 0 and [S, S] = 0; p is kept both
-    raw and in W-normal form."""
+    raw and in W-normal form, and S with its Koszul lift T."""
 
     f: Polynomial
     p_raw: Polynomial
     p_normal: Polynomial
     p_cofactors: tuple[Polynomial, ...]
     s: GElement
-    extension_bivector: GElement  # S_2 with [f, S_2] = [p, S]
+    extension_bivector: GElement  # S_2 = -[p, T], so [f, S_2] = [p, S]
+    lift: GElement  # T with [f, T] = S
 
 
 def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
@@ -171,9 +158,10 @@ def qc_validate(
     """QuasiClassicalDatum on success, else the list of violations; f is a
     Polynomial or a Singularity.
 
-    The second-order extendability is rechecked constructively: a bivector
-    S_2 with [f, S_2] = [p, S] is produced by Koszul lifting (this always
-    succeeds for a valid datum)."""
+    The second-order extendability is rechecked constructively: S is lifted
+    once to T with [f, T] = S (this always succeeds for a valid datum), and
+    S_2 = -[p, T] satisfies [f, S_2] = [p, S] by the Jacobi identity; both
+    identities are verified."""
     sing = Singularity.of(f, max_degree)
     f = sing.f
     sing.isolated_jacobian()
@@ -181,8 +169,11 @@ def qc_validate(
     if violations:
         return violations
     norm = qc_normalize(sing, p)
-    ps = schouten_bracket(GElement.from_polynomial(p), s)
-    s2 = koszul_lift(sing, ps)
+    t = koszul_lift(sing, s)
+    pg = GElement.from_polynomial(p)
+    s2 = -schouten_bracket(pg, t)
+    if ad_f(f, s2) != schouten_bracket(pg, s):
+        raise RuntimeError("internal: [f, -[p, T]] != [p, S]")
     return QuasiClassicalDatum(
         f=f,
         p_raw=p,
@@ -190,6 +181,7 @@ def qc_validate(
         p_cofactors=norm.cofactors,
         s=s,
         extension_bivector=s2,
+        lift=t,
     )
 
 
@@ -342,33 +334,40 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
     return MCReport(orders=tuple(orders), witness_consistent=witness_consistent, ok=ok)
 
 
+def _witness_form(f: Polynomial, p_coeffs: list, t1: GElement, order):
+    """The solution p = sum p_coeffs[k]*h^k, T = T_1*h, S = [f - p, T], with
+    the label `order`, and its residual report; S is built from T, so the
+    witness is not rechecked."""
+    top = len(p_coeffs) - 1
+    zero_g = GElement.zero(f.ctx)
+    p_series = HSeries(p_coeffs, top)
+    witness = HSeries([zero_g, t1] + [zero_g] * (top - 1), top)
+    s_series = _f_minus_p(f, p_series, f.ctx).convolve(witness, schouten_bracket)
+    sol = MCSolution(order, p_series, s_series, witness)
+    return sol, _mc_report(f, sol, check_witness=False)
+
+
 def quantize_n3(
     f: Polynomial | Singularity, p1: Polynomial, s1: GElement, max_degree: int | None = None
 ) -> MCSolution:
     """Exact quantization of a valid quasiclassical datum for n = 3; f is a
     Polynomial or a Singularity.
 
-    With T_1 a Koszul lift of S_1 the pair p = p1*h, T = T_1*h solves the
-    deformation equation exactly: S = [f - p, T] = S_1*h - [p1, T_1]*h^2,
-    and [S, S] vanishes identically because [T, [f - p, T]] is a
-    four-vector.  The residual is verified to be identically zero.
+    With T_1 the Koszul lift of S_1 made by qc_validate, the pair p = p1*h,
+    T = T_1*h solves the deformation equation exactly: S = [f - p, T] =
+    S_1*h - [p1, T_1]*h^2, and [S, S] vanishes identically because
+    [T, [f - p, T]] is a four-vector.  The residual is verified to be
+    identically zero.
     """
     sing = Singularity.of(f, max_degree)
-    f, ctx = sing.f, sing.ctx
-    if ctx.n != 3:
+    if sing.ctx.n != 3:
         raise ValueError("quantize_n3 requires exactly three variables")
     datum = qc_validate(sing, p1, s1)
     if isinstance(datum, list):
         raise QCInvalid(datum)
-    t1 = koszul_lift(sing, s1) if not s1.is_zero() else GElement.zero(ctx)
-    zero_p = Polynomial.zero(ctx)
-    zero_g = GElement.zero(ctx)
-    p_series = HSeries([zero_p, p1, zero_p], 2)
-    witness = HSeries([zero_g, t1, zero_g], 2)
-    fp = _f_minus_p(f, p_series, ctx)
-    s_series = fp.convolve(witness, schouten_bracket)
-    sol = MCSolution(EXACT, p_series, s_series, witness)
-    if not _mc_report(f, sol, check_witness=False).ok:
+    zero_p = Polynomial.zero(sing.ctx)
+    sol, report = _witness_form(sing.f, [zero_p, p1, zero_p], datum.lift, EXACT)
+    if not report.ok:
         raise RuntimeError("internal: quantize_n3 produced a nonzero residual")
     return sol
 
@@ -400,20 +399,10 @@ def quantize_general(
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     zero_p = Polynomial.zero(ctx)
-    zero_g = GElement.zero(ctx)
     p_coeffs = [zero_p, p1] + [zero_p] * (max_order - 1)
-    if p_higher:
-        for k, val in enumerate(p_higher, start=2):
-            if k > max_order:
-                break
-            p_coeffs[k] = val
-    p_series = HSeries(p_coeffs, max_order)
-    t1 = koszul_lift(sing, s1) if not s1.is_zero() else zero_g
-    witness = HSeries([zero_g, t1] + [zero_g] * (max_order - 1), max_order)
-    fp = _f_minus_p(f, p_series, ctx)
-    s_series = fp.convolve(witness, schouten_bracket)
-    sol = MCSolution(max_order, p_series, s_series, witness)
-    report = _mc_report(f, sol, check_witness=False)
+    for k, val in zip(range(2, max_order + 1), p_higher or ()):
+        p_coeffs[k] = val
+    sol, report = _witness_form(f, p_coeffs, koszul_lift(sing, s1), max_order)
     for o in report.orders[2:]:
         if not o.poisson_square.is_zero():
             return ObstructionReport(o.h_power, o.poisson_square, "poisson_failure")

@@ -257,8 +257,8 @@ _ZERO_DENOMINATOR = (
 )
 
 
-def _one_term_cochain(alpha, exp):
-    term = {"alphas": [alpha], "coeff": {"terms": [{"exp": exp, "num": "1", "den": "1"}]}}
+def _one_term_cochain(alpha, exp, num="1", den="1"):
+    term = {"alphas": [alpha], "coeff": {"terms": [{"exp": exp, "num": num, "den": den}]}}
     return json.dumps({"arity": 1, "terms": [term]})
 
 
@@ -273,6 +273,9 @@ def _one_term_cochain(alpha, exp):
         ["hh-d", "--vars", "x", "--P", _one_term_cochain([1.5], [0])],
         ["hh-d", "--vars", "x", "--P", _one_term_cochain([-1], [0])],
         ["hh-d", "--vars", "x", "--P", _one_term_cochain([1], [1.5])],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([1], [1], num=1.5)],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([1], [1], den=2.9)],
+        ["hh-d", "--vars", "x", "--P", _one_term_cochain([1], [1], num=True)],
     ],
     ids=[
         "missing-terms",
@@ -283,6 +286,9 @@ def _one_term_cochain(alpha, exp):
         "fractional-derivative-order",
         "negative-derivative-order",
         "fractional-exponent",
+        "fractional-numerator",
+        "fractional-denominator",
+        "boolean-numerator",
     ],
 )
 def test_malformed_cochain_json_exit_1(capsys, argv):

@@ -245,12 +245,12 @@ def test_module_koszul_syzygy():
 
 def test_module_preimage_examples():
     x, y, z = xyz()
-    matrix = [[2 * x, 2 * y, 2 * z]]
+    columns = [ModuleElement((2 * x,)), ModuleElement((2 * y,)), ModuleElement((2 * z,))]
     b = ModuleElement((x ** 2 + y ** 2 + z ** 2,))
-    sol = module_preimage(matrix, b)
+    sol = module_preimage(columns, b)
     assert sol == ModuleElement((x / 2, y / 2, z / 2))
-    assert module_preimage(matrix, ModuleElement((Polynomial.one(CTX3),))) is None
-    zero = module_preimage(matrix, ModuleElement((Polynomial.zero(CTX3),)))
+    assert module_preimage(columns, ModuleElement((Polynomial.one(CTX3),))) is None
+    zero = module_preimage(columns, ModuleElement((Polynomial.zero(CTX3),)))
     assert zero.is_zero()
 
 
@@ -269,7 +269,8 @@ def test_module_preimage_random_exactness():
                 acc = acc + matrix[r][c] * xs[c]
             b_parts.append(acc)
         b = ModuleElement(tuple(b_parts))
-        sol = module_preimage(matrix, b)
+        columns = [ModuleElement((matrix[0][c], matrix[1][c])) for c in range(3)]
+        sol = module_preimage(columns, b)
         assert sol is not None
         for r in range(2):
             acc = Polynomial.zero(CTX2)
@@ -280,7 +281,7 @@ def test_module_preimage_random_exactness():
 
 def test_module_dimension_mismatch():
     with pytest.raises(ValueError):
-        module_preimage([[Polynomial.one(CTX2)]], ModuleElement.zero(CTX2, 2))
+        module_preimage([ModuleElement((Polynomial.one(CTX2),))], ModuleElement.zero(CTX2, 2))
 
 
 def test_module_spolynomials_reduce_to_zero_post_hoc():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncunfold.groebner as groebner
 import ncunfold.singularity as singularity
 from ncunfold.errors import DegreeGuardExceeded, NotACycle, NotIsolated, QCInvalid
 from ncunfold.parsing import parse_gelement, parse_polynomial
@@ -71,6 +72,13 @@ def test_lift_not_a_cycle_reported():
     f = a_k(1)
     with pytest.raises(NotACycle):
         koszul_lift(f, g("x*D(1,2)"))
+
+
+def test_lift_top_wedge_degree_is_never_a_cycle():
+    # [f, g*D(1,2,3)] = g*sum(+-df/dx_i * d_jk) is nonzero for nonconstant f
+    for _, f in ade_catalog():
+        with pytest.raises(NotACycle, match=r"^\[f, z\] != 0$"):
+            koszul_lift(f, g("x*D(1,2,3)"))
 
 
 def test_lift_not_isolated_reported():
@@ -481,6 +489,24 @@ def test_quantize_n3_builds_the_jacobian_basis_once(monkeypatch):
         sing = Singularity(f)
         assert quantize_n3(sing, p1, s1).to_json() == sol.to_json()
         assert sing.jacobian() is sing.jacobian()
+
+
+def test_quantize_n3_lifts_s_once(monkeypatch):
+    calls = []
+    real = groebner.module_buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "module_buchberger", counting)
+    sols = [quantize_n3(f, *_ade_datum(f)) for _, f in ade_catalog()]
+    assert len(calls) == len(sols) == 10  # one module basis per quantization
+    for (_, f), sol in zip(ade_catalog(), sols):
+        p1, s1 = _ade_datum(f)
+        lift = qc_validate(f, p1, s1).lift
+        assert ad_f(f, lift) == s1
+        assert sol.witness.coeffs[1] == lift
 
 
 @pytest.mark.parametrize("through", ["argument", "singularity"])
