@@ -2,12 +2,21 @@
 rationals, with cofactor tracking on request.
 
 One engine serves both ranks: an ideal is the rank-1 case.  Module terms
-are keyed by (component, exponent tuple) and compared position-over-term
-with the lower component index winning, so every result is reproducible.
+are compared position-over-term with the lower component index winning,
+so every result is reproducible.  Inside the engine a term (component,
+exponents) is one int, its packed key (the layout is described at the
+kernel below): the key order is the term order, a divisibility test is a
+subtraction and a mask, and multiplying by a monomial is an addition.
+Each computation (a basis or a normal form) packs its input once, at a
+field width taken from the input degree or from a smaller max_degree,
+and turns keys back into exponent tuples only where it builds
+polynomials (`_element`).  A term that does not fit restarts that computation at
+twice the width, so no key wraps and no result depends on the width.
+
 Every normal form is computed by one routine, `_reduce`: fraction-free on
-a flat map from order keys to the polynomials' integer numerators over
-one denominator, taking each leading term from a heap.  Cofactors over
-the input are carried only where a caller reads them (`buchberger(...,
+a flat map from keys to the polynomials' integer numerators over one
+denominator, taking each leading term from a heap.  Cofactors over the
+input are carried only where a caller reads them (`buchberger(...,
 cofactors=True)`, the default, `module_buchberger` and the normal forms);
 the identities they assert are rechecked on construction of a
 ReductionTrace, not sampled.
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import mul
 
 from .errors import ContextMismatch, DegreeGuardExceeded
 from .poly import (
@@ -131,47 +140,128 @@ def _wrap(p: Polynomial) -> ModuleElement:
 
 # -- the reduction kernel ------------------------------------------------------
 #
-# A term (comp, exps) is keyed by a flat int tuple whose minimum under tuple
-# comparison is the leading term: (comp, -deg, *exps) for grevlex and
-# (comp, -e_n, ..., -e_1) for lex.  The key is linear in the exponents, so
-# multiplying a term by x^q adds the key of x^q, and the quotient of two
-# terms is the difference of their keys.
+# A term (comp, exps) is keyed by one int: n + 2 fields, each of W value bits
+# under one guard bit, with comp unbounded on top.  Grevlex packs (comp,
+# M - deg, e_1, ..., e_n) and lex packs (comp, M - e_n, ..., M - e_1, M - deg),
+# M = 2^W - 1, so int order is the order of the tuples (comp, -deg, e_1, ...,
+# e_n) and (comp, -e_n, ..., -e_1) and the smallest key is the leading term.
+# The key is affine in the exponents: multiplying a term by x^q adds the
+# shift key(t * x^q) - key(t), the same for every t, and the quotient of two
+# terms is the difference of their keys.  The exponent part of a key (the
+# key itself for grevlex, its negative for lex) grows with every exponent,
+# so x^a divides x^b iff subtracting the parts borrows into no guard bit.
+# A key holds terms of degree at most M; the degree bounds every field, so a
+# term whose degree exceeds M raises _Overflow where it would be packed, and
+# the whole computation restarts at twice the width (`_packed`): a key is
+# widened, never wrapped.
 
 
-def _heap_key(kind: str, comp: int, exps: tuple) -> tuple:
-    if kind == "grevlex":
-        return (comp, -sum(exps)) + exps
-    return (comp,) + tuple(-e for e in reversed(exps))
+class _Overflow(Exception):
+    """A term does not fit the field width of the running computation."""
 
 
-def _key_term(kind: str, key: tuple) -> tuple:
-    """(comp, exps) of a heap key."""
-    if kind == "grevlex":
-        return key[0], key[2:]
-    return key[0], tuple(-e for e in reversed(key[1:]))
+_MARGIN = 2  # bits above the input degree's when no max_degree bounds the terms
 
 
-def _key_degree(kind: str, key: tuple) -> int:
-    return -key[1] if kind == "grevlex" else -sum(key[1:])
+class _Packing:
+    """The packed-int encoding of the terms of one computation: n variables
+    under the order kind, fields of width W."""
+
+    def __init__(self, kind: str, n: int, width: int):
+        stride = width + 1
+        fields = [j * stride for j in range(n + 1)]
+        self.top = m = (1 << width) - 1  # the largest degree a key holds
+        self.cshift = (n + 1) * stride
+        self.guard = sum(1 << (s + width) for s in fields)
+        self.graded = kind == "grevlex"
+        if self.graded:
+            self.dshift = n * stride
+            self.shifts = tuple((n - 1 - i) * stride for i in range(n))
+            self.one = m << self.dshift
+            self.weights = tuple((1 << s) - (1 << self.dshift) for s in self.shifts)
+            self.esign, self.eguard = 1, self.guard - (1 << (self.dshift + width))
+        else:
+            self.dshift = 0
+            self.shifts = tuple((i + 1) * stride for i in range(n))
+            self.one = m * sum(1 << s for s in fields)
+            self.weights = tuple(-(1 << s) - 1 for s in self.shifts)
+            self.esign, self.eguard = -1, self.guard
+        self._keys: dict[tuple, int] = {}  # exps -> key at component 0
+        self.terms: dict[int, tuple] = {}  # key -> (comp, exps), filled on use
+
+    def key(self, comp: int, exps: tuple) -> int:
+        k = self._keys.get(exps)
+        if k is None:
+            if sum(exps) > self.top:
+                raise _Overflow
+            k = self._keys[exps] = self.one + sum(map(mul, exps, self.weights))
+        k += comp << self.cshift
+        self.terms[k] = (comp, exps)
+        return k
+
+    def term(self, k: int) -> tuple:
+        """(comp, exps) of a key."""
+        t = self.terms.get(k)
+        if t is None:
+            comp, m = k >> self.cshift, self.top
+            if self.graded:
+                exps = tuple((k >> s) & m for s in self.shifts)
+            else:
+                exps = tuple(m - ((k >> s) & m) for s in self.shifts)
+            t = self.terms[k] = (comp, exps)
+        return t
+
+    def degree(self, k: int) -> int:
+        return self.top - ((k >> self.dshift) & self.top)
+
+    def divides(self, a: int, b: int) -> bool:
+        """True iff the term keyed a divides the term keyed b."""
+        return a >> self.cshift == b >> self.cshift and not self.esign * (b - a) & self.eguard
+
+    def checked(self, k: int) -> int:
+        """k, a key plus a shift, unless a field of it left [0, M]."""
+        if k & self.guard:
+            raise _Overflow
+        return k
 
 
-def _integer_map(v: ModuleElement, kind: str):
-    """({heap key: int}, den) with v == sum(int * term) / den: the numerators
+def _packed(run, elems: list[ModuleElement], order: MonomialOrder, max_degree: int | None):
+    """run(packing), starting with the narrowest packing whose keys hold the
+    degree of elems with _MARGIN bits to spare, or max_degree when that is
+    less, and widened until no term overflows.  (The default max_degree of
+    the CLI, 64, would take three variables past 30-bit keys, which CPython
+    adds and compares fastest.)"""
+    degree = max(0, *(v.max_degree() for v in elems))
+    bound = degree << _MARGIN
+    if max_degree is not None:
+        bound = min(bound, max(degree, max_degree))
+    width = max(bound.bit_length(), 1)
+    while True:
+        try:
+            return run(_Packing(order.kind, elems[0].ctx.n, width))
+        except _Overflow:
+            width *= 2
+
+
+def _integer_map(v: ModuleElement, pk: _Packing):
+    """({key: int}, den) with v == sum(int * term) / den: the numerators
     of the components on the lcm of their denominators."""
     den = lcm(*(p.den for p in v.components))
+    key = pk.key
     ints = {
-        _heap_key(kind, comp, exps): c * (den // p.den)
+        key(comp, exps): c * (den // p.den)
         for comp, p in enumerate(v.components)
         for exps, c in p.nums.items()
     }
     return ints, den
 
 
-def _element(ctx: RingContext, rank: int, kind: str, items, den: int) -> ModuleElement:
-    """The module element sum(c * term for (heap key, c) in items) / den."""
+def _element(ctx: RingContext, rank: int, pk: _Packing, items, den: int) -> ModuleElement:
+    """The module element sum(c * term for (key, c) in items) / den."""
     comps = [{} for _ in range(rank)]
+    known, term = pk.terms.get, pk.term
     for k, c in items:
-        comp, exps = _key_term(kind, k)
+        comp, exps = known(k) or term(k)
         comps[comp][exps] = c
     return ModuleElement(tuple(from_ints(ctx, nums, den) for nums in comps))
 
@@ -185,18 +275,22 @@ def _guard(max_degree: int | None, degree: int) -> None:
 class _Entry:
     """A monic basis element with its cofactors over the input generators
     (None when not tracked) and its primitive integer form: leading
-    coefficient lc > 0 and the remaining (heap key, int) terms."""
+    coefficient lc > 0 and the remaining (key, int) terms.  reach is how far
+    the degree of the tail rises above the leading term's, or 0 (always 0
+    for an ideal under grevlex)."""
 
     elem: ModuleElement
     cofs: tuple[Polynomial, ...] | None
     lead: tuple  # (comp, exps)
-    key: tuple
+    key: int
     lc: int
     tail: tuple
-    sig: tuple | None = None  # (input index, exps) in the signature loop
+    reach: int
+    sig: tuple | None = None  # (input index, key of the monomial) in the signature loop
 
 
-def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs, kind: str) -> _Entry:
+def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs,
+                pk: _Packing) -> _Entry:
     """The entry of the monic multiple of v = sum(int * term) / den for a
     nonzero integer map ints, given the cofactors of v."""
     key = min(ints)
@@ -208,37 +302,42 @@ def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs, kind: s
     lc = ints[key]
     if cofs is not None and den != content * lc:  # v's leading coefficient is not 1
         cofs = tuple(c * Fraction(den, content * lc) for c in cofs)
-    elem = _element(ctx, rank, kind, ints.items(), lc)
+    elem = _element(ctx, rank, pk, ints.items(), lc)
     tail = tuple(item for item in ints.items() if item[0] != key)
-    return _Entry(elem, cofs, _key_term(kind, key), key, lc, tail)
+    # under grevlex no term of an ideal element has a higher degree than its lead
+    reach = 0 if rank == 1 and pk.graded else max(map(pk.degree, ints)) - pk.degree(key)
+    return _Entry(elem, cofs, pk.term(key), key, lc, tail, reach)
 
 
 _CONTENT_EVERY = 8  # reduction steps between removals of the integer content
 
 
 def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
-            order: MonomialOrder, max_degree: int | None, below=None):
+            pk: _Packing, max_degree: int | None, below=None):
     """Full normal form of v = sum(cur[k] * term k) / den against the
     entries, consuming cur: (ints, rden, cofactors), the remainder being
     sum(ints[k] * term k) / rden.
 
-    The divisor of a leading term is the first entry whose leading term
+    The divisor of a leading term t is the first entry whose leading term
     divides it and, when a predicate below is given, for which below(entry,
-    exps of the term) holds.  Fraction-free: v is num/den * cur, and a step
-    with cur's leading coefficient a and the divisor's b, g = gcd(a, b),
-    takes cur to (b/g) * cur - (a/g) * x^q * divisor and num/den to
-    num/den * g/b.  An irreducible term a leaves cur as the numerator
-    a * num over den; the remainder goes on one denominator at the end.
-    When tracked (cofs is not None), the cofactors keep the invariant: if
-    v == sum(cofs_in * gens) and every entry satisfies entry ==
-    sum(entry.cofs * gens), then the remainder equals sum(cofs_out * gens).
+    t) holds.  Fraction-free: v is num/den * cur, and a step with cur's
+    leading coefficient a and the divisor's b, g = gcd(a, b), takes cur to
+    (b/g) * cur - (a/g) * x^q * divisor and num/den to num/den * g/b.  An
+    irreducible term a leaves cur as the numerator a * num over den; the
+    remainder goes on one denominator at the end.  When tracked (cofs is
+    not None), the cofactors keep the invariant: if v == sum(cofs_in *
+    gens) and every entry satisfies entry == sum(entry.cofs * gens), then
+    the remainder equals sum(cofs_out * gens).
     """
-    kind = order.kind
+    degree = pk.degree
     if cur and max_degree is not None:
-        _guard(max_degree, max(_key_degree(kind, k) for k in cur))
+        _guard(max_degree, max(map(degree, cur)))
     heap = list(cur)
     heapify(heap)
-    leads = [(*e.lead, e) for e in entries]
+    cshift, esign, eguard = pk.cshift, pk.esign, pk.eguard
+    leads: dict[int, list] = {}  # (exponent part, entry) by component
+    for e in entries:
+        leads.setdefault(e.lead[0], []).append((esign * e.key, e))
     rem = []
     cofs = None if cofs is None else list(cofs)
     steps = 0
@@ -248,19 +347,24 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
         a = cur.pop(t, None)
         if a is None:
             continue  # a lazily deleted key
-        comp, exps = _key_term(kind, t)
-        for ec, ee, divisor in leads:
-            if ec == comp and all(map(le, ee, exps)) and (below is None or below(divisor, exps)):
+        te = esign * t
+        for ee, divisor in leads.get(t >> cshift, ()):
+            if not (te - ee) & eguard and (below is None or below(divisor, t)):
                 break
         else:
             rem.append((t, a * num, den))
             continue
+        if divisor.reach > 0:  # the step may create terms above t's degree
+            top = degree(t) + divisor.reach
+            _guard(max_degree, top)
+            if top > pk.top:
+                raise _Overflow
         b = divisor.lc
         g = gcd(a, b)
         ma, mb = a // g, b // g
-        shift = tuple(map(sub, t, divisor.key))
+        shift = t - divisor.key
         if cofs is not None:
-            u = from_ints(ctx, {_key_term(kind, shift)[1]: a * num}, den)
+            u = from_ints(ctx, {pk.term(shift + pk.one)[1]: a * num}, den)
             for j, dc in enumerate(divisor.cofs):
                 if dc:
                     cofs[j] = cofs[j] - u * dc
@@ -268,11 +372,9 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
             cur = {k: c * mb for k, c in cur.items()}
             den *= mb
         for k, c in divisor.tail:
-            k = tuple(map(add, k, shift))
+            k += shift
             old = cur.get(k)
             if old is None:
-                if max_degree is not None:
-                    _guard(max_degree, _key_degree(kind, k))
                 cur[k] = -ma * c
                 heappush(heap, k)
             else:
@@ -304,12 +406,11 @@ def _spair(ctx: RingContext, a: _Entry, b: _Entry):
 
 
 def _buchberger_entries(
-    gens: list[ModuleElement], order: MonomialOrder, max_degree: int | None
+    gens: list[ModuleElement], pk: _Packing, max_degree: int | None
 ) -> list[_Entry]:
     """Entries of the basis of gens with their cofactors, by Buchberger's
     loop with the product and chain criteria, pairs taken by lcm degree."""
     ctx = gens[0].ctx
-    kind = order.kind
     rank = gens[0].rank
     m = len(gens)
     zero_cof = tuple(Polynomial.zero(ctx) for _ in range(m))
@@ -322,7 +423,7 @@ def _buchberger_entries(
         _guard(max_degree, g.max_degree())
         cofs = list(zero_cof)
         cofs[idx] = Polynomial.one(ctx)
-        entries.append(_make_entry(ctx, rank, *_integer_map(g, kind), cofs, kind))
+        entries.append(_make_entry(ctx, rank, *_integer_map(g, pk), cofs, pk))
 
     pairs: list[tuple[int, int, int]] = []
 
@@ -366,17 +467,17 @@ def _buchberger_entries(
             continue
         ui, uj, spair = _spair(ctx, entries[i], entries[j])
         scofs = tuple(ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs))
-        ints, den, rcofs = _reduce(ctx, *_integer_map(spair, kind), scofs, entries, order,
+        ints, den, rcofs = _reduce(ctx, *_integer_map(spair, pk), scofs, entries, pk,
                                    max_degree)
         done.add((i, j))
         if ints:
-            entries.append(_make_entry(ctx, rank, ints, den, rcofs, kind))
+            entries.append(_make_entry(ctx, rank, ints, den, rcofs, pk))
             push_pairs(len(entries) - 1)
-    return _interreduce(ctx, rank, entries, order, max_degree)
+    return _interreduce(ctx, rank, entries, pk, max_degree)
 
 
 def _signature_entries(
-    gens: list[ModuleElement], order: MonomialOrder, max_degree: int | None
+    gens: list[ModuleElement], pk: _Packing, max_degree: int | None
 ) -> list[_Entry]:
     """Entries of an ideal basis of rank-1 gens, without cofactors, by an
     incremental signature-based loop (F5-style, in the form of Eder and
@@ -396,65 +497,74 @@ def _signature_entries(
     pair's, so the result keeps the pair's signature, and every nonzero
     result is added, also one whose leading term only a reducer of equal
     signature divides.  On a regular sequence nothing reduces to zero.
+
+    Signatures are packed like terms, so a larger signature has the
+    smaller key, and the pair heap is ordered by negated keys.
     """
     ctx = gens[0].ctx
-    kind, key = order.kind, order.key
     gens = [g for g in gens if not g.is_zero()]
+    key, one, divides, checked, guard = pk.key, pk.one, pk.divides, pk.checked, pk.guard
     entries: list[_Entry] = []
 
     for idx, g in enumerate(gens):
-        earlier = [e.lead[1] for e in entries]
-        ints, den, _ = _reduce(ctx, *_integer_map(g, kind), None, entries, order, max_degree)
+        earlier = [e.key for e in entries]
+        ints, den, _ = _reduce(ctx, *_integer_map(g, pk), None, entries, pk, max_degree)
         if not ints:
             continue  # every signature of index idx is a syzygy's
         pairs: list = []
-        zeros: list[tuple] = []
-        done: set[tuple] = set()
+        zeros: list[int] = []
+        done: set[int] = set()
 
-        def append(ints: dict, den: int, sig: tuple):
-            a = _make_entry(ctx, 1, ints, den, None, kind)
+        def append(ints: dict, den: int, sig: int):
+            a = _make_entry(ctx, 1, ints, den, None, pk)
             a.sig = (idx, sig)
             k = len(entries)
             entries.append(a)
             for j, b in enumerate(entries[:k]):
+                # the lcm itself may not fit where its multipliers do
                 lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
-                sa = tuple(map(add, monomial_div(lcm_ab, a.lead[1]), sig))
+                sa = checked(sig + key(0, monomial_div(lcm_ab, a.lead[1])) - one)
                 if b.sig[0] < idx:
-                    heappush(pairs, (key(sa), -k, j, sa))
+                    heappush(pairs, (-sa, -k, j))
                     continue
-                sb = tuple(map(add, monomial_div(lcm_ab, b.lead[1]), b.sig[1]))
+                sb = checked(b.sig[1] + key(0, monomial_div(lcm_ab, b.lead[1])) - one)
                 if sa != sb:
-                    top, other, s = (k, j, sa) if key(sa) > key(sb) else (j, k, sb)
-                    heappush(pairs, (key(s), -top, other, s))
+                    top, other, s = (k, j, sa) if sa < sb else (j, k, sb)
+                    heappush(pairs, (-s, -top, other))
 
-        append(ints, den, (0,) * ctx.n)
+        append(ints, den, one)
         while pairs:
-            skey, top, other, sig = heappop(pairs)
-            top = -top
+            sig, top, other = heappop(pairs)
+            sig, top = -sig, -top
             if (
                 sig in done
-                or any(monomial_divides(m, sig) for m in earlier)
-                or any(monomial_divides(m, sig) for m in zeros)
-                or any(monomial_divides(e.sig[1], sig) for e in entries[top + 1:])
+                or any(divides(m, sig) for m in earlier)
+                or any(divides(m, sig) for m in zeros)
+                or any(divides(e.sig[1], sig) for e in entries[top + 1:])
             ):
                 continue
             done.add(sig)
 
-            def below(e: _Entry, exps: tuple) -> bool:
+            def below(e: _Entry, t: int) -> bool:
                 i, s = e.sig
-                return i < idx or key(tuple(map(add, s, monomial_div(exps, e.lead[1])))) < skey
+                if i < idx:
+                    return True
+                s += t - e.key
+                if s & guard:
+                    raise _Overflow
+                return s > sig
 
             _, _, spair = _spair(ctx, entries[top], entries[other])
-            ints, den, _ = _reduce(ctx, *_integer_map(spair, kind), None, entries, order,
+            ints, den, _ = _reduce(ctx, *_integer_map(spair, pk), None, entries, pk,
                                    max_degree, below)
             if ints:
                 append(ints, den, sig)
             else:
                 zeros.append(sig)
-    return _interreduce(ctx, 1, entries, order, max_degree)
+    return _interreduce(ctx, 1, entries, pk, max_degree)
 
 
-def _interreduce(ctx: RingContext, rank: int, entries: list, order: MonomialOrder,
+def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
                  max_degree: int | None) -> list[_Entry]:
     """The reduced basis of a Groebner basis given as entries, sorted by
     leading term.
@@ -467,20 +577,17 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, order: MonomialOrde
     such passes until nothing changes gives, since a second pass changes
     nothing.
     """
-    kind = order.kind
     for idx, entry in enumerate(entries):
         others = [e for e in entries if e is not None and e is not entry]
-        comp, exps = entry.lead
-        if any(e.lead[0] == comp and monomial_divides(e.lead[1], exps) for e in others):
+        if any(pk.divides(e.key, entry.key) for e in others):
             entries[idx] = None
             continue
         cur = dict(entry.tail)
         cur[entry.key] = entry.lc
-        ints, den, rcofs = _reduce(ctx, cur, entry.lc, entry.cofs, others, order, max_degree)
-        entries[idx] = _make_entry(ctx, rank, ints, den, rcofs, kind)
-    final = [e for e in entries if e is not None]
-    final.sort(key=lambda e: order.module_key(*e.lead))
-    return final
+        ints, den, rcofs = _reduce(ctx, cur, entry.lc, entry.cofs, others, pk, max_degree)
+        entries[idx] = _make_entry(ctx, rank, ints, den, rcofs, pk)
+    # increasing leading term, the higher component first: decreasing key
+    return sorted((e for e in entries if e is not None), key=lambda e: -e.key)
 
 
 @dataclass(frozen=True)
@@ -593,11 +700,9 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
+    loop = _buchberger_entries if cofactors else _signature_entries
     gens_1 = [_wrap(g) for g in gens]
-    if cofactors:
-        entries = _buchberger_entries(gens_1, order, max_degree)
-    else:
-        entries = _signature_entries(gens_1, order, max_degree)
+    entries = _packed(lambda pk: loop(gens_1, pk, max_degree), gens_1, order, max_degree)
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
@@ -627,7 +732,8 @@ def module_buchberger(
         raise ContextMismatch("mixed contexts in generator list")
     if all(g.is_zero() for g in gens):
         return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    entries = _buchberger_entries(gens, order, max_degree)
+    entries = _packed(lambda pk: _buchberger_entries(gens, pk, max_degree), gens, order,
+                      max_degree)
     return ModuleGroebnerBasis(
         generators=tuple(e.elem for e in entries),
         order=order,
@@ -643,18 +749,21 @@ def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int 
     ctx = v.ctx
     if any(g.ctx != ctx for g in basis):
         raise ContextMismatch("element from a different ring")
-    kind = order.kind
     zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
-    entries = [
-        _make_entry(ctx, v.rank, *_integer_map(g, kind),
-                    tuple(one if j == k else zero for j in range(len(basis))), kind)
-        for k, g in enumerate(basis)
-    ]
-    ints, den, cofs = _reduce(ctx, *_integer_map(v, kind), (zero,) * len(basis), entries, order,
-                              max_degree)
-    # _reduce tracks the remainder's expression; the trace wants the
-    # reduction cofactors of v = sum(c_k g_k) + r, which are the negatives
-    return _element(ctx, v.rank, kind, ints.items(), den), tuple(-c for c in cofs)
+
+    def run(pk: _Packing):
+        entries = [
+            _make_entry(ctx, v.rank, *_integer_map(g, pk),
+                        tuple(one if j == k else zero for j in range(len(basis))), pk)
+            for k, g in enumerate(basis)
+        ]
+        ints, den, cofs = _reduce(ctx, *_integer_map(v, pk), (zero,) * len(basis), entries, pk,
+                                  max_degree)
+        # _reduce tracks the remainder's expression; the trace wants the
+        # reduction cofactors of v = sum(c_k g_k) + r, which are the negatives
+        return _element(ctx, v.rank, pk, ints.items(), den), tuple(-c for c in cofs)
+
+    return _packed(run, [v, *basis], order, max_degree)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis, max_degree: int | None = None) -> ReductionTrace:
@@ -693,24 +802,27 @@ def standard_monomials(gb: GroebnerBasis):
         raise ValueError("basis must be reduced")
     n = gb.ctx.n
     leads = gb.leading_exponents()
-    bounds = []
-    for i in range(n):
-        pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
+    if any(all(lt[i] != sum(lt) for lt in leads) for i in range(n)):
+        return INFINITE  # no lead is a power of x_i
     out = []
+    # a lead closes at level k when x^lead divides every monomial whose
+    # first k + 1 exponents are at least its own; a power of x_k closes at
+    # level k and is live at every prefix, so each level is bounded
+    closes = [max((i for i in range(n) if lt[i]), default=0) for lt in leads]
 
-    def walk(prefix):
-        if len(prefix) == n:
-            exps = tuple(prefix)
-            if not any(monomial_divides(lt, exps) for lt in leads):
-                out.append(exps)
-            return
-        for e in range(bounds[len(prefix)]):
-            walk(prefix + [e])
+    def walk(prefix: tuple, live: list):
+        """Append the standard monomials that extend prefix, live being the
+        leads that divide some extension of it: prefix + (e,) is divisible
+        from the least e at which a live lead closes on."""
+        k = len(prefix)
+        bound = min(lt[k] for lt, c in live if c <= k)
+        if k + 1 == n:
+            out.extend(prefix + (e,) for e in range(bound))
+        else:
+            for e in range(bound):
+                walk(prefix + (e,), [(lt, c) for lt, c in live if lt[k] <= e])
 
-    walk([])
+    walk((), list(zip(leads, closes)))
     out.sort(key=gb.order.key)
     return out
 

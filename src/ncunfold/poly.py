@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, sub
+from operator import add, ge, neg, sub
 from types import MappingProxyType
 
 from .errors import ContextMismatch
@@ -52,7 +52,7 @@ def grevlex_key(exps: tuple) -> tuple:
     # graded reverse lex with x_1 < x_2 < ... < x_n: on equal total degree,
     # the monomial with the smaller power of the *earliest* differing
     # variable is the larger one.
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 def lex_key(exps: tuple) -> tuple:
@@ -335,7 +335,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        return max(map(sum, self.nums))
 
     def degree_in(self, i: int) -> int:
         """Degree in x_i (1-based); -1 for the zero polynomial."""

@@ -345,6 +345,10 @@ def test_reduced_basis_matches_naive_buchberger(order):
     rank-1 module give the textbook reduced basis exactly, on random
     ideals in two and three variables; so does module_buchberger on random
     rank-2 modules."""
+    _random_bases_match_naive(order)
+
+
+def _random_bases_match_naive(order):
     rng = random.Random(4242)
     sizes = []
     for _ in range(30):
@@ -370,6 +374,122 @@ def test_reduced_basis_matches_naive_buchberger(order):
         assert [oracle_vector(g.components) for g in gb.generators] == naive_buchberger(
             gens, order.kind
         )
+
+
+# -- packed term keys: order, divisibility, widening ---------------------------
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_packed_keys_follow_the_term_order(kind):
+    """At width 3 (degrees up to 7): a smaller key is a larger term, the
+    component first; the guard-bit test is monomial divisibility; keys
+    unpack to their exponents; degree 8 does not pack."""
+    pk = groebner._Packing(kind, 3, 3)
+    order = groebner.MonomialOrder(kind)
+    monomials = [e for e in itertools.product(range(8), repeat=3) if sum(e) <= 7]
+    terms = [(c, e) for c in (0, 1) for e in monomials]
+    by_key = sorted(terms, key=lambda t: pk.key(*t))
+    assert by_key == sorted(terms, key=lambda t: order.module_key(*t), reverse=True)
+    fresh = groebner._Packing(kind, 3, 3)  # knows no key yet: unpacks the fields
+    for c, e in terms:
+        k = pk.key(c, e)
+        assert fresh.term(k) == (c, e) and pk.degree(k) == sum(e)
+    rng = random.Random(3)
+    for _ in range(3000):
+        a, b = rng.choice(terms), rng.choice(terms)
+        want = a[0] == b[0] and monomial_divides(a[1], b[1])
+        assert pk.divides(pk.key(*a), pk.key(*b)) == want
+    with pytest.raises(groebner._Overflow):
+        pk.key(0, (0, 8, 0))
+    with pytest.raises(groebner._Overflow):
+        pk.checked(pk.key(0, (0, 7, 0)) + pk.key(0, (1, 0, 0)) - pk.one)
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field width of every packing built, in order, with None before
+    each computation: one that widens builds a second packing."""
+    built = []
+    packed = groebner._packed
+
+    def recording(*args):
+        built.append(None)
+        return packed(*args)
+
+    class Recording(groebner._Packing):
+        def __init__(self, kind, n, width):
+            built.append(width)
+            super().__init__(kind, n, width)
+
+    monkeypatch.setattr(groebner, "_packed", recording)
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    return built
+
+
+def _widened(widths):
+    return any(a is not None and b is not None for a, b in zip(widths, widths[1:]))
+
+
+HUGE = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("big", HUGE)
+def test_huge_exponents_are_never_wrapped(order, big, widths):
+    """Exponents around 2^16 and 2^32 give the textbook bases and normal
+    forms, with and without cofactors and as modules.  The initial width
+    holds degrees up to 4N at least and 8N at most; under lex y - x^N
+    turns y^9 into x^(9N), so those computations widen."""
+    x, y, z = xyz()
+    xn = x ** big
+    ideals = [
+        [xn - y, y ** 9 - x],
+        [xn * y - z, y ** 2 - x * z, z ** 3 - y],
+        [xn - z * y ** big, y ** (big + 1) - x],
+    ]
+    for gens in ideals:
+        want = naive_buchberger(gens, order.kind)
+        for cofactors in (True, False):
+            gb = buchberger(gens, order, cofactors=cofactors)
+            assert [oracle_vector(g) for g in gb.generators] == want
+        rank_one = module_buchberger([ModuleElement((g,)) for g in gens], order)
+        assert [oracle_vector(g.components) for g in rank_one.generators] == want
+    columns = [(xn, y), (y ** 2, xn * z - 1), (z, x)]
+    gb = module_buchberger([ModuleElement(c) for c in columns], order)
+    assert [oracle_vector(g.components) for g in gb.generators] == naive_buchberger(
+        columns, order.kind
+    )
+    gb = buchberger([xn - y])
+    assert normal_form(x ** (3 * big) * y ** 2, gb).remainder == y ** 5
+    gb = buchberger([xn - y], LEX)
+    assert normal_form(x ** (3 * big) * y ** 2, gb).remainder == x ** (5 * big)
+    # y = x^N in the first component: y^9 becomes x^(9N), and each step
+    # takes z * y^(8-i) * x^(iN) off the second
+    trace = module_normal_form(ModuleElement((y ** 9, xn)),
+                               module_buchberger([ModuleElement((y - xn, z))], LEX))
+    geometric = sum((y ** (8 - i) * x ** (i * big) for i in range(9)), Polynomial.zero(CTX3))
+    assert trace.remainder == ModuleElement((x ** (9 * big), xn - z * geometric))
+    assert _widened(widths)
+
+
+def test_minimum_width_widens_and_matches_naive(monkeypatch, widths):
+    """With no bits to spare above the input degree, the random-ideal and
+    module differential draw still gives the textbook bases, and at least
+    one computation restarts at a wider field; normal forms come out the
+    same as at the default width."""
+    rng = random.Random(99)
+    gens = [rand_poly(rng, CTX3, 3, zero_ok=False) for _ in range(3)]
+    probes = [rand_poly(rng, CTX3, 6) for _ in range(10)]
+    default = [normal_form(p, buchberger(gens)) for p in probes]
+    monkeypatch.setattr(groebner, "_MARGIN", 0)
+    widths.clear()
+    for order in (GREVLEX, LEX):
+        _random_bases_match_naive(order)
+    assert _widened(widths)
+    gb = buchberger(gens)
+    for p, want in zip(probes, default):
+        trace = normal_form(p, gb)
+        assert (trace.remainder, trace.cofactors) == (want.remainder, want.cofactors)
 
 
 # -- the degree guard ----------------------------------------------------------
@@ -468,16 +588,18 @@ class LoopCounter:
         self.to_zero += not out[0]
         return out
 
-    def interreduce(self, ctx, rank, entries, order, max_degree):
+    def interreduce(self, ctx, rank, entries, pk, max_degree):
+        # signatures are packed like terms: shifting e.sig by the quotient of
+        # the leading terms adds the difference of their keys
         for k, h in enumerate(entries):
             if h.sig is not None:
                 idx, sig = h.sig
                 self.singular += any(
                     e.sig[0] == idx and monomial_divides(e.lead[1], h.lead[1])
-                    and tuple(a + b - c for a, b, c in zip(e.sig[1], h.lead[1], e.lead[1])) == sig
+                    and e.sig[1] + h.key - e.key == sig
                     for e in entries[:k]
                 )
-        return self.inner[1](ctx, rank, entries, order, max_degree)
+        return self.inner[1](ctx, rank, entries, pk, max_degree)
 
 
 def _signature_draw(rng):
