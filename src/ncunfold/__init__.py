@@ -78,7 +78,6 @@ from .unfolding import (
     MCReport,
     MCSolution,
     ObstructionReport,
-    QCNormalization,
     QCViolation,
     QuasiClassicalDatum,
     koszul_lift,

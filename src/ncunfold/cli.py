@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     QCInvalid,
 )
-from .groebner import GREVLEX, LEX, MonomialOrder
+from .groebner import GREVLEX, LEX, MonomialOrder, ideal_membership
 from .hochschild import (
     PolyDiffOperator,
     brace,
@@ -38,7 +38,7 @@ from .parsing import (
 )
 from .poly import RingContext
 from .polyvector import schouten_bracket
-from .singularity import jacobian, monicize, qc_subspace
+from .singularity import Singularity, jacobian, monicize, qc_subspace
 from .unfolding import (
     MCSolution,
     ObstructionReport,
@@ -269,13 +269,16 @@ def _run(args) -> int:
     if args.command == "qc-normalize":
         f = parse_polynomial(args.f, ctx)
         p = parse_polynomial(args.p, ctx)
-        norm = qc_normalize(f, p, guard)
+        sing = Singularity(f, guard)
+        w_part = qc_normalize(sing, p)
+        # W's terms are standard and never reduce: these are the cofactors of p
+        cofactors = ideal_membership(p - w_part, sing.jacobian().partials, GREVLEX, guard)
         payload = {
-            "w_part": norm.w_part.to_json(),
-            "cofactors": [c.to_json() for c in norm.cofactors],
+            "w_part": w_part.to_json(),
+            "cofactors": [c.to_json() for c in cofactors],
         }
         text = "w_part: {}\ncofactors: {}".format(
-            norm.w_part, ", ".join(str(c) for c in norm.cofactors)
+            w_part, ", ".join(str(c) for c in cofactors)
         )
         _emit(args, payload, text)
         return 0

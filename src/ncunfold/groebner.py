@@ -1,5 +1,5 @@
 """Buchberger engine for ideals and submodules of free modules over the
-rationals, with cofactor tracking on request.
+rationals.
 
 One engine serves both ranks: an ideal is the rank-1 case.  Module terms
 are compared position-over-term with the lower component index winning,
@@ -16,17 +16,18 @@ twice the width, so no key wraps and no result depends on the width.
 Every normal form is computed by one routine, `_reduce`: fraction-free on
 a flat map from keys to the polynomials' integer numerators over one
 denominator, taking each leading term from a heap.  Cofactors over the
-input are carried only where a caller reads them (`buchberger(...,
-cofactors=True)`, the default, `module_buchberger` and the normal forms);
-the identities they assert are rechecked on construction of a
-ReductionTrace, not sampled.
+input are carried by module bases (`module_buchberger`, and through it
+`module_preimage` and `ideal_membership`) and by the normal forms; the
+identities they assert are rechecked on construction of a ReductionTrace,
+not sampled.
 
-Two loops feed the kernel.  Bases with cofactors, which are not unique
-and reach the CLI output, run Buchberger's loop with the product and
-chain criteria, taking pairs by lcm degree.  A cofactor-free ideal basis
-runs an incremental signature-based loop, which does no reduction to
-zero on a regular sequence.  Both end in one interreduction pass and
-give the same reduced basis.
+Two loops feed the kernel, one per entry point.  An ideal basis
+(`buchberger`) carries no cofactors and runs an incremental
+signature-based loop, which does no reduction to zero on a regular
+sequence.  A module basis, whose cofactors are not unique and reach the
+CLI output, runs Buchberger's loop with the product and chain criteria,
+taking pairs by lcm degree.  Both end in one interreduction pass, and on
+rank-1 input they give the same reduced basis.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class MonomialOrder:
 
     def key(self, exps: tuple) -> tuple:
         return grevlex_key(exps) if self.kind == "grevlex" else lex_key(exps)
-
-    def module_key(self, comp: int, exps: tuple) -> tuple:
-        # position-over-term; lower component index first
-        return (-comp, self.key(exps))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -117,18 +114,6 @@ class ModuleElement:
 
     def max_degree(self) -> int:
         return max(c.total_degree() for c in self.components)
-
-    def leading(self, order: MonomialOrder):
-        """((component, exps), coeff) of the leading term, or None if zero."""
-        best = None
-        for comp, poly in enumerate(self.components):
-            for exps, c in poly.terms.items():
-                key = order.module_key(comp, exps)
-                if best is None or key > best[0]:
-                    best = (key, (comp, exps), c)
-        if best is None:
-            return None
-        return best[1], best[2]
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -592,17 +577,11 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal; source_cofactors expresses each
-    generator over the input, or is empty when not computed."""
+    """Reduced Groebner basis of an ideal."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool
-    source: tuple[Polynomial, ...] = field(repr=False, default=())
-    # a certificate, not part of the basis: cofactors are not unique
-    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(
-        repr=False, compare=False, default=()
-    )
 
     @property
     def ctx(self) -> RingContext:
@@ -664,12 +643,9 @@ class ReductionTrace:
         if acc != self.input:
             raise AssertionError("reduction identity violated")
 
-    def over_source(self, gb) -> "ReductionTrace":
+    def over_source(self, gb: "ModuleGroebnerBasis") -> "ReductionTrace":
         """This trace over gb.generators rewritten over the input generators
-        gb.source; the identity is rechecked on construction.  ValueError
-        when gb was computed without cofactors."""
-        if len(gb.source_cofactors) != len(gb.generators):
-            raise ValueError("the basis was computed without cofactors")
+        gb.source; the identity is rechecked on construction."""
         cofs = [Polynomial.zero(self.remainder.ctx) for _ in gb.source]
         for c, row in zip(self.cofactors, gb.source_cofactors):
             for j, s in enumerate(row):
@@ -682,17 +658,14 @@ def buchberger(
     gens,
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
-    *,
-    cofactors: bool = True,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens, by the
+    signature loop (`_signature_entries`).
 
-    Deterministic: pairs are selected by lcm degree with input-index
-    tie-break, and the final basis is sorted by leading term.  With
-    cofactors=False the expressions of the basis over gens are not
-    computed, source_cofactors is empty, and the basis comes from the
-    signature loop (`_signature_entries`), which selects pairs by
-    signature; the reduced basis is the same.
+    Deterministic: pairs are selected by signature, and the final basis is
+    sorted by leading term.  The expressions of the basis over gens are not
+    computed; `module_buchberger` on the rank-1 columns gives the same basis
+    with them.
     """
     gens = list(gens)
     if not gens or all(g.is_zero() for g in gens):
@@ -700,15 +673,13 @@ def buchberger(
     ctx = gens[0].ctx
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    loop = _buchberger_entries if cofactors else _signature_entries
     gens_1 = [_wrap(g) for g in gens]
-    entries = _packed(lambda pk: loop(gens_1, pk, max_degree), gens_1, order, max_degree)
+    entries = _packed(lambda pk: _signature_entries(gens_1, pk, max_degree), gens_1, order,
+                      max_degree)
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
         reduced=True,
-        source=tuple(gens),
-        source_cofactors=tuple(e.cofs for e in entries) if cofactors else (),
     )
 
 

@@ -348,13 +348,14 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
 
 
 def _square(x: GElement) -> GElement:
-    """[X, X] by the closed form in the header: one half per pair of even terms."""
+    """(1/2)[X, X] by the closed form in the header: one half per pair of
+    even terms."""
     even = [(k, c) for k, c in x.terms.items() if not _popcount(k[1]) & 1]
     res: dict[tuple[int, int], Polynomial] = {}
     for (e1, m1), c1 in even:
         for (e2, m2), c2 in even:
             _add_half(res, e1 + e2, m1, c1, m2, c2, 1)
-    return GElement(x.ctx, {k: c + c for k, c in res.items()})
+    return GElement(x.ctx, res)
 
 
 def ad_f(f: Polynomial, x: GElement) -> GElement:
@@ -391,7 +392,7 @@ def mc_residual(f: Polynomial, w: HSeries) -> HSeries:
     nonzero = [(i, c) for i, c in enumerate(w.coeffs) if not c.is_zero()]
     for a, (i, x) in enumerate(nonzero):
         if 2 * i <= w.order:
-            out[2 * i] = out[2 * i] + _square(x).scale(Fraction(1, 2))
+            out[2 * i] = out[2 * i] + _square(x)
         for j, y in nonzero[a + 1:]:
             if i + j <= w.order:
                 out[i + j] = out[i + j] + schouten_bracket(x, y)
@@ -404,4 +405,4 @@ def bivector_square(s: GElement) -> GElement:
         raise ValueError("bivector must be eps-free")
     if not s.wedge_degrees() <= {2}:
         raise ValueError("bivector must be homogeneous of wedge degree 2")
-    return _square(s)
+    return _square(s).scale(2)

@@ -55,18 +55,11 @@ def jacobian(
     f: Polynomial,
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
-    *,
-    cofactors: bool = False,
 ) -> JacobianData:
-    """Partials, reduced GB of the Jacobian ideal, Milnor number, W basis.
-
-    The basis carries its cofactors over the partials only with
-    cofactors=True; the Milnor number and W never read them."""
+    """Partials, reduced GB of the Jacobian ideal, Milnor number, W basis."""
     _require_nonconstant(f)
     partials = tuple(f.partial(i) for i in range(1, f.ctx.n + 1))
-    # zero partials are skipped by the engine but keep their slot in
-    # gb.source, so cofactors over the source line up with the partials
-    gb = buchberger(partials, order, max_degree, cofactors=cofactors)
+    gb = buchberger(partials, order, max_degree)
     mu = quotient_dimension(gb)
     if mu == INFINITE:
         w_basis = ()
@@ -127,8 +120,7 @@ class Singularity:
 
     def jacobian(self) -> JacobianData:
         if self._jacobian is None:
-            # with cofactors: qc_normalize rewrites normal forms over the partials
-            data = jacobian(self.f, max_degree=self.max_degree, cofactors=True)
+            data = jacobian(self.f, max_degree=self.max_degree)
             object.__setattr__(self, "_jacobian", data)
         return self._jacobian
 

@@ -95,25 +95,15 @@ def koszul_lift(
     return lift
 
 
-@dataclass(frozen=True)
-class QCNormalization:
-    """p = w_part + sum(cofactors_i * df/dx_i), with w_part supported on W."""
-
-    w_part: Polynomial
-    cofactors: tuple[Polynomial, ...]
-
-
 def qc_normalize(
     f: Polynomial | Singularity, p: Polynomial, max_degree: int | None = None
-) -> QCNormalization:
-    """Split p into its W-component and a Jacobian-ideal part with explicit
-    cofactors over the partials; f is a Polynomial or a Singularity.
-    Idempotent on W-supported inputs."""
+) -> Polynomial:
+    """The W-part of p: its normal form modulo the Jacobian ideal, supported
+    on W, with p - W-part in the ideal; f is a Polynomial or a Singularity.
+    Idempotent on W-supported inputs.  `ideal_membership(p - W-part,
+    partials)` expresses the rest over the partials."""
     sing = Singularity.of(f, max_degree)
-    gb = sing.isolated_jacobian().gb
-    # gb.source is the tuple of partials, so the cofactors line up with them
-    trace = normal_form(p, gb, sing.max_degree).over_source(gb)
-    return QCNormalization(w_part=trace.remainder, cofactors=trace.cofactors)
+    return normal_form(p, sing.isolated_jacobian().gb, sing.max_degree).remainder
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,6 @@ class QuasiClassicalDatum:
     f: Polynomial
     p_raw: Polynomial
     p_normal: Polynomial
-    p_cofactors: tuple[Polynomial, ...]
     s: GElement
     extension_bivector: GElement  # S_2 = -[p, T], so [f, S_2] = [p, S]
     lift: GElement  # T with [f, T] = S
@@ -168,7 +157,7 @@ def qc_validate(
     violations = _qc_violations(f, s)
     if violations:
         return violations
-    norm = qc_normalize(sing, p)
+    p_normal = qc_normalize(sing, p)
     t = koszul_lift(sing, s)
     pg = GElement.from_polynomial(p)
     s2 = -schouten_bracket(pg, t)
@@ -177,8 +166,7 @@ def qc_validate(
     return QuasiClassicalDatum(
         f=f,
         p_raw=p,
-        p_normal=norm.w_part,
-        p_cofactors=norm.cofactors,
+        p_normal=p_normal,
         s=s,
         extension_bivector=s2,
         lift=t,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,52 @@ def test_degree_guard_exit_3(capsys):
         ["milnor", "--vars", "x,y,z", "--f", "x^9+y^9+z^9+x*y*z", "--max-degree", "3"],
     )
     assert code == 3
+
+
+def test_degree_guard_agrees_across_jacobian_commands(capsys):
+    """Every command builds the Jacobian basis by one loop, so under one
+    guard they abort, or succeed, together."""
+    f = "--f=-2*y*z^2 + 3*x*y^2 + z^2 - 2*y*z - 3*x^2"
+    payloads = {}
+    for command in ("milnor", "jacobian", "qc-subspace"):
+        code, out, _ = run(
+            capsys, [command, "--vars", "x,y,z", f, "--max-degree", "3", "--format", "json"]
+        )
+        assert code == 0, command
+        payloads[command] = json.loads(out)
+    assert payloads["milnor"]["milnor"] == payloads["jacobian"]["milnor"] == 5
+    assert payloads["qc-subspace"]["w_basis"] == payloads["jacobian"]["w_basis"]
+    assert len(payloads["jacobian"]["w_basis"]) == 5
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, expected stdout or None) for each `unfold` line of the sh
+    block after "Examples:" in README, continuation lines joined; the
+    expected stdout is a following `# {...}` comment."""
+    text = README.read_text()
+    block = text[text.index("Examples:"):]
+    block = block[block.index("```sh\n") + 6:]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("unfold "):
+            examples.append([shlex.split(line)[1:], None])
+        elif line.startswith("# {") and examples:
+            examples[-1][1] = line[2:]
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 3 and any(want for _, want in examples)
+    for argv, want in examples:
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        if want is not None:
+            assert out.strip() == want, argv
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "cli_corpus.json"

@@ -25,7 +25,7 @@ from ncunfold.groebner import (
 )
 from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext, grevlex_key, monomial_divides
-from ncunfold.singularity import jacobian, milnor_number
+from ncunfold.singularity import Singularity, jacobian, milnor_number
 
 from oracles import naive_buchberger, oracle_vector, rand_poly
 
@@ -168,13 +168,20 @@ def test_reduced_basis_interreduction_property():
                         assert not monomial_divides(lt, exps)
 
 
+def _rank_one(gens, order=GREVLEX, max_degree=None):
+    """module_buchberger on the rank-1 columns gens: the ideal basis with
+    its cofactors over gens, by the classic loop."""
+    return module_buchberger([ModuleElement((g,)) for g in gens], order, max_degree)
+
+
 def test_source_cofactors_express_basis_over_input():
     rng = random.Random(13)
     gens = [rand_poly(rng, CTX2, 3, zero_ok=False) for _ in range(3)]
-    gb = buchberger(gens)
+    gb = _rank_one(gens)
+    assert [g.components[0] for g in gb.generators] == list(buchberger(gens).generators)
     for g, cofs in zip(gb.generators, gb.source_cofactors):
         rebuilt = sum((c * s for c, s in zip(cofs, gens)), Polynomial.zero(CTX2))
-        assert rebuilt == g
+        assert rebuilt == g.components[0]
 
 
 def test_determinism_byte_identical():
@@ -295,10 +302,17 @@ def test_module_spolynomials_reduce_to_zero_post_hoc():
             continue
         gb = module_buchberger(gens)
         basis = list(gb.generators)
+
+        def leading(v):
+            """((component, exps), coeff) of v's leading term, position over
+            term with the lower component first."""
+            terms = [((c, e), q) for c, p in enumerate(v.components) for e, q in p.terms.items()]
+            return max(terms, key=lambda t: (-t[0][0], gb.order.key(t[0][1])))
+
         for i in range(len(basis)):
             for j in range(i):
-                (ci, ei), lci = basis[i].leading(gb.order)
-                (cj, ej), lcj = basis[j].leading(gb.order)
+                (ci, ei), lci = leading(basis[i])
+                (cj, ej), lcj = leading(basis[j])
                 if ci != cj:
                     continue
                 lcm = tuple(max(a, b) for a, b in zip(ei, ej))
@@ -341,10 +355,9 @@ def _proper_poly(rng, ctx, max_degree, n_terms):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_reduced_basis_matches_naive_buchberger(order):
-    """buchberger with and without cofactors and module_buchberger on the
-    rank-1 module give the textbook reduced basis exactly, on random
-    ideals in two and three variables; so does module_buchberger on random
-    rank-2 modules."""
+    """buchberger and module_buchberger on the rank-1 module give the
+    textbook reduced basis exactly, on random ideals in two and three
+    variables; so does module_buchberger on random rank-2 modules."""
     _random_bases_match_naive(order)
 
 
@@ -358,10 +371,9 @@ def _random_bases_match_naive(order):
             continue
         want = naive_buchberger(gens, order.kind)
         sizes.append(len(want))
-        for cofactors in (True, False):
-            gb = buchberger(gens, order, cofactors=cofactors)
-            assert [oracle_vector(g) for g in gb.generators] == want
-        rank_one = module_buchberger([ModuleElement((g,)) for g in gens], order)
+        gb = buchberger(gens, order)
+        assert [oracle_vector(g) for g in gb.generators] == want
+        rank_one = _rank_one(gens, order)
         assert [oracle_vector(g.components) for g in rank_one.generators] == want
     assert max(sizes) >= 3  # the draw reaches nontrivial bases
     for _ in range(20):
@@ -389,7 +401,8 @@ def test_packed_keys_follow_the_term_order(kind):
     monomials = [e for e in itertools.product(range(8), repeat=3) if sum(e) <= 7]
     terms = [(c, e) for c in (0, 1) for e in monomials]
     by_key = sorted(terms, key=lambda t: pk.key(*t))
-    assert by_key == sorted(terms, key=lambda t: order.module_key(*t), reverse=True)
+    # position over term, the lower component first
+    assert by_key == sorted(terms, key=lambda t: (-t[0], order.key(t[1])), reverse=True)
     fresh = groebner._Packing(kind, 3, 3)  # knows no key yet: unpacks the fields
     for c, e in terms:
         k = pk.key(c, e)
@@ -437,9 +450,9 @@ HUGE = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3]
 @pytest.mark.parametrize("big", HUGE)
 def test_huge_exponents_are_never_wrapped(order, big, widths):
     """Exponents around 2^16 and 2^32 give the textbook bases and normal
-    forms, with and without cofactors and as modules.  The initial width
-    holds degrees up to 4N at least and 8N at most; under lex y - x^N
-    turns y^9 into x^(9N), so those computations widen."""
+    forms, as ideals and as modules.  The initial width holds degrees up
+    to 4N at least and 8N at most; under lex y - x^N turns y^9 into
+    x^(9N), so those computations widen."""
     x, y, z = xyz()
     xn = x ** big
     ideals = [
@@ -449,10 +462,9 @@ def test_huge_exponents_are_never_wrapped(order, big, widths):
     ]
     for gens in ideals:
         want = naive_buchberger(gens, order.kind)
-        for cofactors in (True, False):
-            gb = buchberger(gens, order, cofactors=cofactors)
-            assert [oracle_vector(g) for g in gb.generators] == want
-        rank_one = module_buchberger([ModuleElement((g,)) for g in gens], order)
+        gb = buchberger(gens, order)
+        assert [oracle_vector(g) for g in gb.generators] == want
+        rank_one = _rank_one(gens, order)
         assert [oracle_vector(g.components) for g in rank_one.generators] == want
     columns = [(xn, y), (y ** 2, xn * z - 1), (z, x)]
     gb = module_buchberger([ModuleElement(c) for c in columns], order)
@@ -498,15 +510,24 @@ def test_minimum_width_widens_and_matches_naive(monkeypatch, widths):
 GUARD_MESSAGE = "intermediate degree exceeded the limit 5"
 
 
+def _guarded_basis(gens, order, max_degree, cofactors):
+    """The ideal basis of gens under max_degree: with cofactors from the
+    classic loop (module_buchberger on the rank-1 columns), else from
+    buchberger."""
+    if cofactors:
+        return [g.components[0] for g in _rank_one(gens, order, max_degree).generators]
+    return list(buchberger(gens, order, max_degree).generators)
+
+
 @pytest.mark.parametrize("cofactors", [True, False])
 def test_degree_guard_below_input_degree(cofactors):
     x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
     gens = [x ** 6 + y, y ** 2]  # x^6 + y is already a basis element's lead
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
-        buchberger(gens, GREVLEX, 5, cofactors=cofactors)
+        _guarded_basis(gens, GREVLEX, 5, cofactors)
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
         normal_form(x ** 6, buchberger([y]), max_degree=5)
-    assert len(buchberger(gens, GREVLEX, 6, cofactors=cofactors).generators) == 2
+    assert len(_guarded_basis(gens, GREVLEX, 6, cofactors)) == 2
 
 
 @pytest.mark.parametrize("cofactors", [True, False])
@@ -516,33 +537,43 @@ def test_degree_guard_crossed_by_an_intermediate_term(cofactors):
     x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
     gens = [y - x ** 3, y ** 2 + x]
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
-        buchberger(gens, LEX, 5, cofactors=cofactors)
-    assert buchberger(gens, LEX, 6, cofactors=cofactors) == buchberger(gens, LEX)
-    gb = buchberger([y - x ** 3], LEX, 5, cofactors=cofactors)
+        _guarded_basis(gens, LEX, 5, cofactors)
+    assert _guarded_basis(gens, LEX, 6, cofactors) == list(buchberger(gens, LEX).generators)
+    gb = buchberger([y - x ** 3], LEX, 5)
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
         normal_form(y ** 2, gb, max_degree=5)
     assert normal_form(y ** 2, gb, max_degree=6).remainder == x ** 6
+    if cofactors:
+        module = _rank_one([y - x ** 3], LEX, 5)
+        with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+            module_normal_form(ModuleElement((y ** 2,)), module, max_degree=5)
+        trace = module_normal_form(ModuleElement((y ** 2,)), module, max_degree=6)
+        assert trace.remainder == ModuleElement((x ** 6,))
 
 
-# -- cofactors are computed only when asked for --------------------------------
+# -- cofactors are computed only where they are read ---------------------------
 
 
 def test_basis_without_cofactors():
+    """An ideal basis carries no cofactors; normal forms over it do, and
+    the rank-1 module basis, which carries them, is the same basis and
+    rewrites a normal form over the input."""
     x, y, z = xyz()
     gens = [x * y - z, y ** 2 - x, z ** 2 - y]
-    full = buchberger(gens)
-    bare = buchberger(gens, cofactors=False)
-    assert bare.generators == full.generators
-    assert bare.source == full.source
-    assert bare.source_cofactors == ()
+    bare = buchberger(gens)
+    full = _rank_one(gens)
+    assert [g.components[0] for g in full.generators] == list(bare.generators)
+    assert full.source == tuple(ModuleElement((g,)) for g in gens)
     assert len(full.source_cofactors) == len(full.generators)
     for g, row in zip(full.generators, full.source_cofactors):
-        assert sum((c * s for c, s in zip(row, gens)), Polynomial.zero(CTX3)) == g
+        assert sum((c * s for c, s in zip(row, gens)), Polynomial.zero(CTX3)) == g.components[0]
     trace = normal_form(x ** 3 * z, bare)
     assert trace.cofactors  # over the basis itself the trace is complete
-    with pytest.raises(ValueError, match="without cofactors"):
-        trace.over_source(bare)
-    assert trace.over_source(full).remainder == trace.remainder
+    module = module_normal_form(ModuleElement((x ** 3 * z,)), full).over_source(full)
+    assert module.remainder.components[0] == trace.remainder
+    # Singularity.jacobian, which qc_normalize reads, is the same basis
+    f = x ** 3 + x * y ** 3 + z ** 2
+    assert Singularity(f).jacobian().gb == jacobian(f).gb
 
 
 def test_dense_jacobian_basis_matches_naive_buchberger():
@@ -556,7 +587,7 @@ def test_dense_jacobian_basis_matches_naive_buchberger():
         f = Polynomial(CTX3, {e: rng.randint(-9, 9) for e in monomials})
         partials = [f.partial(i) for i in (1, 2, 3)]
         want = naive_buchberger(partials)
-        gb = buchberger(partials, cofactors=False)
+        gb = buchberger(partials)
         assert [oracle_vector(g) for g in gb.generators] == want
         leads = [max(g, key=lambda t: grevlex_key(t[1]))[1] for g in want]
         standard = [
@@ -619,8 +650,8 @@ def _signature_draw(rng):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_signature_basis_matches_classic_and_naive(order, monkeypatch):
-    """The signature loop (cofactors=False), the classic loop
-    (cofactors=True) and the textbook algorithm give the same reduced
+    """The signature loop (buchberger), the classic loop (module_buchberger
+    on the rank-1 columns) and the textbook algorithm give the same reduced
     basis on 150 random ideals per order.  The draw reaches reductions to
     zero in the signature loop and singular-top-reducible results, which
     it keeps."""
@@ -633,12 +664,12 @@ def test_signature_basis_matches_classic_and_naive(order, monkeypatch):
             continue
         checked += 1
         want = naive_buchberger(gens, order.kind)
-        classic = buchberger(gens, order)
+        classic = _rank_one(gens, order)
         with monkeypatch.context() as m:
             counter.install(m)
-            signature = buchberger(gens, order, cofactors=False)
+            signature = buchberger(gens, order)
         assert [oracle_vector(g) for g in signature.generators] == want
-        assert signature.generators == classic.generators
+        assert list(signature.generators) == [g.components[0] for g in classic.generators]
     assert counter.to_zero >= 1
     assert counter.singular >= 1
 
@@ -664,9 +695,9 @@ def test_signature_loop_fixed_cases(texts, leads):
     admitting reducers whose shifted signature is not below the pair's
     loses y^3 from the second."""
     gens = [parse_polynomial(t, CTX3) for t in texts]
-    gb = buchberger(gens, cofactors=False)
+    gb = buchberger(gens)
     assert gb.leading_exponents() == leads
-    assert gb.generators == buchberger(gens).generators
+    assert list(gb.generators) == [g.components[0] for g in _rank_one(gens).generators]
     assert [oracle_vector(g) for g in gb.generators] == naive_buchberger(gens)
 
 
@@ -694,3 +725,17 @@ def test_dense_jacobian_under_lex():
     start = time.perf_counter()
     assert jacobian(f, LEX).milnor == jacobian(f).milnor == 25
     assert time.perf_counter() - start < 5
+
+
+def test_lex_basis_of_four_small_generators():
+    """The classic loop did not finish on these four generators under lex
+    in 250 s; the signature loop, which every ideal basis runs, takes a
+    fraction of a second."""
+    texts = ("1/2*x*z^2 - x*y*z + 4*x*y^2", "y^2*z - 3*x*y - 2*y",
+             "-x*z^2 + 3*x*z + z + 2/3*y", "y^2*z + 1/3*x^2*z - 3*x^2")
+    gens = [parse_polynomial(t, CTX3) for t in texts]
+    start = time.perf_counter()
+    gb = buchberger(gens, LEX)
+    assert time.perf_counter() - start < 10
+    x, y, z = xyz()
+    assert set(gb.generators) == {x ** 2, y, z}

@@ -9,6 +9,7 @@ import pytest
 import ncunfold.groebner as groebner
 import ncunfold.singularity as singularity
 from ncunfold.errors import DegreeGuardExceeded, NotACycle, NotIsolated, QCInvalid
+from ncunfold.groebner import ideal_membership
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import HSeries, Polynomial, RingContext
 from ncunfold.polyvector import (
@@ -112,33 +113,65 @@ def test_lift_vector_to_bivector():
 # -- qc_normalize ----------------------------------------------------------------
 
 
+def _partials(f):
+    return [f.partial(i) for i in range(1, f.ctx.n + 1)]
+
+
 def test_normalize_examples():
     f = a_k(1)
     x = Polynomial.variable(CTX3, 1)
-    norm = qc_normalize(f, x)
-    assert norm.w_part.is_zero()
-    assert norm.cofactors == (Polynomial.constant(CTX3, Fraction(1, 2)),
-                              Polynomial.zero(CTX3), Polynomial.zero(CTX3))
+    w = qc_normalize(f, x)
+    assert w.is_zero()
+    assert ideal_membership(x - w, _partials(f)) == (
+        Polynomial.constant(CTX3, Fraction(1, 2)), Polynomial.zero(CTX3), Polynomial.zero(CTX3))
     one = Polynomial.one(CTX3)
-    assert qc_normalize(f, one).w_part == one
+    assert qc_normalize(f, one) == one
 
 
 def test_normalize_idempotent_and_kernel():
     rng = random.Random(79)
     for _, f in ade_catalog()[:5]:
-        partials = [f.partial(i) for i in (1, 2, 3)]
+        partials = _partials(f)
         for _ in range(5):
             p = rand_poly(rng, CTX3, 3)
-            norm = qc_normalize(f, p)
-            again = qc_normalize(f, norm.w_part)
-            assert again.w_part == norm.w_part
-            assert all(c.is_zero() for c in again.cofactors)
+            w = qc_normalize(f, p)
+            again = qc_normalize(f, w)
+            assert again == w
+            assert all(c.is_zero() for c in ideal_membership(w - again, partials))
             # adding a Jacobian-ideal element does not change the W part
             j = sum(
                 (rand_poly(rng, CTX3, 2) * q for q in partials),
                 Polynomial.zero(CTX3),
             )
-            assert qc_normalize(f, p + j).w_part == norm.w_part
+            assert qc_normalize(f, p + j) == w
+
+
+def test_normalize_cofactors_match_the_rank_one_module_route():
+    """The cofactors of p - W-part over the partials equal those of p's
+    normal form modulo the rank-1 module basis of the partials, rewritten
+    over them: W's terms are standard and never reduce.  On the ADE
+    catalog and random isolated f in two and three variables."""
+    rng = random.Random(313)
+    cases = [f for _, f in ade_catalog()]
+    while len(cases) < 20:
+        f = rand_poly(rng, rng.choice([CTX2, CTX3]), 4, n_terms=4)
+        f = f - f.constant_term()
+        if not f.is_constant() and Singularity(f).is_isolated():
+            cases.append(f)
+    nonzero = 0
+    for f in cases:
+        partials = _partials(f)
+        gb = groebner.module_buchberger([groebner.ModuleElement((q,)) for q in partials])
+        for _ in range(3):
+            p = rand_poly(rng, f.ctx, 4, n_terms=4)
+            w = qc_normalize(f, p)
+            cofs = ideal_membership(p - w, partials)
+            trace = groebner.module_normal_form(groebner.ModuleElement((p,)), gb).over_source(gb)
+            assert trace.remainder.components[0] == w
+            assert cofs == trace.cofactors
+            assert w + sum((c * q for c, q in zip(cofs, partials)), Polynomial.zero(f.ctx)) == p
+            nonzero += not w.is_zero() and any(not c.is_zero() for c in cofs)
+    assert nonzero >= 20
 
 
 def test_normalize_requires_isolated():
@@ -516,7 +549,7 @@ def test_degree_guard_reaches_lift_and_normal_form(through):
     z = ad_f(f, g("x^2*D(1,2,3)"))
     p = parse_polynomial("x^2", CTX3)
     assert koszul_lift(f, z, max_degree=64) == g("x^2*D(1,2,3)")
-    assert qc_normalize(f, p, max_degree=64).w_part.is_zero()
+    assert qc_normalize(f, p, max_degree=64).is_zero()
 
     def call(fn, arg):
         if through == "argument":
