@@ -9,6 +9,7 @@ Identical argv always produces byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -70,7 +71,11 @@ def _order(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and shared by
+    every later one; do not mutate it.  Parsing leaves no state in it: each
+    parse_args fills a fresh namespace."""
     top = _CliParser(prog="unfold", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -582,13 +582,15 @@ class GroebnerBasis:
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool
+    # the leading exponents of the generators, as the engine found them
+    leads: tuple[tuple, ...] = field(repr=False, compare=False)
 
     @property
     def ctx(self) -> RingContext:
         return self.generators[0].ctx
 
     def leading_exponents(self) -> list[tuple]:
-        return [max(g.nums, key=self.order.key) for g in self.generators]
+        return list(self.leads)
 
     def to_json(self) -> dict:
         return {
@@ -680,6 +682,7 @@ def buchberger(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
         reduced=True,
+        leads=tuple(e.lead[1] for e in entries),
     )
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -396,6 +397,72 @@ def test_golden_cli_corpus_byte_identical():
         if (code, digest) != (case["exit"], case["stdout_sha256"]):
             mismatches.append((case["argv"], code, case["exit"]))
     assert mismatches == []
+
+
+def _corpus_outcome(argv):
+    """(exit code, sha256 of stdout) of main(argv), stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+FAILED_PARSES = (
+    ["milnor", "--vars", "x,y"],  # --f is required
+    QUANTIZE_ARGV + ["--order", "0"],  # rejected by the type of --order
+    ["no-such-command", "--vars", "x"],
+)
+
+
+def test_golden_corpus_in_any_order_between_failed_parses():
+    """The parser is shared by every main call of a process, and a parse
+    that fails or prints help leaves nothing behind in it: the corpus argv
+    in a seeded shuffled order, each after a usage error and two of them
+    after a help request, give their stored exit codes and stdout."""
+    cases = json.loads(CORPUS.read_text())["cases"]
+    rng = random.Random(13)
+    rng.shuffle(cases)
+    helps = dict(zip(rng.sample(range(len(cases)), 2), (["--help"], ["quantize", "--help"])))
+    mismatches = []
+    for i, case in enumerate(cases):
+        if i in helps:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+                main(helps[i])
+            assert stop.value.code == 0 and out.getvalue().startswith("usage: unfold")
+        assert _corpus_outcome(FAILED_PARSES[i % len(FAILED_PARSES)]) == (
+            1, hashlib.sha256(b"").hexdigest()
+        )
+        if _corpus_outcome(case["argv"]) != (case["exit"], case["stdout_sha256"]):
+            mismatches.append(case["argv"])
+    assert mismatches == []
+
+
+def test_main_builds_the_parser_once_per_process():
+    """In a fresh interpreter, importing the CLI builds no parser, the first
+    main call builds the top parser and its 15 subparsers, and two more
+    calls build none."""
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from ncunfold import cli
+counts = [len(built)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["milnor", "--vars", "x,y", "--f", "x^3+y^2"]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 16, 16, 16]"
 
 
 DETERMINISM_COMMANDS = ("quantize", "jacobian", "hh-brace", "hh-d", "schouten", "mc-verify")

@@ -357,7 +357,9 @@ def _proper_poly(rng, ctx, max_degree, n_terms):
 def test_reduced_basis_matches_naive_buchberger(order):
     """buchberger and module_buchberger on the rank-1 module give the
     textbook reduced basis exactly, on random ideals in two and three
-    variables; so does module_buchberger on random rank-2 modules."""
+    variables, and the leads buchberger stores are the leading exponents of
+    its generators; module_buchberger on random rank-2 modules gives the
+    textbook basis too."""
     _random_bases_match_naive(order)
 
 
@@ -373,6 +375,7 @@ def _random_bases_match_naive(order):
         sizes.append(len(want))
         gb = buchberger(gens, order)
         assert [oracle_vector(g) for g in gb.generators] == want
+        assert gb.leading_exponents() == [max(g.nums, key=order.key) for g in gb.generators]
         rank_one = _rank_one(gens, order)
         assert [oracle_vector(g.components) for g in rank_one.generators] == want
     assert max(sizes) >= 3  # the draw reaches nontrivial bases
@@ -464,6 +467,7 @@ def test_huge_exponents_are_never_wrapped(order, big, widths):
         want = naive_buchberger(gens, order.kind)
         gb = buchberger(gens, order)
         assert [oracle_vector(g) for g in gb.generators] == want
+        assert gb.leading_exponents() == [max(g.nums, key=order.key) for g in gb.generators]
         rank_one = _rank_one(gens, order)
         assert [oracle_vector(g.components) for g in rank_one.generators] == want
     columns = [(xn, y), (y ** 2, xn * z - 1), (z, x)]
