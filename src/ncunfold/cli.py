@@ -219,7 +219,7 @@ def _run(args) -> int:
 
     if args.command == "qc-subspace":
         f = parse_polynomial(args.f, ctx)
-        basis = qc_subspace(f, guard)
+        basis = qc_subspace(Singularity(f, guard))
         payload = {"w_basis": [list(e) for e in basis]}
         _emit(args, payload, "w_basis: " + ", ".join(_mono_strs(ctx, basis)))
         return 0
@@ -246,7 +246,7 @@ def _run(args) -> int:
     if args.command == "koszul-lift":
         f = parse_polynomial(args.f, ctx)
         z = parse_gelement(args.S, ctx)
-        lift = koszul_lift(f, z, guard)
+        lift = koszul_lift(Singularity(f, guard), z)
         _emit(args, {"lift": lift.to_json()}, f"T = {format_gelement(lift)}")
         return 0
 
@@ -254,7 +254,7 @@ def _run(args) -> int:
         f = parse_polynomial(args.f, ctx)
         p = parse_polynomial(args.p, ctx)
         s = parse_gelement(args.S, ctx)
-        result = qc_validate(f, p, s, guard)
+        result = qc_validate(Singularity(f, guard), p, s)
         if isinstance(result, list):
             payload = {
                 "valid": False,
@@ -292,8 +292,9 @@ def _run(args) -> int:
         f = parse_polynomial(args.f, ctx)
         p = parse_polynomial(args.p, ctx)
         s = parse_gelement(args.S, ctx)
+        sing = Singularity(f, guard)
         if args.general:
-            result = quantize_general(f, p, s, args.order, max_degree=guard)
+            result = quantize_general(sing, p, s, args.order)
             if isinstance(result, ObstructionReport):
                 payload = {
                     "obstruction": {
@@ -310,7 +311,7 @@ def _run(args) -> int:
                 return VALIDATION_ERROR
             sol = result
         else:
-            sol = quantize_n3(f, p, s, guard)
+            sol = quantize_n3(sing, p, s)
         _emit(args, sol.to_json(), _solution_text(sol))
         return 0
 

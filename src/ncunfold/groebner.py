@@ -21,13 +21,12 @@ input are carried by module bases (`module_buchberger`, and through it
 identities they assert are rechecked on construction of a ReductionTrace,
 not sampled.
 
-Two loops feed the kernel, one per entry point.  An ideal basis
-(`buchberger`) carries no cofactors and runs an incremental
-signature-based loop, which does no reduction to zero on a regular
-sequence.  A module basis, whose cofactors are not unique and reach the
-CLI output, runs Buchberger's loop with the product and chain criteria,
-taking pairs by lcm degree.  Both end in one interreduction pass, and on
-rank-1 input they give the same reduced basis.
+One loop feeds the kernel: an incremental signature-based loop
+(`_signature_entries`), which does no reduction to zero on a regular
+sequence and ends in one interreduction pass.  An ideal basis
+(`buchberger`) runs it on the rank-1 columns without cofactors; a module
+basis (`module_buchberger`) runs it with the cofactors of every entry
+over the input.  On rank-1 input the two give the same reduced basis.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .poly import (
     grevlex_key,
     lex_key,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
 )
 
@@ -390,122 +388,67 @@ def _spair(ctx: RingContext, a: _Entry, b: _Entry):
     return ua, ub, a.elem.scale_poly(ua) - b.elem.scale_poly(ub)
 
 
-def _buchberger_entries(
-    gens: list[ModuleElement], pk: _Packing, max_degree: int | None
-) -> list[_Entry]:
-    """Entries of the basis of gens with their cofactors, by Buchberger's
-    loop with the product and chain criteria, pairs taken by lcm degree."""
-    ctx = gens[0].ctx
-    rank = gens[0].rank
-    m = len(gens)
-    zero_cof = tuple(Polynomial.zero(ctx) for _ in range(m))
-
-    entries: list[_Entry] = []
-    for idx, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        # checked here, as a redundant generator is dropped unreduced below
-        _guard(max_degree, g.max_degree())
-        cofs = list(zero_cof)
-        cofs[idx] = Polynomial.one(ctx)
-        entries.append(_make_entry(ctx, rank, *_integer_map(g, pk), cofs, pk))
-
-    pairs: list[tuple[int, int, int]] = []
-
-    def push_pairs(j: int):
-        cj, ej = entries[j].lead
-        for i in range(j):
-            ci, ei = entries[i].lead
-            if ci != cj:
-                continue
-            deg = sum(monomial_lcm(ei, ej))
-            heappush(pairs, (deg, i, j))
-
-    for j in range(len(entries)):
-        push_pairs(j)
-
-    done: set[tuple[int, int]] = set()
-    while pairs:
-        _, i, j = heappop(pairs)
-        ci, ei = entries[i].lead
-        cj, ej = entries[j].lead
-        lcm_ij = monomial_lcm(ei, ej)
-        # Buchberger's product criterion: only valid for ideals (rank 1)
-        if rank == 1 and all(min(a, b) == 0 for a, b in zip(ei, ej)):
-            done.add((i, j))
-            continue
-        # chain criterion against already-processed pairs
-        skip = False
-        for k, entry in enumerate(entries):
-            if k == i or k == j:
-                continue
-            ck, ek = entry.lead
-            if ck != ci or not monomial_divides(ek, lcm_ij):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            done.add((i, j))
-            continue
-        ui, uj, spair = _spair(ctx, entries[i], entries[j])
-        scofs = tuple(ui * a - uj * b for a, b in zip(entries[i].cofs, entries[j].cofs))
-        ints, den, rcofs = _reduce(ctx, *_integer_map(spair, pk), scofs, entries, pk,
-                                   max_degree)
-        done.add((i, j))
-        if ints:
-            entries.append(_make_entry(ctx, rank, ints, den, rcofs, pk))
-            push_pairs(len(entries) - 1)
-    return _interreduce(ctx, rank, entries, pk, max_degree)
-
-
 def _signature_entries(
-    gens: list[ModuleElement], pk: _Packing, max_degree: int | None
+    gens: list[ModuleElement], pk: _Packing, max_degree: int | None, track: bool
 ) -> list[_Entry]:
-    """Entries of an ideal basis of rank-1 gens, without cofactors, by an
-    incremental signature-based loop (F5-style, in the form of Eder and
-    Faugere's survey, JSC 2017).
+    """Entries of the basis of gens, with their cofactors over gens when
+    track is set, by an incremental signature-based loop (F5-style, in the
+    form of Eder and Faugere's survey, JSC 2017, and of Gao, Volny and
+    Wang's module framework, Math. Comp. 2016).
 
-    Zero generators are dropped.  Generator idx is fully reduced by the
-    entries of the generators before it and enters with signature 1 (at
-    index idx).  Its S-pairs are then taken in increasing signature: the
-    signature of ua * a - ub * b is the larger of ua * sig(a) and
-    ub * sig(b), a signature of an earlier index being the smaller.  A
-    pair is skipped when its signature is a multiple of an earlier-index
-    leading monomial or of a signature that reduced to zero (both are
-    signatures of syzygies), when both sides have the same signature, when
-    its signature was already processed, or when an entry added after its
-    top side has a signature dividing it (the rewrite criterion).  A
-    reducer is admitted only when its shifted signature is below the
-    pair's, so the result keeps the pair's signature, and every nonzero
-    result is added, also one whose leading term only a reducer of equal
-    signature divides.  On a regular sequence nothing reduces to zero.
+    Zero generators are skipped, and keep a zero column in every cofactor
+    row.  Generator idx is fully reduced by the entries of the generators
+    before it and enters with signature 1 (at index idx).  Its S-pairs
+    (of two entries whose leading terms share a component) are then taken
+    in increasing signature: the signature of ua * a - ub * b is the larger
+    of ua * sig(a) and ub * sig(b), a signature of an earlier index being
+    the smaller, and its cofactors are ua * cofs(a) - ub * cofs(b).  A pair
+    is skipped when its signature is a multiple of a signature that
+    reduced to zero or, for an ideal (rank 1), of an earlier-index leading
+    monomial (both are signatures of syzygies; the principal syzygies
+    g_i e_j - g_j e_i behind the second exist only among scalars), when
+    both sides have the same signature, when its signature was already
+    processed, or when an entry added after its top side has a signature
+    dividing it (the rewrite criterion).  A reducer is admitted only when
+    its shifted signature is below the pair's, so the result keeps the
+    pair's signature, and every nonzero result is added, also one whose
+    leading term only a reducer of equal signature divides.  On a regular
+    sequence nothing reduces to zero.
 
     Signatures are packed like terms, so a larger signature has the
     smaller key, and the pair heap is ordered by negated keys.
     """
-    ctx = gens[0].ctx
-    gens = [g for g in gens if not g.is_zero()]
+    ctx, rank = gens[0].ctx, gens[0].rank
     key, one, divides, checked, guard = pk.key, pk.one, pk.divides, pk.checked, pk.guard
+    zero = Polynomial.zero(ctx)
     entries: list[_Entry] = []
 
     for idx, g in enumerate(gens):
-        earlier = [e.key for e in entries]
-        ints, den, _ = _reduce(ctx, *_integer_map(g, pk), None, entries, pk, max_degree)
-        if not ints:
-            continue  # every signature of index idx is a syzygy's
+        if g.is_zero():
+            continue
+        cofs = None
+        if track:
+            cofs = tuple(Polynomial.one(ctx) if j == idx else zero for j in range(len(gens)))
+        ints, den = _integer_map(g, pk)
+        if entries:
+            ints, den, cofs = _reduce(ctx, ints, den, cofs, entries, pk, max_degree)
+            if not ints:
+                continue  # every signature of index idx is a syzygy's
+        else:
+            _guard(max_degree, g.max_degree())
+        earlier = [e.key for e in entries] if rank == 1 else []
         pairs: list = []
         zeros: list[int] = []
         done: set[int] = set()
 
-        def append(ints: dict, den: int, sig: int):
-            a = _make_entry(ctx, 1, ints, den, None, pk)
+        def append(ints: dict, den: int, cofs, sig: int):
+            a = _make_entry(ctx, rank, ints, den, cofs, pk)
             a.sig = (idx, sig)
             k = len(entries)
             entries.append(a)
             for j, b in enumerate(entries[:k]):
+                if b.lead[0] != a.lead[0]:
+                    continue
                 # the lcm itself may not fit where its multipliers do
                 lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
                 sa = checked(sig + key(0, monomial_div(lcm_ab, a.lead[1])) - one)
@@ -517,7 +460,7 @@ def _signature_entries(
                     top, other, s = (k, j, sa) if sa < sb else (j, k, sb)
                     heappush(pairs, (-s, -top, other))
 
-        append(ints, den, one)
+        append(ints, den, cofs, one)
         while pairs:
             sig, top, other = heappop(pairs)
             sig, top = -sig, -top
@@ -539,14 +482,17 @@ def _signature_entries(
                     raise _Overflow
                 return s > sig
 
-            _, _, spair = _spair(ctx, entries[top], entries[other])
-            ints, den, _ = _reduce(ctx, *_integer_map(spair, pk), None, entries, pk,
-                                   max_degree, below)
+            a, b = entries[top], entries[other]
+            ua, ub, spair = _spair(ctx, a, b)
+            if track:
+                cofs = tuple(ua * ca - ub * cb for ca, cb in zip(a.cofs, b.cofs))
+            ints, den, cofs = _reduce(ctx, *_integer_map(spair, pk), cofs, entries, pk,
+                                      max_degree, below)
             if ints:
-                append(ints, den, sig)
+                append(ints, den, cofs, sig)
             else:
                 zeros.append(sig)
-    return _interreduce(ctx, 1, entries, pk, max_degree)
+    return _interreduce(ctx, rank, entries, pk, max_degree)
 
 
 def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
@@ -662,12 +608,12 @@ def buchberger(
     max_degree: int | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens, by the
-    signature loop (`_signature_entries`).
+    signature loop (`_signature_entries`) without cofactors.
 
     Deterministic: pairs are selected by signature, and the final basis is
     sorted by leading term.  The expressions of the basis over gens are not
-    computed; `module_buchberger` on the rank-1 columns gives the same basis
-    with them.
+    computed; `module_buchberger` on the rank-1 columns runs the same loop
+    with them and gives the same basis.
     """
     gens = list(gens)
     if not gens or all(g.is_zero() for g in gens):
@@ -676,7 +622,7 @@ def buchberger(
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
     gens_1 = [_wrap(g) for g in gens]
-    entries = _packed(lambda pk: _signature_entries(gens_1, pk, max_degree), gens_1, order,
+    entries = _packed(lambda pk: _signature_entries(gens_1, pk, max_degree, False), gens_1, order,
                       max_degree)
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
@@ -691,9 +637,12 @@ def module_buchberger(
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
 ) -> ModuleGroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by gens.
+    """Reduced Groebner basis of the submodule generated by gens, by the
+    signature loop (`_signature_entries`), with the cofactors of each basis
+    element over gens in source_cofactors.
 
-    Zero generators are dropped; an all-zero input yields the empty basis.
+    Deterministic, as `buchberger`.  Zero generators are dropped and keep
+    a zero cofactor column; an all-zero input yields the empty basis.
     """
     gens = list(gens)
     if not gens:
@@ -704,9 +653,7 @@ def module_buchberger(
         raise ValueError("mixed ranks in generator list")
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("mixed contexts in generator list")
-    if all(g.is_zero() for g in gens):
-        return ModuleGroebnerBasis((), order, rank, True, tuple(gens), ())
-    entries = _packed(lambda pk: _buchberger_entries(gens, pk, max_degree), gens, order,
+    entries = _packed(lambda pk: _signature_entries(gens, pk, max_degree, True), gens, order,
                       max_degree)
     return ModuleGroebnerBasis(
         generators=tuple(e.elem for e in entries),

@@ -78,10 +78,10 @@ def is_isolated(f: Polynomial, max_degree: int | None = None) -> bool:
     return milnor_number(f, max_degree=max_degree) != INFINITE
 
 
-def qc_subspace(f: Polynomial | Singularity, max_degree: int | None = None) -> list[tuple]:
+def qc_subspace(f: Polynomial | Singularity) -> list[tuple]:
     """Monomial basis of the canonical complement W of the Jacobian ideal;
     f is a Polynomial or a Singularity."""
-    return list(Singularity.of(f, max_degree).isolated_jacobian().w_basis)
+    return list(Singularity.of(f).isolated_jacobian().w_basis)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class Singularity:
     Owner of the data derived from the Jacobian ideal of f: its
     JacobianData is computed on first use, once, under the degree guard
     max_degree given here.  The unfolding functions accept a Singularity
-    in place of f and hand it on, so one top-level call computes it once.
+    in place of f and hand it on, so one top-level call computes it once;
+    this is the only place they take a degree guard from.
     """
 
     f: Polynomial
@@ -102,17 +103,9 @@ class Singularity:
         _require_nonconstant(self.f)
 
     @classmethod
-    def of(cls, f, max_degree: int | None = None) -> "Singularity":
-        """f itself when it is a Singularity, else Singularity(f, max_degree);
-        a Singularity built under another max_degree than a given one is a
-        ValueError, never silently overridden."""
-        if not isinstance(f, Singularity):
-            return cls(f, max_degree)
-        if max_degree is not None and max_degree != f.max_degree:
-            raise ValueError(
-                f"max_degree {max_degree} conflicts with the Singularity's {f.max_degree}"
-            )
-        return f
+    def of(cls, f) -> "Singularity":
+        """f itself when it is a Singularity, else Singularity(f), unguarded."""
+        return f if isinstance(f, Singularity) else cls(f)
 
     @property
     def ctx(self) -> RingContext:

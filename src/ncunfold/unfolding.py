@@ -14,6 +14,8 @@ turns the first equation into a module-preimage problem.
 The functions that need the Jacobian ideal take f as a Polynomial or as a
 ``Singularity``, which owns the degree guard max_degree and the Jacobian
 data, and hand that one Singularity on, so a call computes the data once.
+A guarded computation passes ``Singularity(f, max_degree)``; a Polynomial f
+runs unguarded.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ def _wedge_degree_of(z: GElement) -> int:
     return degs.pop()
 
 
-def koszul_lift(
-    f: Polynomial | Singularity, z: GElement, max_degree: int | None = None
-) -> GElement:
+def koszul_lift(f: Polynomial | Singularity, z: GElement) -> GElement:
     """T with [f, T] == z, for a cycle z of wedge degree >= 1; f is a
     Polynomial or a Singularity.
 
@@ -68,7 +68,7 @@ def koszul_lift(
     NotACycle when [f, z] != 0.  For isolated f and a cycle z the lift
     always exists; the result is verified before returning.
     """
-    sing = Singularity.of(f, max_degree)
+    sing = Singularity.of(f)
     f, ctx = sing.f, sing.ctx
     if not z.is_polyvector():
         raise ValueError("lift input must be eps-free")
@@ -95,14 +95,12 @@ def koszul_lift(
     return lift
 
 
-def qc_normalize(
-    f: Polynomial | Singularity, p: Polynomial, max_degree: int | None = None
-) -> Polynomial:
+def qc_normalize(f: Polynomial | Singularity, p: Polynomial) -> Polynomial:
     """The W-part of p: its normal form modulo the Jacobian ideal, supported
     on W, with p - W-part in the ideal; f is a Polynomial or a Singularity.
     Idempotent on W-supported inputs.  `ideal_membership(p - W-part,
     partials)` expresses the rest over the partials."""
-    sing = Singularity.of(f, max_degree)
+    sing = Singularity.of(f)
     return normal_form(p, sing.isolated_jacobian().gb, sing.max_degree).remainder
 
 
@@ -141,9 +139,7 @@ def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
     return violations
 
 
-def qc_validate(
-    f: Polynomial | Singularity, p: Polynomial, s: GElement, max_degree: int | None = None
-):
+def qc_validate(f: Polynomial | Singularity, p: Polynomial, s: GElement):
     """QuasiClassicalDatum on success, else the list of violations; f is a
     Polynomial or a Singularity.
 
@@ -151,7 +147,7 @@ def qc_validate(
     once to T with [f, T] = S (this always succeeds for a valid datum), and
     S_2 = -[p, T] satisfies [f, S_2] = [p, S] by the Jacobi identity; both
     identities are verified."""
-    sing = Singularity.of(f, max_degree)
+    sing = Singularity.of(f)
     f = sing.f
     sing.isolated_jacobian()
     violations = _qc_violations(f, s)
@@ -335,9 +331,7 @@ def _witness_form(f: Polynomial, p_coeffs: list, t1: GElement, order):
     return sol, _mc_report(f, sol, check_witness=False)
 
 
-def quantize_n3(
-    f: Polynomial | Singularity, p1: Polynomial, s1: GElement, max_degree: int | None = None
-) -> MCSolution:
+def quantize_n3(f: Polynomial | Singularity, p1: Polynomial, s1: GElement) -> MCSolution:
     """Exact quantization of a valid quasiclassical datum for n = 3; f is a
     Polynomial or a Singularity.
 
@@ -347,7 +341,7 @@ def quantize_n3(
     [T, [f - p, T]] is a four-vector.  The residual is verified to be
     identically zero.
     """
-    sing = Singularity.of(f, max_degree)
+    sing = Singularity.of(f)
     if sing.ctx.n != 3:
         raise ValueError("quantize_n3 requires exactly three variables")
     datum = qc_validate(sing, p1, s1)
@@ -366,7 +360,6 @@ def quantize_general(
     s1: GElement,
     max_order: int = 8,
     p_higher=None,
-    max_degree: int | None = None,
 ):
     """Order-by-order extension probe for arbitrary n; f is a Polynomial or
     a Singularity.
@@ -378,7 +371,7 @@ def quantize_general(
     obstruction.  Higher p-coefficients default to zero but may be
     supplied by the caller.  Returns MCSolution or ObstructionReport.
     """
-    sing = Singularity.of(f, max_degree)
+    sing = Singularity.of(f)
     f, ctx = sing.f, sing.ctx
     sing.isolated_jacobian()
     violations = _qc_violations(f, s1)

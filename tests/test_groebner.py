@@ -170,7 +170,7 @@ def test_reduced_basis_interreduction_property():
 
 def _rank_one(gens, order=GREVLEX, max_degree=None):
     """module_buchberger on the rank-1 columns gens: the ideal basis with
-    its cofactors over gens, by the classic loop."""
+    its cofactors over gens, by the signature loop carrying cofactors."""
     return module_buchberger([ModuleElement((g,)) for g in gens], order, max_degree)
 
 
@@ -515,9 +515,9 @@ GUARD_MESSAGE = "intermediate degree exceeded the limit 5"
 
 
 def _guarded_basis(gens, order, max_degree, cofactors):
-    """The ideal basis of gens under max_degree: with cofactors from the
-    classic loop (module_buchberger on the rank-1 columns), else from
-    buchberger."""
+    """The ideal basis of gens under max_degree: from the cofactor-carrying
+    run (module_buchberger on the rank-1 columns) when cofactors is set,
+    else from the cofactor-free run (buchberger)."""
     if cofactors:
         return [g.components[0] for g in _rank_one(gens, order, max_degree).generators]
     return list(buchberger(gens, order, max_degree).generators)
@@ -529,6 +529,9 @@ def test_degree_guard_below_input_degree(cofactors):
     gens = [x ** 6 + y, y ** 2]  # x^6 + y is already a basis element's lead
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
         _guarded_basis(gens, GREVLEX, 5, cofactors)
+    # x^6 is redundant and dropped unreduced, yet its degree is guarded too
+    with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
+        _guarded_basis([x ** 6, x], GREVLEX, 5, cofactors)
     with pytest.raises(DegreeGuardExceeded, match=GUARD_MESSAGE):
         normal_form(x ** 6, buchberger([y]), max_degree=5)
     assert len(_guarded_basis(gens, GREVLEX, 6, cofactors)) == 2
@@ -640,8 +643,8 @@ class LoopCounter:
 def _signature_draw(rng):
     """Three or four generators of degree at most 3 with two or three
     terms, in two or three variables, now and then with a zero generator
-    or a copy or multiple of another one added.  (Denser cubics in three
-    variables can keep the classic loop busy for minutes under lex.)"""
+    or a copy or multiple of another one added.  (Small, so that the
+    naive oracle, which every draw is checked against, stays quick.)"""
     ctx = rng.choice([CTX2, CTX3])
     gens = [_proper_poly(rng, ctx, 3, rng.randint(2, 3)) for _ in range(rng.randint(3, 4))]
     roll = rng.random()
@@ -654,9 +657,9 @@ def _signature_draw(rng):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_signature_basis_matches_classic_and_naive(order, monkeypatch):
-    """The signature loop (buchberger), the classic loop (module_buchberger
-    on the rank-1 columns) and the textbook algorithm give the same reduced
-    basis on 150 random ideals per order.  The draw reaches reductions to
+    """The cofactor-free signature loop (buchberger), the cofactor-carrying
+    run (module_buchberger on the rank-1 columns) and the textbook
+    algorithm give the same reduced basis on 150 random ideals per order.  The draw reaches reductions to
     zero in the signature loop and singular-top-reducible results, which
     it keeps."""
     rng = random.Random(8080 if order is GREVLEX else 8081)
@@ -668,12 +671,12 @@ def test_signature_basis_matches_classic_and_naive(order, monkeypatch):
             continue
         checked += 1
         want = naive_buchberger(gens, order.kind)
-        classic = _rank_one(gens, order)
+        carried = _rank_one(gens, order)
         with monkeypatch.context() as m:
             counter.install(m)
             signature = buchberger(gens, order)
         assert [oracle_vector(g) for g in signature.generators] == want
-        assert list(signature.generators) == [g.components[0] for g in classic.generators]
+        assert list(signature.generators) == [g.components[0] for g in carried.generators]
     assert counter.to_zero >= 1
     assert counter.singular >= 1
 
@@ -724,22 +727,45 @@ def test_dense_jacobian_has_no_reduction_to_zero(n, d, monkeypatch):
 
 
 def test_dense_jacobian_under_lex():
-    """Under lex the classic loop took tens of seconds on this f."""
+    """Under lex a Buchberger loop with the product and chain criteria took
+    tens of seconds on this f; the signature loop takes a fraction of one."""
     f = _dense(random.Random(1), 2, 6)
     start = time.perf_counter()
     assert jacobian(f, LEX).milnor == jacobian(f).milnor == 25
     assert time.perf_counter() - start < 5
 
 
+FOUR_SMALL = ("1/2*x*z^2 - x*y*z + 4*x*y^2", "y^2*z - 3*x*y - 2*y",
+              "-x*z^2 + 3*x*z + z + 2/3*y", "y^2*z + 1/3*x^2*z - 3*x^2")
+
+
 def test_lex_basis_of_four_small_generators():
-    """The classic loop did not finish on these four generators under lex
-    in 250 s; the signature loop, which every ideal basis runs, takes a
-    fraction of a second."""
-    texts = ("1/2*x*z^2 - x*y*z + 4*x*y^2", "y^2*z - 3*x*y - 2*y",
-             "-x*z^2 + 3*x*z + z + 2/3*y", "y^2*z + 1/3*x^2*z - 3*x^2")
-    gens = [parse_polynomial(t, CTX3) for t in texts]
+    """A Buchberger loop with the product and chain criteria did not finish
+    on these four generators under lex in 250 s; the signature loop, which
+    every basis runs, takes a fraction of a second."""
+    gens = [parse_polynomial(t, CTX3) for t in FOUR_SMALL]
     start = time.perf_counter()
     gb = buchberger(gens, LEX)
     assert time.perf_counter() - start < 10
     x, y, z = xyz()
     assert set(gb.generators) == {x ** 2, y, z}
+
+
+def test_lex_module_basis_and_membership_of_four_small_generators():
+    """The same four generators as rank-1 columns, whose basis carries
+    cofactors: the module basis and a membership certificate under lex
+    each take well under the bound, where the loop with the product and
+    chain criteria gave no result within 20 s."""
+    gens = [parse_polynomial(t, CTX3) for t in FOUR_SMALL]
+    x, y, z = xyz()
+    start = time.perf_counter()
+    gb = _rank_one(gens, LEX)
+    assert time.perf_counter() - start < 10
+    assert {g.components[0] for g in gb.generators} == {x ** 2, y, z}
+    for g, row in zip(gb.generators, gb.source_cofactors):
+        assert sum((c * s for c, s in zip(row, gens)), Polynomial.zero(CTX3)) == g.components[0]
+    p = gens[0] * gens[3]
+    start = time.perf_counter()
+    cofactors = ideal_membership(p, gens, LEX)
+    assert time.perf_counter() - start < 10
+    assert sum((c * s for c, s in zip(cofactors, gens)), Polynomial.zero(CTX3)) == p

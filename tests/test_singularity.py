@@ -105,9 +105,7 @@ def test_singularity_wrapper():
     assert s.is_isolated()
     assert s.jacobian() is s.isolated_jacobian()  # computed once, then kept
     assert s.jacobian() == jacobian(a_k(2))
-    assert Singularity.of(s) is s and Singularity.of(s, None) is s
-    with pytest.raises(ValueError, match="conflicts"):
-        Singularity.of(s, 8)
+    assert Singularity.of(s) is s
 
 
 def test_singularity_owns_the_degree_guard():

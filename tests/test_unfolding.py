@@ -542,43 +542,18 @@ def test_quantize_n3_lifts_s_once(monkeypatch):
         assert sol.witness.coeffs[1] == lift
 
 
-@pytest.mark.parametrize("through", ["argument", "singularity"])
-def test_degree_guard_reaches_lift_and_normal_form(through):
+def test_degree_guard_reaches_lift_and_normal_form():
+    """The guard of a Singularity reaches the module basis of the lift and
+    the normal form of p; f itself runs unguarded."""
     f = a_k(1)  # partials of degree 1: the Jacobian basis itself passes a guard of 1
     assert Singularity(f, max_degree=1).milnor_number() == 1
     z = ad_f(f, g("x^2*D(1,2,3)"))
     p = parse_polynomial("x^2", CTX3)
-    assert koszul_lift(f, z, max_degree=64) == g("x^2*D(1,2,3)")
-    assert qc_normalize(f, p, max_degree=64).is_zero()
-
-    def call(fn, arg):
-        if through == "argument":
-            return fn(f, arg, max_degree=1)
-        return fn(Singularity(f, max_degree=1), arg)
-
+    assert koszul_lift(f, z) == g("x^2*D(1,2,3)")
+    assert qc_normalize(f, p).is_zero()
+    assert koszul_lift(Singularity(f, max_degree=64), z) == g("x^2*D(1,2,3)")
+    assert qc_normalize(Singularity(f, max_degree=64), p).is_zero()
     with pytest.raises(DegreeGuardExceeded):
-        call(koszul_lift, z)
+        koszul_lift(Singularity(f, max_degree=1), z)
     with pytest.raises(DegreeGuardExceeded):
-        call(qc_normalize, p)
-
-
-def test_singularity_with_conflicting_max_degree_rejected():
-    f = a_k(1)
-    sing = Singularity(f, max_degree=10)
-    z = ad_f(f, g("D(1,2,3)"))
-    one = Polynomial.one(CTX3)
-    calls = [
-        lambda m: koszul_lift(sing, z, max_degree=m),
-        lambda m: qc_normalize(sing, one, max_degree=m),
-        lambda m: qc_validate(sing, one, z, max_degree=m),
-        lambda m: quantize_n3(sing, one, z, max_degree=m),
-        lambda m: quantize_general(sing, one, z, max_order=2, max_degree=m),
-        lambda m: qc_subspace(sing, max_degree=m),
-    ]
-    for fn in calls:
-        with pytest.raises(ValueError, match="conflicts"):
-            fn(5)
-        fn(10)  # the same guard is no conflict
-        fn(None)  # nor is leaving it out
-    with pytest.raises(ValueError, match="conflicts"):
-        koszul_lift(Singularity(f), z, max_degree=5)
+        qc_normalize(Singularity(f, max_degree=1), p)
