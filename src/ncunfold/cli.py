@@ -37,7 +37,7 @@ from .parsing import (
     parse_poly_series,
     parse_series,
 )
-from .poly import RingContext
+from .poly import INFINITE, RingContext
 from .polyvector import schouten_bracket
 from .singularity import Singularity, jacobian, monicize, qc_subspace
 from .unfolding import (
@@ -172,11 +172,13 @@ def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
         raise ValueError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Print the JSON payload or the text, each given as a zero-argument
+    callable: only the form that --format asks for is built."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _mono_strs(ctx, exps_list):
@@ -193,6 +195,21 @@ def _solution_text(sol: MCSolution) -> str:
     return "\n".join(lines)
 
 
+def _report_text(report) -> str:
+    lines = [f"ok: {report.ok}"]
+    for o in report.orders:
+        if o.is_zero():
+            continue
+        lines.append(
+            f"h^{o.h_power}: [f-p,S] = {format_gelement(o.bracket_f_minus_p_s)}; "
+            f"[S,S] = {format_gelement(o.poisson_square)}; "
+            f"residual = {format_gelement(o.residual)}"
+        )
+    if len(lines) == 1:
+        lines.append("all residuals zero through the requested order")
+    return "\n".join(lines)
+
+
 def _run(args) -> int:
     ctx = _ctx(args)
     guard = args.max_degree
@@ -200,54 +217,48 @@ def _run(args) -> int:
     if args.command == "milnor":
         f = parse_polynomial(args.f, ctx)
         data = jacobian(f, _monomial_order(args), guard)
-        _emit(args, {"milnor": data.milnor}, f"milnor: {data.milnor}")
+        _emit(args, lambda: {"milnor": data.milnor}, lambda: f"milnor: {data.milnor}")
         return 0
 
     if args.command == "jacobian":
         f = parse_polynomial(args.f, ctx)
         data = jacobian(f, _monomial_order(args), guard)
-        payload = data.report()
-        text = "\n".join(
-            [
-                f"milnor: {data.milnor}",
-                f"isolated: {payload['isolated']}",
-                "w_basis: " + ", ".join(_mono_strs(ctx, payload["w_basis"])),
-            ]
-        )
-        _emit(args, payload, text)
+        _emit(args, data.report, lambda: (
+            f"milnor: {data.milnor}\nisolated: {data.milnor != INFINITE}\n"
+            "w_basis: " + ", ".join(_mono_strs(ctx, data.w_basis))
+        ))
         return 0
 
     if args.command == "qc-subspace":
         f = parse_polynomial(args.f, ctx)
         basis = qc_subspace(Singularity(f, guard))
-        payload = {"w_basis": [list(e) for e in basis]}
-        _emit(args, payload, "w_basis: " + ", ".join(_mono_strs(ctx, basis)))
+        _emit(args, lambda: {"w_basis": [list(e) for e in basis]},
+              lambda: "w_basis: " + ", ".join(_mono_strs(ctx, basis)))
         return 0
 
     if args.command == "monicize":
         f = parse_polynomial(args.f, ctx)
         sigma, image = monicize(f)
-        payload = {
+        _emit(args, lambda: {
             "images": [im.to_json() for im in sigma.images],
             "result": image.to_json(),
             "xn_degree": image.degree_in(ctx.n),
-        }
-        text = f"substitution: {sigma}\nresult: {image}"
-        _emit(args, payload, text)
+        }, lambda: f"substitution: {sigma}\nresult: {image}")
         return 0
 
     if args.command == "schouten":
         x = parse_gelement(args.X, ctx)
         y = parse_gelement(args.Y, ctx)
         out = schouten_bracket(x, y)
-        _emit(args, {"bracket": out.to_json()}, f"[X, Y] = {format_gelement(out)}")
+        _emit(args, lambda: {"bracket": out.to_json()},
+              lambda: f"[X, Y] = {format_gelement(out)}")
         return 0
 
     if args.command == "koszul-lift":
         f = parse_polynomial(args.f, ctx)
         z = parse_gelement(args.S, ctx)
         lift = koszul_lift(Singularity(f, guard), z)
-        _emit(args, {"lift": lift.to_json()}, f"T = {format_gelement(lift)}")
+        _emit(args, lambda: {"lift": lift.to_json()}, lambda: f"T = {format_gelement(lift)}")
         return 0
 
     if args.command == "qc-check":
@@ -256,19 +267,16 @@ def _run(args) -> int:
         s = parse_gelement(args.S, ctx)
         result = qc_validate(Singularity(f, guard), p, s)
         if isinstance(result, list):
-            payload = {
+            _emit(args, lambda: {
                 "valid": False,
                 "violations": [{"kind": v.kind, "message": v.message} for v in result],
-            }
-            text = "invalid:\n" + "\n".join(f"  {v.kind}: {v.message}" for v in result)
-            _emit(args, payload, text)
+            }, lambda: "invalid:\n" + "\n".join(f"  {v.kind}: {v.message}" for v in result))
             return VALIDATION_ERROR
-        payload = {
+        _emit(args, lambda: {
             "valid": True,
             "p_normal": result.p_normal.to_json(),
             "S": result.s.to_json(),
-        }
-        _emit(args, payload, f"valid\np_normal: {result.p_normal}")
+        }, lambda: f"valid\np_normal: {result.p_normal}")
         return 0
 
     if args.command == "qc-normalize":
@@ -278,14 +286,10 @@ def _run(args) -> int:
         w_part = qc_normalize(sing, p)
         # W's terms are standard and never reduce: these are the cofactors of p
         cofactors = ideal_membership(p - w_part, sing.jacobian().partials, GREVLEX, guard)
-        payload = {
+        _emit(args, lambda: {
             "w_part": w_part.to_json(),
             "cofactors": [c.to_json() for c in cofactors],
-        }
-        text = "w_part: {}\ncofactors: {}".format(
-            w_part, ", ".join(str(c) for c in cofactors)
-        )
-        _emit(args, payload, text)
+        }, lambda: f"w_part: {w_part}\ncofactors: " + ", ".join(map(str, cofactors)))
         return 0
 
     if args.command == "quantize":
@@ -296,23 +300,21 @@ def _run(args) -> int:
         if args.general:
             result = quantize_general(sing, p, s, args.order)
             if isinstance(result, ObstructionReport):
-                payload = {
+                _emit(args, lambda: {
                     "obstruction": {
                         "failing_order": result.failing_order,
                         "kind": result.kind,
                         "element": result.obstruction.to_json(),
                     }
-                }
-                text = (
+                }, lambda: (
                     f"obstructed at h^{result.failing_order} ({result.kind}): "
                     f"{format_gelement(result.obstruction)}"
-                )
-                _emit(args, payload, text)
+                ))
                 return VALIDATION_ERROR
             sol = result
         else:
             sol = quantize_n3(sing, p, s)
-        _emit(args, sol.to_json(), _solution_text(sol))
+        _emit(args, sol.to_json, lambda: _solution_text(sol))
         return 0
 
     if args.command == "mc-verify":
@@ -322,26 +324,14 @@ def _run(args) -> int:
         witness = parse_series(args.T, ctx, args.order) if args.T else None
         sol = MCSolution(args.order, p_series, s_series, witness)
         report = mc_verify(f, sol)
-        payload = report.to_json()
-        lines = [f"ok: {report.ok}"]
-        for o in report.orders:
-            if o.is_zero():
-                continue
-            lines.append(
-                f"h^{o.h_power}: [f-p,S] = {format_gelement(o.bracket_f_minus_p_s)}; "
-                f"[S,S] = {format_gelement(o.poisson_square)}; "
-                f"residual = {format_gelement(o.residual)}"
-            )
-        if len(lines) == 1:
-            lines.append("all residuals zero through the requested order")
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, report.to_json, lambda: _report_text(report))
         return 0 if report.ok else VALIDATION_ERROR
 
     if args.command in ("hh-cup", "hh-bracket"):
         p = _cochain(ctx, json.loads(args.P))
         q = _cochain(ctx, json.loads(args.Q))
         out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
-        _emit(args, out.to_json(), str(out))
+        _emit(args, out.to_json, lambda: str(out))
         return 0
 
     if args.command == "hh-brace":
@@ -351,19 +341,19 @@ def _run(args) -> int:
             raise ValueError("--Qs must be a JSON list of cochains")
         qs = [_cochain(ctx, item) for item in qs]
         out = brace(p, qs)
-        _emit(args, out.to_json(), str(out))
+        _emit(args, out.to_json, lambda: str(out))
         return 0
 
     if args.command == "hh-d":
         p = _cochain(ctx, json.loads(args.P))
         out = hochschild_differential(p)
-        _emit(args, out.to_json(), str(out))
+        _emit(args, out.to_json, lambda: str(out))
         return 0
 
     if args.command == "hkr":
         x = parse_gelement(args.X, ctx)
         out = hkr(x)
-        _emit(args, out.to_json(), str(out))
+        _emit(args, out.to_json, lambda: str(out))
         return 0
 
     raise _UsageError(f"unknown command {args.command!r}")

@@ -149,7 +149,7 @@ class PolyDiffOperator:
             return f"0 (arity {self.arity})"
         parts = []
         for alphas, coeff in self.sorted_terms():
-            ds = ";".join(",".join(str(a) for a in alpha) for alpha in alphas)
+            ds = ";".join(",".join(map(str, alpha)) for alpha in alphas)
             parts.append(f"({coeff})*d[{ds}]")
         return " + ".join(parts)
 

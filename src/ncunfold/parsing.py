@@ -20,13 +20,12 @@ term is accepted so that formatted output always re-parses.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
-from .poly import HSeries, Polynomial, RingContext, accumulate
-from .polyvector import GElement
+from .poly import HSeries, Polynomial, RingContext, accumulate, from_ints
+from .polyvector import GElement, _merge_sign
 
 _SYMBOLS = set("+-*^(),/")
+_SCALAR = (0, 0, 0)  # the value key of h^0 eps^0 with no odd generator
 
 
 class _Token:
@@ -71,21 +70,33 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent into h-graded GElement values: dict h-power -> GElement."""
+    """Recursive descent that evaluates straight into polynomial terms.
 
-    def __init__(self, text: str, ctx: RingContext, allow_wedge: bool, allow_h: bool):
+    A value is a dict {(h power, eps power, odd mask): Polynomial} with no
+    zero coefficient; a literal, a variable, ``E``, ``h`` and ``D(...)``
+    each give one entry.  Products multiply the coefficients and add the
+    keys, taking the wedge sign (`_merge_sign`) only when both masks are
+    nonzero, so a plain polynomial never meets the graded algebra.  `h` is
+    accepted only with an ``h_order``, and products above h^h_order are
+    dropped as they form: the series is truncated there.  The entry points
+    assemble the Polynomial, GElement or HSeries they return from the
+    finished value.
+    """
+
+    def __init__(self, text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None):
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_wedge = allow_wedge
-        self.allow_h = allow_h
+        self.allow_h = h_order is not None
+        self.h_order = h_order or 0
 
-    # h-polynomial helpers ---------------------------------------------------
+    # value helpers ----------------------------------------------------------
 
-    def _const(self, q: Fraction):
-        if q == 0:
+    def _const(self, num: int, den: int = 1):
+        if num == 0:
             return {}
-        return {0: GElement.from_polynomial(Polynomial.constant(self.ctx, q))}
+        return {_SCALAR: from_ints(self.ctx, {(0,) * self.ctx.n: num}, den)}
 
     def _add(self, a, b):
         out = dict(a)
@@ -98,17 +109,23 @@ class _Parser:
 
     def _mul(self, a, b):
         out = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                prod = va * vb
-                if prod.is_zero():
+        for (h1, e1, m1), c1 in a.items():
+            for (h2, e2, m2), c2 in b.items():
+                h = h1 + h2
+                if h > self.h_order:
                     continue
-                k = ka + kb
-                accumulate(out, k, prod)
+                if m1 and m2:
+                    sign = _merge_sign(m1, m2)
+                    if sign == 0:
+                        continue
+                    prod = c1 * c2 if sign > 0 else -(c1 * c2)
+                else:
+                    prod = c1 * c2
+                accumulate(out, (h, e1 + e2, m1 | m2), prod)
         return out
 
     def _pow(self, a, e: int):
-        result = self._const(Fraction(1))
+        result = self._const(1)
         base = a
         while e:
             if e & 1:
@@ -182,8 +199,8 @@ class _Parser:
                 den_tok = self.expect("NUM", "denominator")
                 if den_tok.value == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return self._const(Fraction(num, den_tok.value))
-            return self._const(Fraction(num))
+                return self._const(num, den_tok.value)
+            return self._const(num)
         if tok.kind == "(":
             self.advance()
             value = self.expr()
@@ -198,22 +215,23 @@ class _Parser:
         if text == "E":
             if not self.allow_wedge:
                 raise ParseError("'E' is not allowed in this context", tok.pos)
-            return {0: GElement.eps(self.ctx)}
+            return {(0, 1, 0): Polynomial.one(self.ctx)}
         if text == "h":
             if not self.allow_h:
                 raise ParseError("'h' is not allowed in this context", tok.pos)
-            return {1: GElement.from_polynomial(Polynomial.one(self.ctx))}
+            return {(1, 0, 0): Polynomial.one(self.ctx)}
         if text == "D":
             if not self.allow_wedge:
                 raise ParseError("'D(...)' is not allowed in this context", tok.pos)
-            return {0: self.wedge(tok)}
+            return self.wedge()
         try:
             i = self.ctx.index_of(text)
         except KeyError:
             raise ParseError(f"unknown variable {text!r}", tok.pos) from None
-        return {0: GElement.from_polynomial(Polynomial.variable(self.ctx, i))}
+        return {_SCALAR: Polynomial.variable(self.ctx, i)}
 
-    def wedge(self, d_tok: _Token) -> GElement:
+    def wedge(self):
+        """D(i_1, ..., i_k): the sorted wedge, signed by the permutation."""
         self.expect("(", "'(' after D")
         indices = []
         while True:
@@ -231,51 +249,48 @@ class _Parser:
                 continue
             self.expect(")", "')' or ','")
             break
-        acc = GElement.from_polynomial(Polynomial.one(self.ctx))
+        sign, mask = 1, 0
         for i in indices:
-            acc = acc * GElement.gen(self.ctx, i)
-        return acc
+            bit = 1 << (i - 1)
+            sign *= _merge_sign(mask, bit)
+            mask |= bit
+        one = Polynomial.one(self.ctx)
+        return {(0, 0, mask): one if sign > 0 else -one}
 
 
-def _run(text: str, ctx: RingContext, allow_wedge: bool, allow_h: bool):
-    return _Parser(text, ctx, allow_wedge, allow_h).parse()
+def _run(text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None = None):
+    return _Parser(text, ctx, allow_wedge, h_order).parse()
 
 
 def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
     """Parse a plain polynomial; E, D(...) and h are rejected."""
-    value = _run(text, ctx, allow_wedge=False, allow_h=False)
-    acc = Polynomial.zero(ctx)
-    for _, g in value.items():
-        acc = acc + g.polynomial_part()
-    return acc
+    value = _run(text, ctx, allow_wedge=False)
+    return value.get(_SCALAR) or Polynomial.zero(ctx)
 
 
 def parse_gelement(text: str, ctx: RingContext) -> GElement:
     """Parse a polyvector/graded element; h is rejected."""
-    value = _run(text, ctx, allow_wedge=True, allow_h=False)
-    acc = GElement.zero(ctx)
-    for _, g in value.items():
-        acc = acc + g
-    return acc
+    value = _run(text, ctx, allow_wedge=True)
+    return GElement(ctx, {(e, m): c for (_, e, m), c in value.items()})
 
 
 def parse_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
     """Parse an h-series of graded elements, truncated at the given order."""
-    value = _run(text, ctx, allow_wedge=True, allow_h=True)
-    coeffs = [GElement.zero(ctx) for _ in range(order + 1)]
-    for k, g in value.items():
+    value = _run(text, ctx, allow_wedge=True, h_order=order)
+    terms = [{} for _ in range(order + 1)]
+    for (k, e, m), c in value.items():
         if k <= order:
-            coeffs[k] = coeffs[k] + g
-    return HSeries(coeffs, order)
+            terms[k][(e, m)] = c
+    return HSeries([GElement(ctx, t) for t in terms], order)
 
 
 def parse_poly_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
     """Parse an h-series of plain polynomials, truncated at the given order."""
-    value = _run(text, ctx, allow_wedge=False, allow_h=True)
-    coeffs = [Polynomial.zero(ctx) for _ in range(order + 1)]
-    for k, g in value.items():
+    value = _run(text, ctx, allow_wedge=False, h_order=order)
+    coeffs = [Polynomial.zero(ctx)] * (order + 1)
+    for (k, _, _), c in value.items():
         if k <= order:
-            coeffs[k] = coeffs[k] + g.polynomial_part()
+            coeffs[k] = c
     return HSeries(coeffs, order)
 
 
@@ -284,6 +299,9 @@ def format_gelement(x: GElement) -> str:
 
 
 def format_series(s: HSeries) -> str:
+    """The series as parse_series input: a coefficient of several terms is
+    parenthesized, and a later one-term coefficient with a minus sign is
+    joined with ``-`` (the grammar has no ``+ -``)."""
     parts = []
     for k, c in enumerate(s.coeffs):
         text = str(c)
@@ -291,5 +309,11 @@ def format_series(s: HSeries) -> str:
             continue
         h = "" if k == 0 else ("h" if k == 1 else f"h^{k}")
         body = f"({text})" if (" " in text and h) else text
-        parts.append(f"{body}*{h}" if h else body)
-    return " + ".join(parts) if parts else "0"
+        term = f"{body}*{h}" if h else body
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(f"+ {term}")
+    return " ".join(parts) if parts else "0"

@@ -12,7 +12,9 @@ numerator, gcd(den, all numerators) = 1, and the zero polynomial is
 rescale once to the lcm of the two denominators; negation, scalar
 products, derivatives and products are integer loops with one gcd pass to
 restore the canonical form.  ``terms`` is a read-only Fraction view, built
-on each read; printing and serialization go through it.
+on each read.  Printing and serialization read ``nums``/``den`` in grevlex
+order and bring each coefficient to lowest terms with one gcd; they build
+no Fraction.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ def grevlex_key(exps: tuple) -> tuple:
     # the monomial with the smaller power of the *earliest* differing
     # variable is the larger one.
     return (sum(exps), tuple(map(neg, exps)))
+
+
+def _magnitude(num: int, den: int) -> str:
+    """|num/den| as printed, for num/den in lowest terms with den > 0."""
+    return str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
 
 
 def lex_key(exps: tuple) -> tuple:
@@ -351,26 +358,31 @@ class Polynomial:
 
     # -- presentation -------------------------------------------------------
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[tuple, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=reverse)
+    def _grevlex_terms(self):
+        """Yield (exps, numerator, denominator) per term, highest in grevlex
+        first, each coefficient in lowest terms: one gcd, no Fraction."""
+        den = self.den
+        for e, c in sorted(self.nums.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+            g = math.gcd(c, den)
+            yield e, c // g, den // g
 
     def __str__(self):
         if not self.nums:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps, num, den in self._grevlex_terms():
             mono = self.ctx.format_monomial(exps)
-            mag = abs(c)
+            mag = _magnitude(num, den)
             if mono == "1":
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self):
@@ -379,8 +391,8 @@ class Polynomial:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"exp": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
-                for exps, c in self.sorted_terms()
+                {"exp": list(exps), "num": str(num), "den": str(den)}
+                for exps, num, den in self._grevlex_terms()
             ]
         }
 

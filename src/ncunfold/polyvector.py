@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatch
-from .poly import HSeries, Polynomial, RingContext, accumulate
+from .poly import HSeries, Polynomial, RingContext, _magnitude, accumulate
 
 
 def _popcount(m: int) -> int:
@@ -264,15 +264,16 @@ class GElement:
             if mask:
                 tail.append("D(" + ",".join(str(i) for i in bits_of(mask)) + ")")
             sign = "+"
-            if len(coeff.terms) == 1:
-                (exps, c), = coeff.terms.items()
+            if len(coeff.nums) == 1:
+                # a canonical one-term coefficient is num/den in lowest terms
+                (exps, num), = coeff.nums.items()
                 mono = self.ctx.format_monomial(exps)
-                mag = abs(c)
-                if c < 0:
+                mag = _magnitude(num, coeff.den)
+                if num < 0:
                     sign = "-"
                 head = []
-                if mag != 1 or (mono == "1" and not tail):
-                    head.append(str(mag))
+                if mag != "1" or (mono == "1" and not tail):
+                    head.append(mag)
                 if mono != "1":
                     head.append(mono)
                 body = "*".join(head + tail) if (head or tail) else "1"

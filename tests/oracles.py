@@ -17,7 +17,12 @@ one symmetric residual; the brace oracle splits each derivative multi-index
 over an inserted term's coefficient and arguments afresh for every term of
 P, over every split, where the library reuses one insertion table per
 inserted operator and multi-index and enumerates only the coefficient's
-degree box.
+degree box; the expression evaluator reads a grammar string into Fraction
+dicts with its own tokenizer, powers by repeated products and wedge signs
+by bubble sort, where the library parser evaluates into integer-numerator
+polynomials with square-and-multiply and bitmask merge signs; the printing
+references read the Fraction view ``terms`` where the library prints from
+integer numerators.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from ncunfold.hochschild import PolyDiffOperator
@@ -633,3 +639,285 @@ def brace_oracle(p, qs):
                     coeff = -coeff
                 accumulate(res, alphas, coeff)
     return PolyDiffOperator(p.ctx, out_arity, res)
+
+
+# ---------------------------------------------------------------------------
+# printing through the Fraction view (the reference for integer printing)
+
+def fraction_poly_str(p: Polynomial) -> str:
+    """str(p) read off the Fraction view `p.terms`, highest grevlex term first."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+        mono = p.ctx.format_monomial(exps)
+        mag = abs(c)
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def fraction_poly_json(p: Polynomial) -> dict:
+    items = sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+    return {
+        "terms": [
+            {"exp": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
+            for exps, c in items
+        ]
+    }
+
+
+def _gelement_items(x: GElement):
+    return sorted(
+        x.terms.items(),
+        key=lambda t: (2 * t[0][0] + bin(t[0][1]).count("1"), t[0][0], t[0][1]),
+    )
+
+
+def fraction_gelement_str(x: GElement) -> str:
+    """str(x) with one-term coefficients read off the Fraction view."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for (e, mask), coeff in _gelement_items(x):
+        tail = []
+        if e == 1:
+            tail.append("E")
+        elif e > 1:
+            tail.append(f"E^{e}")
+        if mask:
+            tail.append("D(" + ",".join(str(i) for i in bits_of(mask)) + ")")
+        sign = "+"
+        if len(coeff.terms) == 1:
+            (exps, c), = coeff.terms.items()
+            mono = x.ctx.format_monomial(exps)
+            mag = abs(c)
+            if c < 0:
+                sign = "-"
+            head = []
+            if mag != 1 or (mono == "1" and not tail):
+                head.append(str(mag))
+            if mono != "1":
+                head.append(mono)
+            body = "*".join(head + tail) if (head or tail) else "1"
+        elif not tail:
+            text = fraction_poly_str(coeff)
+            body = text if not parts else f"({text})"
+        else:
+            body = "*".join([f"({fraction_poly_str(coeff)})"] + tail)
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+def fraction_gelement_json(x: GElement) -> dict:
+    return {
+        "terms": [
+            {"eps": e, "odd": list(bits_of(mask)), "coeff": fraction_poly_json(c)}
+            for (e, mask), c in _gelement_items(x)
+        ]
+    }
+
+
+def fraction_cochain_str(op: PolyDiffOperator) -> str:
+    if not op.terms:
+        return f"0 (arity {op.arity})"
+    parts = []
+    for alphas, coeff in sorted(op.terms.items()):
+        ds = ";".join(",".join(str(a) for a in alpha) for alpha in alphas)
+        parts.append(f"({fraction_poly_str(coeff)})*d[{ds}]")
+    return " + ".join(parts)
+
+
+def fraction_cochain_json(op: PolyDiffOperator) -> dict:
+    return {
+        "arity": op.arity,
+        "terms": [
+            {"coeff": fraction_poly_json(c), "alphas": [list(a) for a in alphas]}
+            for alphas, c in sorted(op.terms.items())
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# expression evaluation without the library parser
+
+_EXPR_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
+
+
+def _odd_product(a: tuple, b: tuple):
+    """(sign, sorted indices) of d_a ^ d_b by bubble sort; (0, None) on a
+    repeated index."""
+    seq = list(a + b)
+    if len(set(seq)) < len(seq):
+        return 0, None
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                sign = -sign
+    return sign, tuple(seq)
+
+
+def _flat_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (h1, e1, o1, x1), c1 in a.items():
+        for (h2, e2, o2, x2), c2 in b.items():
+            sign, odd = _odd_product(o1, o2)
+            if sign:
+                key = (h1 + h2, e1 + e2, odd, tuple(p + q for p, q in zip(x1, x2)))
+                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _flat_add(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def eval_expression(text: str, names) -> dict:
+    """The value of a well-formed grammar string as a flat map
+    {(h power, eps power, odd indices ascending, exps): Fraction}: a
+    Fraction-dict evaluator with its own tokenizer, powers by repeated
+    products, and wedge signs by bubble-sorting the odd indices."""
+    tokens = _EXPR_TOKEN.findall(text)
+    tokens.append("")
+    pos = [0]
+    zero = (0,) * len(names)
+
+    def take():
+        tok = tokens[pos[0]]
+        pos[0] += 1
+        return tok
+
+    def unit(h=0, e=0, odd=(), exps=zero, c=Fraction(1)):
+        return {(h, e, odd, exps): c}
+
+    def expr():
+        sign = 1
+        if tokens[pos[0]] in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+        value = _flat_add({}, term(), sign)
+        while tokens[pos[0]] in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+            value = _flat_add(value, term(), sign)
+        return value
+
+    def term():
+        value = factor()
+        while tokens[pos[0]] == "*":
+            take()
+            value = _flat_mul(value, factor())
+        return value
+
+    def factor():
+        value = base()
+        if tokens[pos[0]] == "^":
+            take()
+            k = int(take())
+            power = unit()
+            for _ in range(k):
+                power = _flat_mul(power, value)
+            value = power
+        return value
+
+    def base():
+        tok = take()
+        if tok.isdigit():
+            q = Fraction(int(tok))
+            if tokens[pos[0]] == "/":
+                take()
+                q /= int(take())
+            return unit(c=q) if q else {}
+        if tok == "(":
+            value = expr()
+            assert take() == ")"
+            return value
+        if tok == "E":
+            return unit(e=1)
+        if tok == "h":
+            return unit(h=1)
+        if tok == "D":
+            assert take() == "("
+            value = unit()
+            while True:
+                value = _flat_mul(value, unit(odd=(int(take()),)))
+                if take() == ")":
+                    return value
+        i = names.index(tok)
+        return unit(exps=zero[:i] + (1,) + zero[i + 1:])
+
+    value = expr()
+    assert tokens[pos[0]] == "", text
+    return value
+
+
+def flat_value(value) -> dict:
+    """A parsed Polynomial, GElement or HSeries as the flat map of
+    `eval_expression`."""
+    series = enumerate(value.coeffs) if isinstance(value, HSeries) else [(0, value)]
+    out = {}
+    for k, c in series:
+        items = [((0, 0), c)] if isinstance(c, Polynomial) else c.terms.items()
+        for (e, mask), p in items:
+            odd = tuple(i + 1 for i in range(p.ctx.n) if mask >> i & 1)
+            for exps, q in p.terms.items():
+                out[(k, e, odd, exps)] = q
+    return out
+
+
+def rand_expression(rng, names, wedge=False, h=False, depth=2) -> str:
+    """A random well-formed grammar string: a signed sum of products of
+    integers, rationals, variables, parenthesized sums and powers, with
+    `E`, `h` and `D(...)` (indices distinct, in random order) where
+    allowed, and random spacing."""
+    n = len(names)
+
+    def atom():
+        kinds = ["int", "rat", "var", "var"]
+        if wedge:
+            kinds += ["E", "D", "D"]
+        if h:
+            kinds += ["h", "h"]
+        if depth > 0:
+            kinds += ["paren"]
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return str(rng.randint(0, 9))
+        if kind == "rat":
+            return f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+        if kind == "var":
+            return rng.choice(names)
+        if kind == "D":
+            idx = rng.sample(range(1, n + 1), rng.randint(1, n))
+            return "D(" + ",".join(map(str, idx)) + ")"
+        if kind == "paren":
+            return "(" + rand_expression(rng, names, wedge, h, depth - 1) + ")"
+        return kind
+
+    def factor():
+        text = atom()
+        if rng.random() < 0.3:
+            text += f"^{rng.randint(0, 3)}"
+        return text
+
+    def term():
+        return rng.choice(["*", " * "]).join(factor() for _ in range(rng.randint(1, 3)))
+
+    out = rng.choice(["", "", "-", "+"]) + term()
+    for _ in range(rng.randint(0, 3)):
+        out += rng.choice([" + ", " - ", "+", "-"]) + term()
+    return out

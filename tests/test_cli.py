@@ -492,3 +492,81 @@ def test_cli_stdout_independent_of_hash_seed():
             assert proc.returncode == 0, (argv, proc.stderr)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
+
+
+def test_quantize_text_reparses_as_mc_verify_input(capsys):
+    """The p and S lines that `quantize` prints are `mc-verify` input: a
+    later one-term coefficient with a minus sign is joined with `-`, which
+    the grammar accepts, and not with `+ -`."""
+    datum = ["--vars", "x,y,z", "--f", "x^6 + z^2 + y^2"]
+    code, out, _ = run(capsys, ["quantize", *datum, "--p=-x^3",
+                                "--S=-2*z^2*D(1,2) + 2*y*z*D(1,3) - 6*x^5*z*D(2,3)"])
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["S"].endswith(")*h - 3*x^2*z*D(2,3)*h^2")
+    code, out, err = run(capsys, ["mc-verify", *datum, f"--p={lines['p']}", f"--S={lines['S']}"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "ok: True"
+
+
+def _printing_argvs():
+    """One corpus argv for each command that exits 0, plus the branches
+    that print on exit 2 (an invalid datum, a nonzero residual and an
+    obstructed --general quantization), each without its --format flag."""
+    argvs = {}
+    for case in json.loads(CORPUS.read_text())["cases"]:
+        argv = case["argv"]
+        key = (argv[0], case["exit"])
+        if case["exit"] == 0 or key in (("qc-check", 2), ("mc-verify", 2)):
+            if "--format" in argv:
+                i = argv.index("--format")
+                argv = argv[:i] + argv[i + 2:]
+            argvs.setdefault(key, argv)
+    ctx4 = RingContext(("x", "y", "z", "w"))
+    f = "x^2+y^2+z^2+w^2"
+    s1 = ad_f(parse_polynomial(f, ctx4), parse_gelement("z*D(1,2,3) + z*D(1,2,4)", ctx4))
+    argvs[("quantize --general", 2)] = ["quantize", "--vars", "x,y,z,w", "--f", f, "--p", "x*y",
+                                        f"--S={s1}", "--general", "--order", "4"]
+    return argvs
+
+
+def test_each_command_builds_only_the_requested_output(capsys, monkeypatch):
+    """In text mode no JSON payload is built, and in JSON mode no text:
+    counted over the to_json methods and the report, and over the __str__
+    methods and the format_* functions."""
+    from ncunfold import cli
+    from ncunfold.hochschild import PolyDiffOperator
+    from ncunfold.poly import Substitution
+    from ncunfold.singularity import JacobianData
+    from ncunfold.unfolding import MCReport
+
+    calls = {"json": 0, "text": 0}
+
+    def count(owner, name, form):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[form] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for cls in (Polynomial, GElement, PolyDiffOperator, MCSolution, MCReport):
+        count(cls, "to_json", "json")
+    count(JacobianData, "report", "json")
+    for cls in (Polynomial, GElement, PolyDiffOperator, Substitution):
+        count(cls, "__str__", "text")
+    for name in ("format_gelement", "format_series"):
+        count(cli, name, "text")
+
+    argvs = _printing_argvs()
+    assert len({command for command, _ in argvs}) == 16  # 15 commands and --general
+    built = {"json": 0, "text": 0}
+    for (command, exit_code), argv in argvs.items():
+        for form, other in (("text", "json"), ("json", "text")):
+            calls.update(json=0, text=0)
+            code, out, _ = run(capsys, argv + ["--format", form])
+            assert (code, out != "") == (exit_code, True), argv
+            assert calls[other] == 0, (form, argv)
+            built[form] += calls[form]
+    assert min(built.values()) > 50

@@ -14,10 +14,23 @@ from ncunfold.parsing import (
     parse_poly_series,
     parse_series,
 )
-from ncunfold.poly import Polynomial, RingContext
+from ncunfold.hochschild import PolyDiffOperator
+from ncunfold.poly import HSeries, Polynomial, RingContext
 from ncunfold.polyvector import GElement
 
-from oracles import rand_gelement, rand_poly
+from oracles import (
+    eval_expression,
+    flat_value,
+    fraction_cochain_json,
+    fraction_cochain_str,
+    fraction_gelement_json,
+    fraction_gelement_str,
+    fraction_poly_json,
+    fraction_poly_str,
+    rand_expression,
+    rand_gelement,
+    rand_poly,
+)
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -149,3 +162,185 @@ def test_power_multiplication_count(monkeypatch):
         calls.clear()
         parse_polynomial(f"(x+y)^{e}", CTX2)
         assert len(calls) == bin(e).count("1") + e.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# the parser against a Fraction-dict evaluator, and error messages
+
+NAMES3 = ("x", "y", "z")
+
+
+@pytest.mark.parametrize(
+    "parse, wedge, h",
+    [
+        (parse_polynomial, False, False),
+        (parse_gelement, True, False),
+        (parse_series, True, True),
+        (parse_poly_series, False, True),
+    ],
+    ids=["polynomial", "gelement", "series", "poly_series"],
+)
+def test_parser_matches_reference_evaluator(parse, wedge, h):
+    rng = random.Random(2718)
+    seen_sign = seen_cancel = 0
+    for _ in range(250):
+        text = rand_expression(rng, NAMES3, wedge=wedge, h=h)
+        want = eval_expression(text, NAMES3)
+        if h:
+            order = rng.randint(1, 5)
+            got = parse(text, CTX3, order)
+            want = {k: c for k, c in want.items() if k[0] <= order}
+        else:
+            got = parse(text, CTX3)
+        assert flat_value(got) == want, text
+        seen_sign += any(c < 0 for c in want.values())
+        seen_cancel += not want
+    # negative coefficients and values that cancel to zero must both occur
+    assert seen_sign >= 50 and seen_cancel >= 3
+
+
+def test_permuted_wedge_indices_against_reference_evaluator():
+    ctx4 = RingContext(("w", "x", "y", "z"))
+    rng = random.Random(1618)
+    for _ in range(100):
+        idx = rng.sample(range(1, 5), rng.randint(1, 4))
+        text = f"{rng.randint(1, 5)}/{rng.randint(1, 5)}*D({','.join(map(str, idx))})*E"
+        got = parse_gelement(text, ctx4)
+        assert flat_value(got) == eval_expression(text, ctx4.names), text
+
+
+# (text, parser, offset, message); the first three are the parse errors of
+# the golden CLI corpus
+PARSE_ERRORS = [
+    ("x^", parse_polynomial, 2, "expected exponent"),
+    ("x^2 + q^3", parse_polynomial, 6, "unknown variable 'q'"),
+    ("D(1,1)", parse_gelement, 4, "repeated index 1"),
+    ("x^^2", parse_polynomial, 2, "expected exponent"),
+    ("1/0", parse_polynomial, 2, "zero denominator"),
+    ("2x", parse_polynomial, 1, "unexpected trailing input"),
+    ("(x + y", parse_polynomial, 6, "expected ')'"),
+    ("E", parse_polynomial, 0, "'E' is not allowed in this context"),
+    ("D(1)", parse_polynomial, 0, "'D(...)' is not allowed in this context"),
+    ("h", parse_gelement, 0, "'h' is not allowed in this context"),
+    ("x $ y", parse_polynomial, 2, "unexpected character '$'"),
+    ("   ", parse_polynomial, 3, "expected a term"),
+    ("3/x", parse_polynomial, 2, "expected denominator"),
+    ("x*", parse_polynomial, 2, "expected a term"),
+    ("--x", parse_polynomial, 1, "expected a term"),
+    ("x^2^3", parse_polynomial, 3, "unexpected trailing input"),
+    ("D(4)", parse_gelement, 2, "index 4 out of range 1..3"),
+    ("D()", parse_gelement, 2, "expected odd generator index"),
+    ("D 1", parse_gelement, 2, "expected '(' after D"),
+    ("D(1 2)", parse_gelement, 4, "expected ')' or ','"),
+    ("D(1,3,1)*h", parse_series, 6, "repeated index 1"),
+    ("x*h^2 + ) ", parse_series, 8, "expected a term"),
+]
+
+
+@pytest.mark.parametrize("text, parse, offset, message", PARSE_ERRORS)
+def test_parse_error_message_and_offset(text, parse, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, CTX3)
+    assert err.value.position == offset
+    assert str(err.value) == f"syntax error at offset {offset}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# printing and parsing round-trip
+
+def _single_term_series(rng, order):
+    """Coefficients of one or several terms with either sign, often zero."""
+    coeffs = []
+    for _ in range(order + 1):
+        kind = rng.randrange(4)
+        if kind == 0:
+            coeffs.append(GElement.zero(CTX3))
+        elif kind == 1:
+            coeffs.append(rand_gelement(rng, CTX3))
+        else:
+            c = rand_poly(rng, CTX3, max_degree=3, n_terms=1, zero_ok=False)
+            coeffs.append(GElement(CTX3, {(rng.randint(0, 1), rng.randrange(8)): c}))
+    return HSeries(coeffs, order)
+
+
+def test_print_parse_roundtrip_on_random_values():
+    rng = random.Random(4669)
+    for _ in range(300):
+        p = rand_poly(rng, CTX3, max_degree=4, n_terms=rng.randint(0, 5))
+        assert parse_polynomial(str(p), CTX3) == p
+    for _ in range(300):
+        x = rand_gelement(rng, CTX3, max_eps=2, n_terms=rng.randint(1, 4))
+        assert parse_gelement(str(x), CTX3) == x
+    minus_joins = 0
+    for _ in range(300):
+        order = rng.randint(1, 5)
+        s = _single_term_series(rng, order)
+        text = format_series(s)
+        assert "+ -" not in text
+        later = [str(c) for c in s.coeffs if not c.is_zero()][1:]
+        minus_joins += any(t.startswith("-") and " " not in t for t in later)
+        assert parse_series(text, CTX3, order) == s, text
+    assert minus_joins >= 30
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator printing against the Fraction-view printing
+
+def _printing_cases(rng):
+    yield Polynomial.zero(CTX3)
+    for q in (Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-5, 6)):
+        yield Polynomial.constant(CTX3, q)
+    for _ in range(300):
+        p = rand_poly(rng, CTX3, max_degree=4, n_terms=rng.randint(1, 5),
+                      coeff=lambda r: Fraction(r.randint(-12, 12), r.choice([1, 1, 2, 3, 4, 6, 9])))
+        yield p
+        yield -p
+
+
+def test_polynomial_printing_matches_fraction_view():
+    rng = random.Random(577)
+    seen_den = seen_negative_lead = 0
+    for p in _printing_cases(rng):
+        assert str(p) == fraction_poly_str(p)
+        assert p.to_json() == fraction_poly_json(p)
+        seen_den += p.den > 1
+        seen_negative_lead += str(p).startswith("-")
+    assert seen_den >= 100 and seen_negative_lead >= 100
+
+
+def test_gelement_and_cochain_printing_matches_fraction_view():
+    rng = random.Random(1729)
+    polys = list(_printing_cases(rng))
+    for _ in range(300):
+        x = GElement.zero(CTX3)
+        for _ in range(rng.randint(0, 4)):
+            x = x + GElement(CTX3, {(rng.randint(0, 2), rng.randrange(8)): rng.choice(polys)})
+        assert str(x) == fraction_gelement_str(x)
+        assert x.to_json() == fraction_gelement_json(x)
+        op = PolyDiffOperator(
+            CTX3, 2,
+            {tuple(tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(2)): rng.choice(polys)
+             for _ in range(rng.randint(0, 3))},
+        )
+        assert str(op) == fraction_cochain_str(op)
+        assert op.to_json() == fraction_cochain_json(op)
+
+
+def test_series_parse_drops_powers_above_the_order(monkeypatch):
+    """Products above h^order are dropped as they form, so no intermediate
+    value holds more h powers than the series keeps."""
+    widest = []
+    mul = _Parser._mul
+
+    def recorded(self, a, b):
+        out = mul(self, a, b)
+        widest.append(len(out))
+        return out
+
+    monkeypatch.setattr(_Parser, "_mul", recorded)
+    s = parse_poly_series("x*h*(1 + h)^300 - h^100000", CTX3, order=2)
+    assert s.coeffs == (Polynomial.zero(CTX3), Polynomial.variable(CTX3, 1),
+                        300 * Polynomial.variable(CTX3, 1))
+    assert max(widest) == 3
+    t = parse_series("(D(1) + h*E)^3*(1 + h)^50", CTX3, order=1)
+    assert t == parse_series("(D(1) + h*E)^3 + 50*h*(D(1) + h*E)^3", CTX3, order=1)
