@@ -20,11 +20,15 @@ term is accepted so that formatted output always re-parses.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .poly import HSeries, Polynomial, RingContext, accumulate, from_ints
 from .polyvector import GElement, _merge_sign
 
 _SYMBOLS = set("+-*^(),/")
+# ASCII only: str.isdigit and str.isalnum also take digits such as "²"
+_WORD_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)")
 _SCALAR = (0, 0, 0)  # the value key of h^0 eps^0 with no odd generator
 
 
@@ -46,25 +50,16 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUM", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
         if ch in _SYMBOLS:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        match = _WORD_RE.match(text, i)
+        if match is None:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        digits, name = match.groups()
+        tokens.append(_Token("NUM", int(digits), i) if digits else _Token("NAME", name, i))
+        i = match.end()
     tokens.append(_Token("EOF", None, n))
     return tokens
 
@@ -277,21 +272,19 @@ def parse_gelement(text: str, ctx: RingContext) -> GElement:
 def parse_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
     """Parse an h-series of graded elements, truncated at the given order."""
     value = _run(text, ctx, allow_wedge=True, h_order=order)
-    terms = [{} for _ in range(order + 1)]
+    terms = {}
     for (k, e, m), c in value.items():
-        if k <= order:
-            terms[k][(e, m)] = c
-    return HSeries([GElement(ctx, t) for t in terms], order)
+        terms.setdefault(k, {})[(e, m)] = c
+    return HSeries.sparse(
+        {k: GElement(ctx, t) for k, t in terms.items()}, order, GElement.zero(ctx)
+    )
 
 
 def parse_poly_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
     """Parse an h-series of plain polynomials, truncated at the given order."""
     value = _run(text, ctx, allow_wedge=False, h_order=order)
-    coeffs = [Polynomial.zero(ctx)] * (order + 1)
-    for (k, _, _), c in value.items():
-        if k <= order:
-            coeffs[k] = c
-    return HSeries(coeffs, order)
+    terms = {k: c for (k, _, _), c in value.items()}
+    return HSeries.sparse(terms, order, Polynomial.zero(ctx))
 
 
 def format_gelement(x: GElement) -> str:
@@ -303,10 +296,8 @@ def format_series(s: HSeries) -> str:
     parenthesized, and a later one-term coefficient with a minus sign is
     joined with ``-`` (the grammar has no ``+ -``)."""
     parts = []
-    for k, c in enumerate(s.coeffs):
+    for k, c in s.terms.items():
         text = str(c)
-        if text == "0":
-            continue
         h = "" if k == 0 else ("h" if k == 1 else f"h^{k}")
         body = f"({text})" if (" " in text and h) else text
         term = f"{body}*{h}" if h else body

@@ -486,14 +486,20 @@ class Substitution:
 class HSeries:
     """Truncated series in the formal parameter h with values in any ring-like V.
 
-    ``coeffs[k]`` is the coefficient of h^k; everything above ``order`` is
-    discarded by arithmetic.  Values must support ``+`` (and ``*`` for
-    products).
+    A series is its nonzero coefficients: ``terms`` maps each power k <=
+    ``order`` whose coefficient is nonzero to that coefficient, in
+    increasing k, and ``zero`` is the zero of the coefficient type.
+    Everything above ``order`` is discarded, at construction and by
+    arithmetic, and every operation visits only ``terms``, so its cost
+    follows the nonzero coefficients, not the order.  ``coeffs`` is the
+    dense view, built on each read.  Values must support ``+`` and
+    ``is_zero`` (and ``*`` for products).
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("terms", "order", "zero")
 
     def __init__(self, coeffs, order: int | None = None):
+        """The series sum coeffs[k] h^k; it needs order + 1 coefficients."""
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
@@ -501,30 +507,41 @@ class HSeries:
             raise ValueError("truncation order must be >= 1")
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        self.coeffs = tuple(coeffs)
-        self.order = order
+        self._store(enumerate(coeffs), order, coeffs[0] - coeffs[0])
 
-    def padded(self, order: int, zero) -> "HSeries":
-        if order <= self.order:
-            return HSeries(self.coeffs[: order + 1], order)
-        return HSeries(list(self.coeffs) + [zero] * (order - self.order), order)
+    @classmethod
+    def sparse(cls, terms: dict, order: int, zero) -> "HSeries":
+        """The series sum terms[k] h^k truncated at order, with the
+        coefficient type's zero; zero values and powers above order are
+        dropped."""
+        if order < 1:
+            raise ValueError("truncation order must be >= 1")
+        series = cls.__new__(cls)
+        series._store(terms.items(), order, zero)
+        return series
+
+    def _store(self, items, order: int, zero) -> None:
+        self.terms = MappingProxyType(
+            dict(sorted((k, c) for k, c in items if k <= order and not c.is_zero()))
+        )
+        self.order = order
+        self.zero = zero
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.terms.get(k, self.zero) for k in range(self.order + 1))
 
     def map(self, fn) -> "HSeries":
-        return HSeries([fn(c) for c in self.coeffs], self.order)
+        """fn applied to each coefficient; fn must map zero to zero."""
+        return HSeries.sparse(
+            {k: fn(c) for k, c in self.terms.items()}, self.order, fn(self.zero)
+        )
 
     def __add__(self, other: "HSeries") -> "HSeries":
-        n = min(self.order, other.order)
-        return HSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
-
-    def __sub__(self, other: "HSeries") -> "HSeries":
-        n = min(self.order, other.order)
-        return HSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n)
-
-    def __neg__(self) -> "HSeries":
-        return self.map(lambda c: -c)
-
-    def scale(self, q) -> "HSeries":
-        return self.map(lambda c: c * q)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return HSeries.sparse(out, min(self.order, other.order), self.zero + other.zero)
 
     def __mul__(self, other: "HSeries") -> "HSeries":
         return self.convolve(other, lambda a, b: a * b)
@@ -532,42 +549,32 @@ class HSeries:
     def convolve(self, other: "HSeries", op, order: int | None = None) -> "HSeries":
         """Sum over i + j = k of op(self[i], other[j]), truncated.
 
-        ``op`` must be bilinear: pairs with a zero operand are skipped, so
-        the cost follows the nonzero coefficients.  An order with no pair
-        of nonzero operands gets ``op`` of one pair with a zero operand,
-        which keeps the coefficient type that ``op`` returns.
+        ``op`` must be bilinear, so only pairs of nonzero coefficients are
+        combined; the result's zero is ``op`` of the two zeros.
         """
         n = min(self.order, other.order) if order is None else order
         if n > self.order + other.order:
             raise ValueError("convolution order exceeds operand orders")
-        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        b = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
-        sums = [None] * (n + 1)
-        for i, x in a:
+        b = list(other.terms.items())
+        sums = {}
+        for i, x in self.terms.items():
             for j, y in b:
                 if i + j > n:
                     break
-                v = op(x, y)
-                sums[i + j] = v if sums[i + j] is None else sums[i + j] + v
-        out = []
-        for k, acc in enumerate(sums):
-            if acc is None:
-                i = min(k, self.order)
-                acc = op(self.coeffs[i], other.coeffs[k - i])
-            out.append(acc)
-        return HSeries(out, n)
+                accumulate(sums, i + j, op(x, y))
+        return HSeries.sparse(sums, n, op(self.zero, other.zero))
 
     def __eq__(self, other):
         if not isinstance(other, HSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.terms, self.zero) == (other.order, other.terms, other.zero)
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in self.terms.items():
             h = "" if k == 0 else ("*h" if k == 1 else f"*h^{k}")
             parts.append(f"({c}){h}")
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"HSeries(order={self.order}, {self})"

@@ -371,10 +371,9 @@ def g_differential(f: Polynomial, x: GElement) -> GElement:
 
 
 def _check_degree_one(w: HSeries, ctx: RingContext) -> None:
-    first = w.coeffs[0]
-    if not (isinstance(first, GElement) and first.is_zero()):
+    if 0 in w.terms or not isinstance(w.zero, GElement):
         raise ValueError("deformation series must vanish at h^0")
-    for c in w.coeffs:
+    for c in w.terms.values():
         for (e, m) in c.terms:
             if not ((e == 1 and m == 0) or (e == 0 and _popcount(m) == 2)):
                 raise ValueError(
@@ -389,15 +388,17 @@ def mc_residual(f: Polynomial, w: HSeries) -> HSeries:
     h^k part of (1/2)[w, w] is the sum of [w_i, w_j] over i < j, i + j = k,
     plus (1/2)[w_i, w_i] by the closed form of the header when k = 2i."""
     _check_degree_one(w, f.ctx)
-    out = [g_differential(f, c) for c in w.coeffs]
-    nonzero = [(i, c) for i, c in enumerate(w.coeffs) if not c.is_zero()]
+    out = {k: g_differential(f, c) for k, c in w.terms.items()}
+    nonzero = list(w.terms.items())
     for a, (i, x) in enumerate(nonzero):
-        if 2 * i <= w.order:
-            out[2 * i] = out[2 * i] + _square(x)
+        if 2 * i > w.order:
+            break
+        accumulate(out, 2 * i, _square(x))
         for j, y in nonzero[a + 1:]:
-            if i + j <= w.order:
-                out[i + j] = out[i + j] + schouten_bracket(x, y)
-    return HSeries(out, w.order)
+            if i + j > w.order:
+                break
+            accumulate(out, i + j, schouten_bracket(x, y))
+    return HSeries.sparse(out, w.order, w.zero)
 
 
 def bivector_square(s: GElement) -> GElement:

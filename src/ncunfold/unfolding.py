@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NotACycle, QCInvalid
 from .groebner import GREVLEX, ModuleElement, module_preimage, normal_form
-from .poly import HSeries, Polynomial, RingContext
+from .poly import HSeries, Polynomial, RingContext, accumulate
 from .polyvector import (
     GElement,
     ad_f,
@@ -186,9 +186,7 @@ class MCSolution:
     witness: HSeries | None = None
 
     def h_degree(self) -> int:
-        dp = max((k for k, c in enumerate(self.p_series.coeffs) if not c.is_zero()), default=0)
-        ds = max((k for k, c in enumerate(self.s_series.coeffs) if not c.is_zero()), default=0)
-        return max(dp, ds)
+        return max([*self.p_series.terms, *self.s_series.terms], default=0)
 
     def to_json(self) -> dict:
         return {
@@ -261,17 +259,21 @@ class MCReport:
         }
 
 
-def _w_series(p_series: HSeries, s_series: HSeries, ctx: RingContext) -> HSeries:
+def _w_series(p_series: HSeries, s_series: HSeries, ctx: RingContext, order: int) -> HSeries:
+    """w = p*eps + S truncated at order; a power neither series stores is zero."""
     eps = GElement.eps(ctx)
-    pg = p_series.map(lambda c: GElement.from_polynomial(c) * eps)
-    return pg + s_series
+    w = {k: GElement.from_polynomial(c) * eps for k, c in p_series.terms.items()}
+    for k, c in s_series.terms.items():
+        accumulate(w, k, c)
+    return HSeries.sparse(w, order, GElement.zero(ctx))
 
 
-def _f_minus_p(f: Polynomial, p_series: HSeries, ctx: RingContext) -> HSeries:
-    coeffs = [GElement.from_polynomial(f - p_series.coeffs[0])]
-    for k in range(1, p_series.order + 1):
-        coeffs.append(GElement.from_polynomial(-p_series.coeffs[k]))
-    return HSeries(coeffs, p_series.order)
+def _f_minus_p(f: Polynomial, p_series: HSeries, order: int) -> HSeries:
+    """f - p as a series of 0-vectors truncated at order."""
+    terms = {0: GElement.from_polynomial(f)}
+    for k, c in p_series.terms.items():
+        accumulate(terms, k, GElement.from_polynomial(-c))
+    return HSeries.sparse(terms, order, GElement.zero(f.ctx))
 
 
 def mc_verify(f: Polynomial, sol: MCSolution) -> MCReport:
@@ -291,14 +293,12 @@ def mc_verify(f: Polynomial, sol: MCSolution) -> MCReport:
 def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
     """mc_verify; without check_witness for a caller that built S as [f - p, T]."""
     ctx = f.ctx
-    zero_p, zero_g = Polynomial.zero(ctx), GElement.zero(ctx)
+    zero_g = GElement.zero(ctx)
     dp, ds = sol.p_series.order, sol.s_series.order
     check_order = max(dp + ds, 2 * ds, 1) if sol.order == EXACT else sol.order
-    p = sol.p_series.padded(check_order, zero_p)
-    s = sol.s_series.padded(check_order, zero_g)
-    residual = mc_residual(f, _w_series(p, s, ctx))
-    orders = []
-    for k, r_k in enumerate(residual.coeffs):
+    residual = mc_residual(f, _w_series(sol.p_series, sol.s_series, ctx, check_order))
+    parts = {}
+    for k, r_k in residual.terms.items():
         split = {(1, 1): {}, (0, 3): {}}
         for (e, m), c in r_k.terms.items():
             part = split.get((e, len(bits_of(m))))
@@ -306,27 +306,26 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
                 raise AssertionError("residual decomposition violated")
             part[(0, m)] = c
         b_k = -GElement(ctx, split[1, 1])
-        orders.append(OrderResidual(k, b_k, GElement(ctx, split[0, 3]).scale(2), r_k))
+        parts[k] = (b_k, GElement(ctx, split[0, 3]).scale(2), r_k)
+    zeros = (zero_g, zero_g, zero_g)
+    orders = tuple(OrderResidual(k, *parts.get(k, zeros)) for k in range(check_order + 1))
     witness_consistent = None
     if check_witness and sol.witness is not None:
         # [f - p, T] reaches h^(dp + dt), past check_order for an exact T
         n = max(check_order, dp + sol.witness.order) if sol.order == EXACT else check_order
-        fp = _f_minus_p(f, sol.p_series.padded(n, zero_p), ctx)
-        rebuilt = fp.convolve(sol.witness.padded(n, zero_g), schouten_bracket)
-        witness_consistent = rebuilt == sol.s_series.padded(n, zero_g)
-    ok = all(r.is_zero() for r in residual.coeffs) and witness_consistent is not False
-    return MCReport(orders=tuple(orders), witness_consistent=witness_consistent, ok=ok)
+        rebuilt = _f_minus_p(f, sol.p_series, n).convolve(sol.witness, schouten_bracket, n)
+        witness_consistent = rebuilt == HSeries.sparse(sol.s_series.terms, n, zero_g)
+    ok = not residual.terms and witness_consistent is not False
+    return MCReport(orders=orders, witness_consistent=witness_consistent, ok=ok)
 
 
-def _witness_form(f: Polynomial, p_coeffs: list, t1: GElement, order):
-    """The solution p = sum p_coeffs[k]*h^k, T = T_1*h, S = [f - p, T], with
-    the label `order`, and its residual report; S is built from T, so the
-    witness is not rechecked."""
-    top = len(p_coeffs) - 1
-    zero_g = GElement.zero(f.ctx)
-    p_series = HSeries(p_coeffs, top)
-    witness = HSeries([zero_g, t1] + [zero_g] * (top - 1), top)
-    s_series = _f_minus_p(f, p_series, f.ctx).convolve(witness, schouten_bracket)
+def _witness_form(f: Polynomial, p_series: HSeries, t1: GElement, order):
+    """The solution p, T = T_1*h, S = [f - p, T] through the order of p,
+    with the label `order`, and its residual report; S is built from T, so
+    the witness is not rechecked."""
+    top = p_series.order
+    witness = HSeries.sparse({1: t1}, top, GElement.zero(f.ctx))
+    s_series = _f_minus_p(f, p_series, top).convolve(witness, schouten_bracket)
     sol = MCSolution(order, p_series, s_series, witness)
     return sol, _mc_report(f, sol, check_witness=False)
 
@@ -347,8 +346,8 @@ def quantize_n3(f: Polynomial | Singularity, p1: Polynomial, s1: GElement) -> MC
     datum = qc_validate(sing, p1, s1)
     if isinstance(datum, list):
         raise QCInvalid(datum)
-    zero_p = Polynomial.zero(sing.ctx)
-    sol, report = _witness_form(sing.f, [zero_p, p1, zero_p], datum.lift, EXACT)
+    p_series = HSeries.sparse({1: p1}, 2, Polynomial.zero(sing.ctx))
+    sol, report = _witness_form(sing.f, p_series, datum.lift, EXACT)
     if not report.ok:
         raise RuntimeError("internal: quantize_n3 produced a nonzero residual")
     return sol
@@ -379,11 +378,9 @@ def quantize_general(
         raise QCInvalid(violations)
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    zero_p = Polynomial.zero(ctx)
-    p_coeffs = [zero_p, p1] + [zero_p] * (max_order - 1)
-    for k, val in zip(range(2, max_order + 1), p_higher or ()):
-        p_coeffs[k] = val
-    sol, report = _witness_form(f, p_coeffs, koszul_lift(sing, s1), max_order)
+    p_terms = {1: p1, **dict(zip(range(2, max_order + 1), p_higher or ()))}
+    p_series = HSeries.sparse(p_terms, max_order, Polynomial.zero(ctx))
+    sol, report = _witness_form(f, p_series, koszul_lift(sing, s1), max_order)
     for o in report.orders[2:]:
         if not o.poisson_square.is_zero():
             return ObstructionReport(o.h_power, o.poisson_square, "poisson_failure")

@@ -458,6 +458,12 @@ def naive_buchberger(gens, kind="grevlex"):
 # ---------------------------------------------------------------------------
 # Maurer-Cartan report from three separate convolutions
 
+def _dense(series, n: int, zero):
+    """series cut or zero-padded to order n, from its dense coefficients."""
+    coeffs = list(series.coeffs[: n + 1])
+    return HSeries(coeffs + [zero] * (n + 1 - len(coeffs)), n)
+
+
 def mc_verify_oracle(f: Polynomial, sol) -> MCReport:
     """The mc_verify report with [f - p, S], [S, S] and [w, w] convolved
     as three series, every ordered pair (i, j) bracketed on its own, and
@@ -471,12 +477,12 @@ def mc_verify_oracle(f: Polynomial, sol) -> MCReport:
     check = max(dp + ds, 2 * ds, 1) if exact else sol.order
 
     def f_minus_p(n):
-        p = sol.p_series.padded(n, zero_p).coeffs
+        p = _dense(sol.p_series, n, zero_p).coeffs
         return HSeries([GElement.from_polynomial(f - p[0])]
                        + [GElement.from_polynomial(-c) for c in p[1:]], n)
 
-    p = sol.p_series.padded(check, zero_p)
-    s = sol.s_series.padded(check, zero_g)
+    p = _dense(sol.p_series, check, zero_p)
+    s = _dense(sol.s_series, check, zero_g)
     bracket = f_minus_p(check).convolve(s, schouten_bracket)
     square = s.convolve(s, schouten_bracket)
     w = HSeries([GElement.from_polynomial(c) * eps for c in p.coeffs], check) + s
@@ -490,8 +496,8 @@ def mc_verify_oracle(f: Polynomial, sol) -> MCReport:
     witness_consistent = None
     if sol.witness is not None:
         n = max(check, dp + sol.witness.order) if exact else check
-        rebuilt = f_minus_p(n).convolve(sol.witness.padded(n, zero_g), schouten_bracket)
-        target = sol.s_series.padded(n, zero_g)
+        rebuilt = f_minus_p(n).convolve(_dense(sol.witness, n, zero_g), schouten_bracket)
+        target = _dense(sol.s_series, n, zero_g)
         witness_consistent = all(rebuilt.coeffs[k] == target.coeffs[k] for k in range(n + 1))
     ok = all(o.residual.is_zero() for o in orders) and witness_consistent is not False
     return MCReport(tuple(orders), witness_consistent, ok)

@@ -223,6 +223,13 @@ PARSE_ERRORS = [
     ("D(1)", parse_polynomial, 0, "'D(...)' is not allowed in this context"),
     ("h", parse_gelement, 0, "'h' is not allowed in this context"),
     ("x $ y", parse_polynomial, 2, "unexpected character '$'"),
+    # digits and names are ASCII: a superscript or Arabic-Indic digit is
+    # neither a number nor part of a name
+    ("²", parse_polynomial, 0, "unexpected character '²'"),
+    ("x²", parse_polynomial, 1, "unexpected character '²'"),
+    ("x^٣", parse_polynomial, 2, "unexpected character '٣'"),
+    ("D(١)", parse_gelement, 2, "unexpected character '١'"),
+    ("x*h^²", parse_series, 4, "unexpected character '²'"),
     ("   ", parse_polynomial, 3, "expected a term"),
     ("3/x", parse_polynomial, 2, "expected denominator"),
     ("x*", parse_polynomial, 2, "expected a term"),
@@ -344,3 +351,10 @@ def test_series_parse_drops_powers_above_the_order(monkeypatch):
     assert max(widest) == 3
     t = parse_series("(D(1) + h*E)^3*(1 + h)^50", CTX3, order=1)
     assert t == parse_series("(D(1) + h*E)^3 + 50*h*(D(1) + h*E)^3", CTX3, order=1)
+
+
+def test_series_at_a_high_order_holds_only_its_nonzero_terms():
+    s = parse_series("(2*x*D(2,3) + 2*y*D(3,1) + 2*z*D(1,2))*h", CTX3, order=100_000)
+    assert s.order == 100_000 and list(s.terms) == [1]
+    p = parse_poly_series("h - h^99999", CTX3, order=100_000)
+    assert list(p.terms) == [1, 99_999]

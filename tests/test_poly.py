@@ -454,9 +454,55 @@ def test_hseries_convolve_matches_naive_double_sum():
                         acc = acc + op(a.coeffs[i], b.coeffs[k - i])
                     want.append(acc)
                 assert got == HSeries(want, n)
-                nnz_a = sum(not c.is_zero() for c in a.coeffs)
-                nnz_b = sum(not c.is_zero() for c in b.coeffs)
-                assert len(calls) <= nnz_a * nnz_b + n + 1
+                # the nonzero pairs and one op(zero, zero) for the result's zero
+                assert len(calls) <= len(a.terms) * len(b.terms) + 1
+
+
+def _gappy_terms(rng, draw, order):
+    """A few coefficients scattered over 0..order + 3 with long zero gaps,
+    or none at all; powers above order must be dropped by the series."""
+    if rng.random() < 0.2:
+        return {}
+    return {k: draw() for k in rng.sample(range(order + 4), rng.randint(1, 4))}
+
+
+def test_sparse_hseries_matches_dense_reference():
+    """+, map, convolve, coeffs and == of sparse series against the same
+    operations on dense coefficient lists."""
+    rng = random.Random(16)
+    kinds = (
+        (lambda: rand_poly(rng, CTX2, 2, zero_ok=False), Polynomial.zero(CTX2),
+         lambda a, b: a * b),
+        (lambda: rand_gelement(rng, CTX3), GElement.zero(CTX3), schouten_bracket),
+    )
+    for draw, zero, op in kinds:
+        for _ in range(60):
+            a_order, b_order = rng.randint(1, 40), rng.randint(1, 40)
+            a_terms = _gappy_terms(rng, draw, a_order)
+            b_terms = _gappy_terms(rng, draw, b_order)
+            a = HSeries.sparse(a_terms, a_order, zero)
+            b = HSeries.sparse(b_terms, b_order, zero)
+            da = [a_terms.get(k, zero) for k in range(a_order + 1)]
+            db = [b_terms.get(k, zero) for k in range(b_order + 1)]
+            assert a.coeffs == tuple(da) and b.coeffs == tuple(db)
+            assert a == HSeries(da, a_order) and b == HSeries(db, b_order)
+            assert all(k <= a_order and not c.is_zero() for k, c in a.terms.items())
+            assert list(a.terms) == sorted(a.terms)
+            assert (a == b) == (da == db)
+            n = min(a_order, b_order)
+            assert (a + b).coeffs == tuple(da[k] + db[k] for k in range(n + 1))
+            assert a.map(lambda c: c + c).coeffs == tuple(c + c for c in da)
+            for order in (None, rng.randint(1, a_order + b_order)):
+                m = n if order is None else order
+                want = []
+                for k in range(m + 1):
+                    acc = zero
+                    for i in range(max(0, k - b_order), min(k, a_order) + 1):
+                        acc = acc + op(da[i], db[k - i])
+                    want.append(acc)
+                got = a.convolve(b, op, order)
+                assert got.order == m and got.coeffs == tuple(want)
+    assert HSeries.sparse({}, 5, zero) != HSeries.sparse({}, 4, zero)
 
 
 def test_hseries_convolve_rejects_order_beyond_operands():

@@ -353,10 +353,11 @@ def test_verify_flags_truncated_solution():
     t1 = GElement(CTX3, {(0, 0b111): x})
     s1 = ad_f(f, t1)
     good = quantize_n3(f, x, s1)
-    zero_g = GElement.zero(CTX3)
+    zero_p, zero_g = Polynomial.zero(CTX3), GElement.zero(CTX3)
+    assert good.p_series == HSeries([zero_p, x, zero_p], 2)
     bad = MCSolution(
         order=4,
-        p_series=good.p_series.padded(4, Polynomial.zero(CTX3)),
+        p_series=HSeries([zero_p, x, zero_p, zero_p, zero_p], 4),
         s_series=HSeries([zero_g, s1, zero_g, zero_g, zero_g], 4),
         witness=None,
     )
@@ -374,6 +375,7 @@ def test_verify_zero_solution():
         s_series=HSeries([GElement.zero(CTX3)] * 4, 3),
         witness=None,
     )
+    assert zero_sol.h_degree() == 0
     report = mc_verify(f, zero_sol)
     assert report.ok
     assert all(o.is_zero() for o in report.orders)
@@ -456,6 +458,47 @@ def test_verify_matches_oracle_on_non_solutions():
     assert min(seen_bracket, seen_square) >= 18
 
 
+def _sparse_solution(rng, f, order):
+    """Series at the given order with two to four nonzero coefficients:
+    either the exact quantization of an ADE datum with h replaced by h^m,
+    which is again a solution with its witness, or p and S terms at random
+    powers with an optional one-term witness."""
+    ctx = f.ctx
+    zero_p, zero_g = Polynomial.zero(ctx), GElement.zero(ctx)
+    if rng.random() < 0.5:
+        exact = quantize_n3(f, *_ade_datum(f))
+        m = rng.randint(1, order // 2)
+        p, s, t = ({m * k: c for k, c in x.terms.items()}
+                   for x in (exact.p_series, exact.s_series, exact.witness))
+    else:
+        p, s, t = {}, {}, {}
+        for k in rng.sample(range(1, order + 1), rng.randint(2, 4)):
+            if rng.random() < 0.5:
+                p[k] = rand_poly(rng, ctx, 2, zero_ok=False)
+            else:
+                s[k] = rand_bivector(rng, ctx)
+        if rng.random() < 0.5:
+            t[rng.randint(1, order)] = rand_trivector3(rng, ctx)
+    witness = HSeries.sparse(t, order, zero_g) if t else None
+    label = EXACT if rng.random() < 0.3 else order
+    return MCSolution(label, HSeries.sparse(p, order, zero_p),
+                      HSeries.sparse(s, order, zero_g), witness)
+
+
+def test_verify_matches_oracle_on_sparse_high_order_series():
+    rng = random.Random(16)
+    catalog = [f for _, f in ade_catalog()]
+    seen_ok = seen_bad = 0
+    for _ in range(16):
+        f = rng.choice(catalog)
+        sol = _sparse_solution(rng, f, rng.randint(20, 60))
+        assert 2 <= len(sol.p_series.terms) + len(sol.s_series.terms) <= 4
+        report = _same_report(f, sol)
+        seen_ok += report.ok
+        seen_bad += not report.ok
+    assert min(seen_ok, seen_bad) >= 4
+
+
 @pytest.mark.parametrize(
     "t, p", [("z*D(1,2,3) + z*D(1,2,4)", "x*y"), ("y*D(1,2,4) + z*D(1,2,4)", "x")]
 )
@@ -470,12 +513,12 @@ def test_verify_matches_oracle_on_general_obstructions(t, p):
     assert isinstance(obstruction, ObstructionReport)
     assert obstruction.failing_order == 3
     head = quantize_general(f, p1, s1, max_order=2)
-    zero_g = GElement.zero(ctx4)
+    zero_p, zero_g = Polynomial.zero(ctx4), GElement.zero(ctx4)
     sol = MCSolution(
         4,
-        head.p_series.padded(4, Polynomial.zero(ctx4)),
-        head.s_series.padded(4, zero_g),
-        head.witness.padded(4, zero_g),
+        HSeries([*head.p_series.coeffs, zero_p, zero_p], 4),
+        HSeries([*head.s_series.coeffs, zero_g, zero_g], 4),
+        HSeries([*head.witness.coeffs, zero_g, zero_g], 4),
     )
     report = _same_report(f, sol)
     assert report.orders[3].poisson_square == obstruction.obstruction
