@@ -4,6 +4,7 @@ lifting, Maurer-Cartan quantization, and Hochschild cochain operations,
 all over exact rationals."""
 
 from .errors import (
+    BudgetExceeded,
     ContextMismatch,
     DegreeGuardExceeded,
     NotACycle,

@@ -14,6 +14,7 @@ import json
 import sys
 
 from .errors import (
+    BudgetExceeded,
     DegreeGuardExceeded,
     NotACycle,
     NotIsolated,
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
     except (NotIsolated, NotACycle, QCInvalid) as e:
         print(f"error: {e}", file=sys.stderr)
         return VALIDATION_ERROR
-    except DegreeGuardExceeded as e:
+    except (DegreeGuardExceeded, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return DEGREE_ABORT
 

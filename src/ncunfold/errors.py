@@ -22,6 +22,11 @@ class DegreeGuardExceeded(UnfoldError):
     """A Groebner computation exceeded the configured degree limit."""
 
 
+class BudgetExceeded(UnfoldError):
+    """A stage would build more output than its fixed budget allows; raised
+    before the work starts, naming the stage and the count."""
+
+
 class NotIsolated(UnfoldError):
     """The singularity is not isolated (infinite Milnor number)."""
 

@@ -29,9 +29,13 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import ContextMismatch
+from .errors import BudgetExceeded, ContextMismatch
 from .poly import Polynomial, RingContext, accumulate
 from .polyvector import GElement, bits_of
+
+# the most output terms hkr builds: 10,000 keeps the top polyvector of
+# n <= 7 variables (7! = 5040 terms) and stops n = 8 (40,320)
+HKR_TERM_BUDGET = 10_000
 
 
 def _zero_alpha(n: int) -> tuple:
@@ -317,6 +321,9 @@ def hkr(x: GElement) -> PolyDiffOperator:
     On a * d_{i_1} ^ ... ^ d_{i_k} the value on (b_1..b_k) is
     (a / k!) * sum over permutations of sgn * prod_j d_{i_sigma(j)} b_j,
     so that k = 1 is the identity embedding of vector fields.
+
+    The output has k! terms per term of X; past HKR_TERM_BUDGET of them
+    BudgetExceeded is raised before any permutation is expanded.
     """
     if not x.is_polyvector():
         raise ValueError("hkr is defined on eps-free elements only")
@@ -327,8 +334,14 @@ def hkr(x: GElement) -> PolyDiffOperator:
     k = degrees.pop() if degrees else 0
     if k == 0:
         return PolyDiffOperator.constant(x.polynomial_part())
+    perms = math.factorial(k)
+    count = len(x.terms) * perms
+    if count > HKR_TERM_BUDGET:
+        raise BudgetExceeded(
+            f"hkr: the cochain would have {count} terms, over the budget of {HKR_TERM_BUDGET}"
+        )
     res: dict[tuple, Polynomial] = {}
-    norm = Fraction(1, math.factorial(k))
+    norm = Fraction(1, perms)
     for (e, mask), coeff in x.terms.items():
         indices = bits_of(mask)
         for perm in itertools.permutations(range(k)):

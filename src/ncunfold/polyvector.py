@@ -37,18 +37,24 @@ wedge parts are even, -1 otherwise, relabelling the second sum gives
     [X, X] = sum_{a, b} (1 + sigma(a, b)) half(a, b):
 
 term pairs with an odd wedge part cancel and the rest count twice.
+
+Arithmetic of the bracket: `schouten_bracket` and `_square` read each
+operand once as integer numerators over one denominator, the lcm of its
+term denominators, and take each operand term's d/dx_i at most once.
+Every product of numerators is added straight into one {exps: int} map
+per output term (eps power, mask); at the end each nonzero output term
+becomes one polynomial by one `from_ints` over the product of the two
+denominators.  No Polynomial arithmetic runs in between.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 
 from .errors import ContextMismatch
-from .poly import HSeries, Polynomial, RingContext, _magnitude, accumulate
-
-
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
+from .poly import HSeries, Polynomial, RingContext, _magnitude, accumulate, from_ints
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -79,7 +85,7 @@ def _merge_sign(m1: int, m2: int) -> int:
     j = 0
     while m:
         if m & 1:
-            swaps += _popcount(m1 >> (j + 1))
+            swaps += (m1 >> (j + 1)).bit_count()
         m >>= 1
         j += 1
     return -1 if swaps & 1 else 1
@@ -148,7 +154,7 @@ class GElement:
 
     def degrees(self) -> set[int]:
         """Cohomological degrees 2e + |I| present."""
-        return {2 * e + _popcount(m) for e, m in self.terms}
+        return {2 * e + m.bit_count() for e, m in self.terms}
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = self.degrees()
@@ -166,7 +172,7 @@ class GElement:
         return degs.pop()
 
     def wedge_degrees(self) -> set[int]:
-        return {_popcount(m) for e, m in self.terms}
+        return {m.bit_count() for e, m in self.terms}
 
     def polynomial_part(self) -> Polynomial:
         return self.terms.get((0, 0), Polynomial.zero(self.ctx))
@@ -175,7 +181,7 @@ class GElement:
         """Coefficients of the eps-free wedge-degree-k part, keyed by index tuple."""
         out = {}
         for (e, m), c in self.terms.items():
-            if e == 0 and _popcount(m) == k:
+            if e == 0 and m.bit_count() == k:
                 out[bits_of(m)] = c
         return out
 
@@ -248,7 +254,7 @@ class GElement:
     def sorted_terms(self) -> list[tuple[tuple[int, int], Polynomial]]:
         return sorted(
             self.terms.items(),
-            key=lambda t: (2 * t[0][0] + _popcount(t[0][1]), t[0][0], t[0][1]),
+            key=lambda t: (2 * t[0][0] + t[0][1].bit_count(), t[0][0], t[0][1]),
         )
 
     def __str__(self):
@@ -311,22 +317,61 @@ class GElement:
 # ---------------------------------------------------------------------------
 # the bracket
 
-def _add_half(res: dict, e: int, ma: int, ca: Polynomial, mb: int, cb: Polynomial,
+def _numerators(x: GElement) -> tuple[dict, int]:
+    """The coefficients of x as integer numerator maps over one denominator,
+    the lcm of the term denominators: ({(e, mask): {exps: int}}, den)."""
+    den = math.lcm(*[c.den for c in x.terms.values()])
+    return {
+        k: c.nums if c.den == den else {m: v * (den // c.den) for m, v in c.nums.items()}
+        for k, c in x.terms.items()
+    }, den
+
+
+def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: dict,
               sign: int) -> None:
-    """Add sign * sum_i (A right-d/dd_i)(dB/dx_i) for A = ca d_ma, B = cb d_mb at eps^e."""
+    """Add sign * sum_i (A right-d/dd_i)(dB/dx_i) for A = a d_ma, B = b d_mb at
+    eps^e to acc, the integer numerators summed per output key (eps, mask).
+    The items of dB/dx_i are kept in cache under (kb, i), B's term key."""
     for i in bits_of(ma):
         rest = ma ^ (1 << (i - 1))
         s = sign * _merge_sign(rest, mb)
         if s == 0:
             continue
-        dcb = cb.partial(i)
-        if dcb.is_zero():
+        db = cache.get((kb, i))
+        if db is None:
+            j = i - 1
+            db = cache[kb, i] = [
+                (exps[:j] + (exps[j] - 1,) + exps[i:], c * exps[j])
+                for exps, c in b.items() if exps[j]
+            ]
+        if not db:
             continue
-        if _popcount(ma >> i) & 1:  # move d_i past the d_j with j > i
+        if (ma >> i).bit_count() & 1:  # move d_i past the d_j with j > i
             s = -s
-        piece = ca * dcb if s > 0 else -(ca * dcb)
         key = (e, rest | mb)
-        res[key] = res[key] + piece if key in res else piece
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = {}
+        get = out.get
+        for e1, c1 in a.items():
+            if s < 0:
+                c1 = -c1
+            for e2, c2 in db:
+                m = tuple(map(add, e1, e2))
+                out[m] = get(m, 0) + c1 * c2
+
+
+def _collect(ctx: RingContext, acc: dict, den: int) -> GElement:
+    """The element with coefficients acc / den: one `from_ints` per nonzero
+    output term."""
+    out = GElement.__new__(GElement)
+    out.ctx = ctx
+    out.terms = {}
+    for key, sums in acc.items():
+        nums = {m: v for m, v in sums.items() if v}
+        if nums:
+            out.terms[key] = from_ints(ctx, nums, den)
+    return out
 
 
 def schouten_bracket(x: GElement, y: GElement) -> GElement:
@@ -334,29 +379,35 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
     evaluated term pair by term pair with the closed form given there."""
     if x.ctx != y.ctx:
         raise ContextMismatch("mixed contexts")
-    res: dict[tuple[int, int], Polynomial] = {}
-    for (e1, m1), c1 in x.terms.items():
-        for (e2, m2), c2 in y.terms.items():
+    xs, dx = _numerators(x)
+    ys, dy = _numerators(y)
+    cx: dict = {}
+    cy: dict = {}
+    acc: dict = {}
+    for k1, a in xs.items():
+        e1, m1 = k1
+        for k2, b in ys.items():
+            e2, m2 = k2
             e = e1 + e2
-            _add_half(res, e, m1, c1, m2, c2, 1)
+            _add_half(acc, e, m1, a, m2, k2, b, cy, 1)
             # -(-1)^((|X|-1)(|Y|-1)): eps has even degree, only |I| parity counts
-            both_even = not (_popcount(m1) & 1 or _popcount(m2) & 1)
-            _add_half(res, e, m2, c2, m1, c1, 1 if both_even else -1)
-    out = GElement.__new__(GElement)
-    out.ctx = x.ctx
-    out.terms = {k: c for k, c in res.items() if not c.is_zero()}
-    return out
+            both_even = not (m1.bit_count() & 1 or m2.bit_count() & 1)
+            _add_half(acc, e, m2, b, m1, k1, a, cx, 1 if both_even else -1)
+    return _collect(x.ctx, acc, dx * dy)
 
 
 def _square(x: GElement) -> GElement:
     """(1/2)[X, X] by the closed form in the header: one half per pair of
     even terms."""
-    even = [(k, c) for k, c in x.terms.items() if not _popcount(k[1]) & 1]
-    res: dict[tuple[int, int], Polynomial] = {}
-    for (e1, m1), c1 in even:
-        for (e2, m2), c2 in even:
-            _add_half(res, e1 + e2, m1, c1, m2, c2, 1)
-    return GElement(x.ctx, res)
+    xs, den = _numerators(x)
+    even = [(k, a) for k, a in xs.items() if not k[1].bit_count() & 1]
+    cache: dict = {}
+    acc: dict = {}
+    for (e1, m1), a in even:
+        for k2, b in even:
+            e2, m2 = k2
+            _add_half(acc, e1 + e2, m1, a, m2, k2, b, cache, 1)
+    return _collect(x.ctx, acc, den * den)
 
 
 def ad_f(f: Polynomial, x: GElement) -> GElement:
@@ -375,7 +426,7 @@ def _check_degree_one(w: HSeries, ctx: RingContext) -> None:
         raise ValueError("deformation series must vanish at h^0")
     for c in w.terms.values():
         for (e, m) in c.terms:
-            if not ((e == 1 and m == 0) or (e == 0 and _popcount(m) == 2)):
+            if not ((e == 1 and m == 0) or (e == 0 and m.bit_count() == 2)):
                 raise ValueError(
                     "series coefficients must lie in A*eps + wedge-degree 2"
                 )

@@ -218,6 +218,21 @@ def test_mc_verify_text_at_a_high_order_costs_its_nonzero_orders(capsys):
     assert elapsed < 2.5, elapsed
 
 
+def test_hkr_over_its_output_budget_exits_3_at_once(capsys):
+    """The top polyvector on 8 variables has 8! = 40,320 HKR terms, past
+    the budget of 10,000; it is refused before any expansion (expanding
+    it took 5.2 s and printed 12.4 MB)."""
+    names = ",".join(f"x{i}" for i in range(1, 9))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hkr", "--vars", names, "--X", "D(1,2,3,4,5,6,7,8)"])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err.startswith("error: hkr")
+    assert "40320" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0, elapsed
+
+
 def test_monicize_command(capsys):
     code, out, _ = run(
         capsys, ["monicize", "--vars", "x,y", "--f", "x*y", "--format", "json"]

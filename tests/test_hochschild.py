@@ -15,9 +15,13 @@ import random
 import time
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
+from ncunfold.errors import BudgetExceeded
 from ncunfold.hochschild import (
+    HKR_TERM_BUDGET,
     PolyDiffOperator,
     _splits,
     brace,
@@ -30,7 +34,7 @@ from ncunfold.hochschild import (
 )
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import Polynomial, RingContext
-from ncunfold.polyvector import GElement, schouten_bracket
+from ncunfold.polyvector import GElement, mask_of, schouten_bracket
 
 from oracles import (
     alternating_sum_d,
@@ -454,6 +458,28 @@ def test_hkr_two_vector_antisymmetrization():
 def test_hkr_rejects_eps():
     with pytest.raises(ValueError):
         hkr(parse_gelement("E", CTX3))
+
+
+def test_hkr_output_budget_counts_k_factorial_per_term():
+    # on 8 variables, 13 six-vectors make 13 * 6! = 9360 terms, within the
+    # budget of 10,000, and 14 make 10,080, past it; so does the top
+    # polyvector (8! = 40,320), which is refused before any permutation
+    # is expanded
+    ctx = RingContext(tuple(f"x{i}" for i in range(1, 9)))
+    one = Polynomial.one(ctx)
+    masks = [mask_of(c) for c in itertools.combinations(range(1, 9), 6)]
+
+    def six_vectors(count):
+        return GElement(ctx, {(0, m): one for m in masks[:count]})
+
+    assert 13 * 720 <= HKR_TERM_BUDGET < 14 * 720
+    assert len(hkr(six_vectors(13)).terms) == 13 * 720
+    with pytest.raises(BudgetExceeded, match=r"hkr.* 10080 terms"):
+        hkr(six_vectors(14))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"hkr.* 40320 terms"):
+        hkr(GElement.wedge_monomial(ctx, range(1, 9)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hkr_images_are_cocycles():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import ncunfold.poly
+import ncunfold.polyvector
 from ncunfold.errors import ContextMismatch
 from ncunfold.parsing import parse_gelement
 from ncunfold.poly import HSeries, Polynomial, RingContext
@@ -34,6 +36,9 @@ from oracles import (
 CTX3 = ADE_CONTEXT
 CTX2 = RingContext(("x", "y"))
 CTX4 = RingContext(("x", "y", "z", "w"))
+CTX1 = RingContext(("x",))
+CTX5 = RingContext(("x", "y", "z", "u", "v"))
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def g(text, ctx=CTX3):
@@ -109,12 +114,108 @@ def test_bracket_context_mismatch():
 
 def test_bracket_matches_left_recursion_oracle():
     rng = random.Random(313)
-    for ctx in (CTX2, CTX3, CTX4):
+    for ctx in (CTX2, CTX3, CTX4, CTX1, CTX5):
         for max_eps in (0, 1, 2):
             for _ in range(20):
                 a = rand_gelement(rng, ctx, max_eps=max_eps)
                 b = rand_gelement(rng, ctx, max_eps=max_eps)
                 assert schouten_bracket(a, b) == schouten_oracle(a, b)
+                assert _square(a).scale(2) == schouten_oracle(a, a)
+
+
+def wide_gelement(rng, ctx, max_eps=2, n_terms=3):
+    """Random element whose term coefficients lie over distinct prime
+    denominators, with numerators above 64 bits."""
+    terms = {}
+    for p in rng.sample(PRIMES, n_terms):
+        key = (rng.randint(0, max_eps), rng.randrange(1 << ctx.n))
+
+        def coeff(r, p=p):
+            return Fraction(r.choice((-1, 1)) * r.randrange(2**64, 2**70) * p + 1, p)
+
+        terms[key] = rand_poly(rng, ctx, 2, 2, zero_ok=False, coeff=coeff)
+    return GElement(ctx, terms)
+
+
+def test_bracket_wide_coefficients_match_oracle():
+    # each operand lies over the lcm of its own term denominators, and the
+    # two operands over different ones
+    rng = random.Random(317)
+    mixed = 0
+    for ctx in (CTX1, CTX2, CTX3, CTX5):
+        for _ in range(8):
+            a = wide_gelement(rng, ctx)
+            b = wide_gelement(rng, ctx)
+            mixed += len({c.den for c in a.terms.values()}) > 1
+            assert schouten_bracket(a, b) == schouten_oracle(a, b)
+            assert _square(a).scale(2) == schouten_oracle(a, a)
+    assert mixed
+
+
+def test_ad_f_and_g_differential_at_n1_and_n5():
+    rng = random.Random(337)
+    for ctx in (CTX1, CTX5):
+        eps = GElement.eps(ctx)
+        for _ in range(8):
+            f = rand_poly(rng, ctx, 3, zero_ok=False)
+            x = wide_gelement(rng, ctx)
+            assert ad_f(f, x) == koszul_contraction_oracle(f, x)
+            feps = GElement.from_polynomial(f) * eps
+            assert g_differential(f, x) == -schouten_oracle(feps, x)
+
+
+def test_bracket_products_that_cancel():
+    # the terms at d_1 ^ d_2 cancel outright, and at d_1 the x^2*y parts
+    # cancel while -x survives
+    x = g("x*y*D(1) + x*D(1,2)", CTX2)
+    y = g("x*y*D(1) + D(2)", CTX2)
+    assert schouten_bracket(x, y) == g("-x*D(1)", CTX2) == schouten_oracle(x, y)
+    # [X, X] = 0 for a vector field: the two halves cancel term by term
+    v = g("x*y*D(1) + x^2*D(2)", CTX2)
+    assert schouten_bracket(v, v).terms == {}
+
+
+def test_bracket_of_zero_and_square_of_odd_parts():
+    rng = random.Random(347)
+    zero = GElement.zero(CTX3)
+    for _ in range(5):
+        a = wide_gelement(rng, CTX3)
+        assert schouten_bracket(zero, a).terms == {}
+        assert schouten_bracket(a, zero).terms == {}
+    assert _square(zero).terms == {}
+    # only odd wedge parts: the square vanishes, the bracket agrees
+    odd = g("x*D(1) + y^2*E*D(2) + z*D(1,2,3) + 1/3*x*y*E^2*D(3)")
+    assert _square(odd).terms == {}
+    assert schouten_bracket(odd, odd) == schouten_oracle(odd, odd)
+    assert schouten_bracket(odd, odd).is_zero()
+
+
+def test_bracket_builds_no_intermediate_polynomials(monkeypatch):
+    """Inside schouten_bracket and _square no Polynomial arithmetic runs;
+    each nonzero output term is built by exactly one from_ints."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rng = random.Random(353)
+    pairs = [(wide_gelement(rng, CTX3), wide_gelement(rng, CTX3)) for _ in range(6)]
+    pairs.append((g("x*y*D(1) + x*D(1,2)", CTX2), g("x*y*D(1) + D(2)", CTX2)))
+    for name in ("__mul__", "__rmul__", "partial", "__neg__", "_plus"):
+        monkeypatch.setattr(Polynomial, name, counted(name, getattr(Polynomial, name)))
+    from_ints = counted("from_ints", ncunfold.poly.from_ints)
+    monkeypatch.setattr(ncunfold.poly, "from_ints", from_ints)
+    monkeypatch.setattr(ncunfold.polyvector, "from_ints", from_ints)
+    terms = 0
+    for a, b in pairs:
+        out = schouten_bracket(a, b)
+        half = _square(a)
+        terms += len(out.terms) + len(half.terms)
+    assert terms > 0
+    assert counts == {"from_ints": terms}
 
 
 def test_bracket_on_vectors_matches_derivation_commutator():
