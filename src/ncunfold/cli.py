@@ -198,9 +198,7 @@ def _solution_text(sol: MCSolution) -> str:
 
 def _report_text(report) -> str:
     lines = [f"ok: {report.ok}"]
-    for o in report.orders:
-        if o.is_zero():
-            continue
+    for o in report.nonzero:
         lines.append(
             f"h^{o.h_power}: [f-p,S] = {format_gelement(o.bracket_f_minus_p_s)}; "
             f"[S,S] = {format_gelement(o.poisson_square)}; "
@@ -216,13 +214,13 @@ def _run(args) -> int:
     guard = args.max_degree
 
     if args.command == "milnor":
-        f = parse_polynomial(args.f, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
         data = jacobian(f, _monomial_order(args), guard)
         _emit(args, lambda: {"milnor": data.milnor}, lambda: f"milnor: {data.milnor}")
         return 0
 
     if args.command == "jacobian":
-        f = parse_polynomial(args.f, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
         data = jacobian(f, _monomial_order(args), guard)
         _emit(args, data.report, lambda: (
             f"milnor: {data.milnor}\nisolated: {data.milnor != INFINITE}\n"
@@ -231,14 +229,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "qc-subspace":
-        f = parse_polynomial(args.f, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
         basis = qc_subspace(Singularity(f, guard))
         _emit(args, lambda: {"w_basis": [list(e) for e in basis]},
               lambda: "w_basis: " + ", ".join(_mono_strs(ctx, basis)))
         return 0
 
     if args.command == "monicize":
-        f = parse_polynomial(args.f, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
         sigma, image = monicize(f)
         _emit(args, lambda: {
             "images": [im.to_json() for im in sigma.images],
@@ -248,24 +246,24 @@ def _run(args) -> int:
         return 0
 
     if args.command == "schouten":
-        x = parse_gelement(args.X, ctx)
-        y = parse_gelement(args.Y, ctx)
+        x = parse_gelement(args.X, ctx, guard)
+        y = parse_gelement(args.Y, ctx, guard)
         out = schouten_bracket(x, y)
         _emit(args, lambda: {"bracket": out.to_json()},
               lambda: f"[X, Y] = {format_gelement(out)}")
         return 0
 
     if args.command == "koszul-lift":
-        f = parse_polynomial(args.f, ctx)
-        z = parse_gelement(args.S, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
+        z = parse_gelement(args.S, ctx, guard)
         lift = koszul_lift(Singularity(f, guard), z)
         _emit(args, lambda: {"lift": lift.to_json()}, lambda: f"T = {format_gelement(lift)}")
         return 0
 
     if args.command == "qc-check":
-        f = parse_polynomial(args.f, ctx)
-        p = parse_polynomial(args.p, ctx)
-        s = parse_gelement(args.S, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
+        p = parse_polynomial(args.p, ctx, guard)
+        s = parse_gelement(args.S, ctx, guard)
         result = qc_validate(Singularity(f, guard), p, s)
         if isinstance(result, list):
             _emit(args, lambda: {
@@ -281,8 +279,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "qc-normalize":
-        f = parse_polynomial(args.f, ctx)
-        p = parse_polynomial(args.p, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
+        p = parse_polynomial(args.p, ctx, guard)
         sing = Singularity(f, guard)
         w_part = qc_normalize(sing, p)
         # W's terms are standard and never reduce: these are the cofactors of p
@@ -294,9 +292,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "quantize":
-        f = parse_polynomial(args.f, ctx)
-        p = parse_polynomial(args.p, ctx)
-        s = parse_gelement(args.S, ctx)
+        f = parse_polynomial(args.f, ctx, guard)
+        p = parse_polynomial(args.p, ctx, guard)
+        s = parse_gelement(args.S, ctx, guard)
         sing = Singularity(f, guard)
         if args.general:
             result = quantize_general(sing, p, s, args.order)
@@ -319,10 +317,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mc-verify":
-        f = parse_polynomial(args.f, ctx)
-        p_series = parse_poly_series(args.p, ctx, args.order)
-        s_series = parse_series(args.S, ctx, args.order)
-        witness = parse_series(args.T, ctx, args.order) if args.T else None
+        f = parse_polynomial(args.f, ctx, guard)
+        p_series = parse_poly_series(args.p, ctx, args.order, guard)
+        s_series = parse_series(args.S, ctx, args.order, guard)
+        witness = parse_series(args.T, ctx, args.order, guard) if args.T else None
         sol = MCSolution(args.order, p_series, s_series, witness)
         report = mc_verify(f, sol)
         _emit(args, report.to_json, lambda: _report_text(report))
@@ -352,7 +350,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hkr":
-        x = parse_gelement(args.X, ctx)
+        x = parse_gelement(args.X, ctx, guard)
         out = hkr(x)
         _emit(args, out.to_json, lambda: str(out))
         return 0

@@ -16,13 +16,18 @@ calling context allows them.  Wedge indices must be distinct; a
 non-increasing listing is normalized to increasing order with the sign of
 the permutation folded into the coefficient.  A leading sign on the first
 term is accepted so that formatted output always re-parses.
+
+Each entry point takes an optional ``max_degree``: a power base^k whose
+degree in the ring variables (h, E and D do not count), deg(base)*k,
+exceeds it raises `DegreeGuardExceeded` before the power is expanded.
+Without it, powers are expanded whatever their degree.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import DegreeGuardExceeded, ParseError
 from .poly import HSeries, Polynomial, RingContext, accumulate, from_ints
 from .polyvector import GElement, _merge_sign
 
@@ -78,13 +83,15 @@ class _Parser:
     finished value.
     """
 
-    def __init__(self, text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None):
+    def __init__(self, text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None,
+                 max_degree: int | None):
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_wedge = allow_wedge
         self.allow_h = h_order is not None
         self.h_order = h_order or 0
+        self.max_degree = max_degree
 
     # value helpers ----------------------------------------------------------
 
@@ -181,6 +188,13 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("NUM", "exponent")
+            if self.max_degree is not None and value:
+                degree = max(c.total_degree() for c in value.values()) * tok.value
+                if degree > self.max_degree:
+                    raise DegreeGuardExceeded(
+                        f"parsing: a power of degree {degree} (exponent at offset "
+                        f"{tok.pos}) is past the limit {self.max_degree}"
+                    )
             value = self._pow(value, tok.value)
         return value
 
@@ -253,25 +267,27 @@ class _Parser:
         return {(0, 0, mask): one if sign > 0 else -one}
 
 
-def _run(text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None = None):
-    return _Parser(text, ctx, allow_wedge, h_order).parse()
+def _run(text: str, ctx: RingContext, allow_wedge: bool, h_order: int | None = None,
+         max_degree: int | None = None):
+    return _Parser(text, ctx, allow_wedge, h_order, max_degree).parse()
 
 
-def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
+def parse_polynomial(text: str, ctx: RingContext, max_degree: int | None = None) -> Polynomial:
     """Parse a plain polynomial; E, D(...) and h are rejected."""
-    value = _run(text, ctx, allow_wedge=False)
+    value = _run(text, ctx, allow_wedge=False, max_degree=max_degree)
     return value.get(_SCALAR) or Polynomial.zero(ctx)
 
 
-def parse_gelement(text: str, ctx: RingContext) -> GElement:
+def parse_gelement(text: str, ctx: RingContext, max_degree: int | None = None) -> GElement:
     """Parse a polyvector/graded element; h is rejected."""
-    value = _run(text, ctx, allow_wedge=True)
+    value = _run(text, ctx, allow_wedge=True, max_degree=max_degree)
     return GElement(ctx, {(e, m): c for (_, e, m), c in value.items()})
 
 
-def parse_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
+def parse_series(text: str, ctx: RingContext, order: int = 8,
+                 max_degree: int | None = None) -> HSeries:
     """Parse an h-series of graded elements, truncated at the given order."""
-    value = _run(text, ctx, allow_wedge=True, h_order=order)
+    value = _run(text, ctx, allow_wedge=True, h_order=order, max_degree=max_degree)
     terms = {}
     for (k, e, m), c in value.items():
         terms.setdefault(k, {})[(e, m)] = c
@@ -280,9 +296,10 @@ def parse_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
     )
 
 
-def parse_poly_series(text: str, ctx: RingContext, order: int = 8) -> HSeries:
+def parse_poly_series(text: str, ctx: RingContext, order: int = 8,
+                      max_degree: int | None = None) -> HSeries:
     """Parse an h-series of plain polynomials, truncated at the given order."""
-    value = _run(text, ctx, allow_wedge=False, h_order=order)
+    value = _run(text, ctx, allow_wedge=False, h_order=order, max_degree=max_degree)
     terms = {k: c for (k, _, _), c in value.items()}
     return HSeries.sparse(terms, order, Polynomial.zero(ctx))
 

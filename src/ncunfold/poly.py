@@ -11,19 +11,24 @@ numerator, gcd(den, all numerators) = 1, and the zero polynomial is
 ({}, 1).  So equality and hashing compare (ring, den, nums) exactly.  Sums
 rescale once to the lcm of the two denominators; negation, scalar
 products, derivatives and products are integer loops with one gcd pass to
-restore the canonical form.  ``terms`` is a read-only Fraction view, built
-on each read.  Printing and serialization read ``nums``/``den`` in grevlex
-order and bring each coefficient to lowest terms with one gcd; they build
-no Fraction.
+restore the canonical form.  Every product of two numerator maps, here
+and in the Schouten bracket, runs through one kernel per number of
+variables n, ``product_kernel(n)``: it is built once per n from one source
+template and adds each exponent pair unpacked by name, (x0 + y0, ...,
+x{n-1} + y{n-1}), so keys stay plain tuples.  ``terms`` is a read-only
+Fraction view, built on each read.  Printing and serialization read
+``nums``/``den`` in grevlex order and bring each coefficient to lowest
+terms with one gcd; they build no Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, neg, sub
+from operator import ge, neg, sub
 from types import MappingProxyType
 
 from .errors import ContextMismatch
@@ -65,6 +70,37 @@ def _magnitude(num: int, den: int) -> str:
 def lex_key(exps: tuple) -> tuple:
     # lex with x_n highest priority, consistent with x_1 < ... < x_n.
     return tuple(reversed(exps))
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+_KERNEL_TEMPLATE = """\
+def kernel(acc, a, b, s):
+    get = acc.get
+    for ({xs},), ca in a:
+        ca *= s
+        for ({ys},), cb in b:
+            e = ({sums},)
+            acc[e] = get(e, 0) + ca * cb
+"""
+
+
+@functools.cache
+def product_kernel(n: int):
+    """The product kernel of n-variable exponent tuples, built once per n.
+
+    ``kernel(acc, a, b, s)`` adds s * ca * cb into acc[ea + eb] for every
+    (ea, ca) of ``a`` and (eb, cb) of ``b``, in that loop order; both hold
+    (exponent tuple, int) pairs, and ``b`` is read once per item of ``a``,
+    so it must be a collection.  A sum that cancels stays in ``acc`` as 0.
+    The source is filled in from the integer n only.
+    """
+    xs, ys = (", ".join(f"{v}{i}" for i in range(n)) for v in "xy")
+    sums = ", ".join(f"x{i} + y{i}" for i in range(n))
+    namespace: dict = {}
+    exec(_KERNEL_TEMPLATE.format(xs=xs, ys=ys, sums=sums), namespace)
+    return namespace["kernel"]
 
 
 @dataclass(frozen=True)
@@ -264,12 +300,7 @@ class Polynomial:
             )
         _check_ctx(self, other)
         acc: dict[tuple, int] = {}
-        get = acc.get
-        b = other.nums.items()
-        for e1, c1 in self.nums.items():
-            for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
+        product_kernel(self.ctx.n)(acc, self.nums.items(), other.nums.items(), 1)
         return from_ints(self.ctx, {e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__

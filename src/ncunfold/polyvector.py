@@ -42,19 +42,27 @@ Arithmetic of the bracket: `schouten_bracket` and `_square` read each
 operand once as integer numerators over one denominator, the lcm of its
 term denominators, and take each operand term's d/dx_i at most once.
 Every product of numerators is added straight into one {exps: int} map
-per output term (eps power, mask); at the end each nonzero output term
-becomes one polynomial by one `from_ints` over the product of the two
-denominators.  No Polynomial arithmetic runs in between.
+per output term (eps power, mask) by `poly.product_kernel(n)`, the same
+per-n kernel that `Polynomial.__mul__` runs; at the end each nonzero
+output term becomes one polynomial by one `from_ints` over the product of
+the two denominators.  No Polynomial arithmetic runs in between.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 
 from .errors import ContextMismatch
-from .poly import HSeries, Polynomial, RingContext, _magnitude, accumulate, from_ints
+from .poly import (
+    HSeries,
+    Polynomial,
+    RingContext,
+    _magnitude,
+    accumulate,
+    from_ints,
+    product_kernel,
+)
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -328,10 +336,11 @@ def _numerators(x: GElement) -> tuple[dict, int]:
 
 
 def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: dict,
-              sign: int) -> None:
+              sign: int, kernel) -> None:
     """Add sign * sum_i (A right-d/dd_i)(dB/dx_i) for A = a d_ma, B = b d_mb at
-    eps^e to acc, the integer numerators summed per output key (eps, mask).
-    The items of dB/dx_i are kept in cache under (kb, i), B's term key."""
+    eps^e to acc, the integer numerators summed per output key (eps, mask)
+    by the ring's product kernel.  The items of dB/dx_i are kept in cache
+    under (kb, i), B's term key."""
     for i in bits_of(ma):
         rest = ma ^ (1 << (i - 1))
         s = sign * _merge_sign(rest, mb)
@@ -352,13 +361,7 @@ def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: 
         out = acc.get(key)
         if out is None:
             out = acc[key] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            if s < 0:
-                c1 = -c1
-            for e2, c2 in db:
-                m = tuple(map(add, e1, e2))
-                out[m] = get(m, 0) + c1 * c2
+        kernel(out, a.items(), db, s)
 
 
 def _collect(ctx: RingContext, acc: dict, den: int) -> GElement:
@@ -381,6 +384,7 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
         raise ContextMismatch("mixed contexts")
     xs, dx = _numerators(x)
     ys, dy = _numerators(y)
+    kernel = product_kernel(x.ctx.n)
     cx: dict = {}
     cy: dict = {}
     acc: dict = {}
@@ -389,10 +393,10 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
         for k2, b in ys.items():
             e2, m2 = k2
             e = e1 + e2
-            _add_half(acc, e, m1, a, m2, k2, b, cy, 1)
+            _add_half(acc, e, m1, a, m2, k2, b, cy, 1, kernel)
             # -(-1)^((|X|-1)(|Y|-1)): eps has even degree, only |I| parity counts
             both_even = not (m1.bit_count() & 1 or m2.bit_count() & 1)
-            _add_half(acc, e, m2, b, m1, k1, a, cx, 1 if both_even else -1)
+            _add_half(acc, e, m2, b, m1, k1, a, cx, 1 if both_even else -1, kernel)
     return _collect(x.ctx, acc, dx * dy)
 
 
@@ -401,12 +405,13 @@ def _square(x: GElement) -> GElement:
     even terms."""
     xs, den = _numerators(x)
     even = [(k, a) for k, a in xs.items() if not k[1].bit_count() & 1]
+    kernel = product_kernel(x.ctx.n)
     cache: dict = {}
     acc: dict = {}
     for (e1, m1), a in even:
         for k2, b in even:
             e2, m2 = k2
-            _add_half(acc, e1 + e2, m1, a, m2, k2, b, cache, 1)
+            _add_half(acc, e1 + e2, m1, a, m2, k2, b, cache, 1, kernel)
     return _collect(x.ctx, acc, den * den)
 
 

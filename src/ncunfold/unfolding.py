@@ -239,9 +239,26 @@ class OrderResidual:
 
 @dataclass(frozen=True)
 class MCReport:
-    orders: tuple[OrderResidual, ...]
+    """The residual report of `mc_verify`.
+
+    ``nonzero`` holds the `OrderResidual` of each order with a nonzero part,
+    in increasing h power; every other order through ``top``, the last one
+    checked, has ``zero`` in all three parts.  ``orders`` lists every order
+    0..top and is built on each read, so a reader of ``nonzero`` pays for
+    the nonzero orders only.
+    """
+
+    nonzero: tuple[OrderResidual, ...]
+    top: int
+    zero: GElement
     witness_consistent: bool | None
     ok: bool
+
+    @property
+    def orders(self) -> tuple[OrderResidual, ...]:
+        z = self.zero
+        given = {o.h_power: o for o in self.nonzero}
+        return tuple(given.get(k) or OrderResidual(k, z, z, z) for k in range(self.top + 1))
 
     def to_json(self) -> dict:
         return {
@@ -297,7 +314,7 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
     dp, ds = sol.p_series.order, sol.s_series.order
     check_order = max(dp + ds, 2 * ds, 1) if sol.order == EXACT else sol.order
     residual = mc_residual(f, _w_series(sol.p_series, sol.s_series, ctx, check_order))
-    parts = {}
+    nonzero = []
     for k, r_k in residual.terms.items():
         split = {(1, 1): {}, (0, 3): {}}
         for (e, m), c in r_k.terms.items():
@@ -306,9 +323,7 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
                 raise AssertionError("residual decomposition violated")
             part[(0, m)] = c
         b_k = -GElement(ctx, split[1, 1])
-        parts[k] = (b_k, GElement(ctx, split[0, 3]).scale(2), r_k)
-    zeros = (zero_g, zero_g, zero_g)
-    orders = tuple(OrderResidual(k, *parts.get(k, zeros)) for k in range(check_order + 1))
+        nonzero.append(OrderResidual(k, b_k, GElement(ctx, split[0, 3]).scale(2), r_k))
     witness_consistent = None
     if check_witness and sol.witness is not None:
         # [f - p, T] reaches h^(dp + dt), past check_order for an exact T
@@ -316,7 +331,7 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
         rebuilt = _f_minus_p(f, sol.p_series, n).convolve(sol.witness, schouten_bracket, n)
         witness_consistent = rebuilt == HSeries.sparse(sol.s_series.terms, n, zero_g)
     ok = not residual.terms and witness_consistent is not False
-    return MCReport(orders=orders, witness_consistent=witness_consistent, ok=ok)
+    return MCReport(tuple(nonzero), check_order, zero_g, witness_consistent, ok)
 
 
 def _witness_form(f: Polynomial, p_series: HSeries, t1: GElement, order):
@@ -381,8 +396,8 @@ def quantize_general(
     p_terms = {1: p1, **dict(zip(range(2, max_order + 1), p_higher or ()))}
     p_series = HSeries.sparse(p_terms, max_order, Polynomial.zero(ctx))
     sol, report = _witness_form(f, p_series, koszul_lift(sing, s1), max_order)
-    for o in report.orders[2:]:
-        if not o.poisson_square.is_zero():
+    for o in report.nonzero:
+        if o.h_power >= 2 and not o.poisson_square.is_zero():
             return ObstructionReport(o.h_power, o.poisson_square, "poisson_failure")
     if not report.ok:
         raise RuntimeError("internal: quantize_general produced a nonzero residual")

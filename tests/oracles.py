@@ -500,7 +500,8 @@ def mc_verify_oracle(f: Polynomial, sol) -> MCReport:
         target = _dense(sol.s_series, n, zero_g)
         witness_consistent = all(rebuilt.coeffs[k] == target.coeffs[k] for k in range(n + 1))
     ok = all(o.residual.is_zero() for o in orders) and witness_consistent is not False
-    return MCReport(tuple(orders), witness_consistent, ok)
+    nonzero = tuple(o for o in orders if not o.is_zero())
+    return MCReport(nonzero, check, zero_g, witness_consistent, ok)
 
 
 # ---------------------------------------------------------------------------

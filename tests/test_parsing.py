@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncunfold.errors import ParseError
+from ncunfold.errors import DegreeGuardExceeded, ParseError
 from ncunfold.parsing import (
     _Parser,
     format_series,
@@ -358,3 +358,41 @@ def test_series_at_a_high_order_holds_only_its_nonzero_terms():
     assert s.order == 100_000 and list(s.terms) == [1]
     p = parse_poly_series("h - h^99999", CTX3, order=100_000)
     assert list(p.terms) == [1, 99_999]
+
+
+def test_power_past_the_degree_guard_is_refused_before_expansion(monkeypatch):
+    """With max_degree, a power base^k with deg(base)*k above it raises
+    DegreeGuardExceeded before any product is formed; h, E and D do not
+    count towards the degree, and without a guard nothing changes."""
+    x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
+    assert parse_polynomial("(x+y)^3", CTX2, max_degree=3) == (x + y) ** 3
+    assert parse_polynomial("((x+y)^2)^4", CTX2, max_degree=8) == (x + y) ** 8
+    assert parse_polynomial("(x^2*y)^30", CTX2) == (x * x * y) ** 30
+    assert parse_polynomial("(3/2)^5 + 0^9", CTX2, max_degree=0) == Polynomial.constant(
+        CTX2, Fraction(243, 32)
+    )
+    series = parse_series("(x*h)^4", CTX2, order=8, max_degree=4)
+    assert series.terms[4] == GElement.from_polynomial(x ** 4)
+    wedge = parse_gelement("(x*E)^3 + (y*D(1,2))^1", CTX2, max_degree=3)
+    assert wedge == parse_gelement("x^3*E^3 + y*D(1,2)", CTX2)
+
+    # the exponents _pow is called with: only the powers inside the refused one
+    pows = []
+    pow_ = _Parser._pow
+    monkeypatch.setattr(_Parser, "_pow", lambda self, a, e: pows.append(e) or pow_(self, a, e))
+    cases = [
+        (parse_polynomial, "x + (x+y)^100000", 64, "degree 100000", "offset 10", []),
+        (parse_polynomial, "((x+y)^8)^9", 64, "degree 72", "offset 10", [8]),
+        (parse_polynomial, "x^3", 2, "degree 3", "offset 2", []),
+        (parse_gelement, "(x*y*E*D(1))^2", 3, "degree 4", "offset 13", []),
+        (parse_poly_series, "(x*h)^5", 4, "degree 5", "offset 6", []),
+        (parse_series, "(y^2*h)^2 * D(2)", 3, "degree 4", "offset 8", [2]),
+    ]
+    for parse, text, guard, degree, offset, inner in cases:
+        pows.clear()
+        with pytest.raises(DegreeGuardExceeded) as info:
+            parse(text, CTX2, max_degree=guard)
+        message = str(info.value)
+        assert message.startswith("parsing: ") and degree in message and offset in message
+        assert f"limit {guard}" in message
+        assert pows == inner, text

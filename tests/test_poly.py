@@ -14,6 +14,7 @@ from ncunfold.poly import (
     RingContext,
     Substitution,
     exact_divide,
+    product_kernel,
 )
 
 from ncunfold.polyvector import GElement, schouten_bracket
@@ -114,13 +115,94 @@ def assert_product_matches_oracle(a, b):
 
 @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
 def test_mul_matches_naive_double_sum(kind):
+    """Every n the library meets, 1 to 8 (hkr runs at 8): random products,
+    and products (a + b)(a - b) whose cross terms cancel."""
     rng = random.Random(f"mul-{kind}")
-    for _ in range(60):
-        n = rng.randint(1, 4)
+    for _ in range(80):
+        n = rng.randint(1, 8)
         ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
         a = rand_poly(rng, ctx, 4, rng.randint(1, 8), coeff=COEFFICIENTS[kind])
         b = rand_poly(rng, ctx, 4, rng.randint(1, 8), coeff=COEFFICIENTS[kind])
         assert_product_matches_oracle(a, b)
+        assert_product_matches_oracle(a + b, a - b)
+
+
+def _wide_nums(rng, n, n_terms):
+    """{exps: int} with numerators of up to 100 bits, of either sign."""
+    nums = {}
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(0, 3) for _ in range(n))
+        nums[exps] = rng.choice((-1, 1)) * rng.getrandbits(100) or 1
+    return nums
+
+
+def _naive_kernel(a: dict, b: dict, s: int) -> dict:
+    """s * a * b as an insertion-ordered double sum over zip-added keys."""
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + s * c1 * c2
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_kernel_matches_naive_sum_at_every_n(n):
+    """The kernel of n variables gives the naive double sum, values and
+    insertion order alike, for numerators above 64 bits, for the signs
+    the bracket passes and for a product whose cross term cancels to 0."""
+    rng = random.Random(f"kernel-{n}")
+    kernel = product_kernel(n)
+    for _ in range(30):
+        a = _wide_nums(rng, n, rng.randint(1, 6))
+        b = _wide_nums(rng, n, rng.randint(1, 6))
+        for s in (1, -1, 3):
+            acc = {}
+            kernel(acc, a.items(), list(b.items()), s)
+            want = _naive_kernel(a, b, s)
+            assert list(acc.items()) == list(want.items())
+    # (c x^p + d x^q)(c x^p - d x^q): the x^(p+q) sum is c*(-d) + d*c = 0
+    p, q = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)
+    c, d = 2**70 + 1, -(2**65 + 3)
+    acc = {}
+    kernel(acc, {p: c, q: d}.items(), {p: c, q: -d}.items(), 1)
+    pq = tuple(x + y for x, y in zip(p, q))
+    assert acc[pq] == 0
+    assert {e: v for e, v in acc.items() if v} == {
+        tuple(2 * x for x in p): c * c, tuple(2 * x for x in q): -d * d
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_kernel_with_sign_minus_one_is_the_negated_product(n):
+    rng = random.Random(f"kernel-neg-{n}")
+    ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
+    for _ in range(20):
+        a = rand_poly(rng, ctx, 4, rng.randint(1, 6), coeff=COEFFICIENTS["prime_den"])
+        b = rand_poly(rng, ctx, 4, rng.randint(1, 6), coeff=COEFFICIENTS["prime_den"])
+        acc = {}
+        product_kernel(n)(acc, a.nums.items(), b.nums.items(), -1)
+        neg = {e: Fraction(v, a.den * b.den) for e, v in acc.items() if v}
+        assert neg == {e: -c for e, c in naive_poly_mul(a, b).items()}
+
+
+def test_product_kernel_is_built_once_per_n():
+    """Products and brackets at n = 1..8, in two rings per n, build one
+    kernel per n and reuse it."""
+    product_kernel.cache_clear()
+    rng = random.Random("kernel-once")
+    for _ in range(3):
+        for n in range(1, 9):
+            ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
+            a, b = rand_poly(rng, ctx, 3, 4), rand_poly(rng, ctx, 3, 4)
+            assert_product_matches_oracle(a, b)
+            x, y = rand_gelement(rng, ctx), rand_gelement(rng, ctx)
+            schouten_bracket(x, y)
+            other = RingContext(tuple(f"t{i}" for i in range(1, n + 1)))
+            Polynomial.variable(other, 1) * Polynomial.variable(other, n)
+    info = product_kernel.cache_info()
+    assert (info.misses, info.currsize) == (8, 8)
+    assert all(product_kernel(n) is product_kernel(n) for n in range(1, 9))
 
 
 def test_mul_matches_naive_on_monic_large_denominators():
