@@ -54,7 +54,6 @@ from .poly import (
     Polynomial,
     RingContext,
     Substitution,
-    exact_divide,
 )
 from .polyvector import (
     GElement,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure
 (quasiclassical conditions violated, non-isolated f where isolation is
-required, nonzero residual in mc-verify), 3 degree-guard abort.
+required, nonzero residual in mc-verify), 3 degree-guard abort or
+budget exceeded.  Each command accepts only the flags it reads.
 Identical argv always produces byte-identical JSON output.
 """
 
@@ -21,7 +22,7 @@ from .errors import (
     ParseError,
     QCInvalid,
 )
-from .groebner import GREVLEX, LEX, MonomialOrder, ideal_membership
+from .groebner import GREVLEX, MonomialOrder, ideal_membership
 from .hochschild import (
     PolyDiffOperator,
     brace,
@@ -72,6 +73,47 @@ def _order(text: str) -> int:
     return value
 
 
+# Each flag's argparse spec, written once.
+_FLAGS = {
+    "--vars": dict(required=True, help="comma-separated variable names"),
+    "--f": dict(required=True, help="polynomial expression"),
+    "--p": dict(required=True, help="polynomial, or for mc-verify an h-series of them"),
+    "--S": dict(required=True, help="polyvector, or for mc-verify an h-series of them"),
+    "--T": dict(default=None, help="optional h-series witness"),
+    "--X": dict(required=True, help="graded element"),
+    "--Y": dict(required=True, help="graded element"),
+    "--P": dict(required=True, help="cochain (JSON)"),
+    "--Q": dict(required=True, help="cochain (JSON)"),
+    "--Qs": dict(required=True, help="JSON array of cochains"),
+    "--general": dict(action="store_true", help="order-by-order prober"),
+    "--order": dict(type=_order, default=8, help="h-truncation order"),
+    "--monomial-order": dict(choices=["grevlex", "lex"], default="grevlex"),
+    "--max-degree": dict(type=int, default=64, help="degree guard (exit code 3)"),
+    "--format": dict(choices=["json", "text"], default="text"),
+}
+
+# Each command, its help and the flags it reads besides --vars and --format.
+_COMMANDS = {
+    "milnor": ("Milnor number of f", "--f --monomial-order --max-degree"),
+    "jacobian": ("Jacobian report of f", "--f --monomial-order --max-degree"),
+    "qc-subspace": ("monomial basis of the complement W", "--f --max-degree"),
+    "monicize": ("substitution making f monic in the last variable", "--f --max-degree"),
+    "schouten": ("bracket of two graded elements", "--X --Y --max-degree"),
+    "koszul-lift": ("T with [f, T] = S", "--f --S --max-degree"),
+    "qc-check": ("validate a quasiclassical datum (p, S)", "--f --p --S --max-degree"),
+    "qc-normalize": ("W-normal form of p modulo the Jacobian ideal", "--f --p --max-degree"),
+    "quantize": ("quantize a quasiclassical datum",
+                 "--f --p --S --general --order --max-degree"),
+    "mc-verify": ("residual report for a solution series",
+                  "--f --p --S --T --order --max-degree"),
+    "hh-cup": ("cup product of two cochains (JSON)", "--P --Q"),
+    "hh-brace": ("brace P{Q_1,...} of cochains (JSON)", "--P --Qs"),
+    "hh-bracket": ("Gerstenhaber bracket of two cochains (JSON)", "--P --Q"),
+    "hh-d": ("Hochschild differential [mu, P] (JSON)", "--P"),
+    "hkr": ("HKR cochain of a polyvector field", "--X --max-degree"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call and shared by
@@ -79,90 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     parse_args fills a fresh namespace."""
     top = _CliParser(prog="unfold", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_f=True):
-        p.add_argument("--vars", required=True, help="comma-separated variable names")
-        if needs_f:
-            p.add_argument("--f", required=True, help="polynomial expression")
-        p.add_argument("--order", type=_order, default=8, help="h-truncation order")
-        p.add_argument(
-            "--monomial-order", choices=["grevlex", "lex"], default="grevlex"
-        )
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--max-degree", type=int, default=64)
-
-    p = sub.add_parser("milnor", help="Milnor number of f")
-    common(p)
-    p = sub.add_parser("jacobian", help="Jacobian report of f")
-    common(p)
-    p = sub.add_parser("qc-subspace", help="monomial basis of the complement W")
-    common(p)
-    p = sub.add_parser("monicize", help="substitution making f monic in the last variable")
-    common(p)
-
-    p = sub.add_parser("schouten", help="bracket of two graded elements")
-    common(p, needs_f=False)
-    p.add_argument("--X", required=True)
-    p.add_argument("--Y", required=True)
-
-    p = sub.add_parser("koszul-lift", help="T with [f, T] = S")
-    common(p)
-    p.add_argument("--S", required=True, help="cycle to lift (polyvector)")
-
-    p = sub.add_parser("qc-check", help="validate a quasiclassical datum (p, S)")
-    common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--S", required=True)
-
-    p = sub.add_parser("qc-normalize", help="W-normal form of p modulo the Jacobian ideal")
-    common(p)
-    p.add_argument("--p", required=True)
-
-    p = sub.add_parser("quantize", help="quantize a quasiclassical datum")
-    common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--S", required=True)
-    p.add_argument("--general", action="store_true", help="order-by-order prober")
-
-    p = sub.add_parser("mc-verify", help="residual report for a solution series")
-    common(p)
-    p.add_argument("--p", required=True, help="h-series of polynomials")
-    p.add_argument("--S", required=True, help="h-series of bivectors")
-    p.add_argument("--T", default=None, help="optional h-series witness")
-
-    p = sub.add_parser("hh-cup", help="cup product of two cochains (JSON)")
-    common(p, needs_f=False)
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-
-    p = sub.add_parser("hh-brace", help="brace P{Q_1,...} of cochains (JSON)")
-    common(p, needs_f=False)
-    p.add_argument("--P", required=True)
-    p.add_argument("--Qs", required=True, help="JSON array of cochains")
-
-    p = sub.add_parser("hh-bracket", help="Gerstenhaber bracket of two cochains (JSON)")
-    common(p, needs_f=False)
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-
-    p = sub.add_parser("hh-d", help="Hochschild differential [mu, P] (JSON)")
-    common(p, needs_f=False)
-    p.add_argument("--P", required=True)
-
-    p = sub.add_parser("hkr", help="HKR cochain of a polyvector field")
-    common(p, needs_f=False)
-    p.add_argument("--X", required=True)
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in ["--vars", *flags.split(), "--format"]:
+            p.add_argument(flag, **_FLAGS[flag])
     return top
 
 
 def _ctx(args) -> RingContext:
     names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
     return RingContext(names)
-
-
-def _monomial_order(args) -> MonomialOrder:
-    return GREVLEX if args.monomial_order == "grevlex" else LEX
 
 
 def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
@@ -211,17 +179,42 @@ def _report_text(report) -> str:
 
 def _run(args) -> int:
     ctx = _ctx(args)
+
+    if args.command in ("hh-cup", "hh-bracket"):
+        p = _cochain(ctx, json.loads(args.P))
+        q = _cochain(ctx, json.loads(args.Q))
+        out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
+        _emit(args, out.to_json, lambda: str(out))
+        return 0
+
+    if args.command == "hh-brace":
+        p = _cochain(ctx, json.loads(args.P))
+        qs = json.loads(args.Qs)
+        if not isinstance(qs, list):
+            raise ValueError("--Qs must be a JSON list of cochains")
+        qs = [_cochain(ctx, item) for item in qs]
+        out = brace(p, qs)
+        _emit(args, out.to_json, lambda: str(out))
+        return 0
+
+    if args.command == "hh-d":
+        p = _cochain(ctx, json.loads(args.P))
+        out = hochschild_differential(p)
+        _emit(args, out.to_json, lambda: str(out))
+        return 0
+
+    # every other command parses expressions, under the --max-degree guard
     guard = args.max_degree
 
     if args.command == "milnor":
         f = parse_polynomial(args.f, ctx, guard)
-        data = jacobian(f, _monomial_order(args), guard)
+        data = jacobian(f, MonomialOrder(args.monomial_order), guard)
         _emit(args, lambda: {"milnor": data.milnor}, lambda: f"milnor: {data.milnor}")
         return 0
 
     if args.command == "jacobian":
         f = parse_polynomial(args.f, ctx, guard)
-        data = jacobian(f, _monomial_order(args), guard)
+        data = jacobian(f, MonomialOrder(args.monomial_order), guard)
         _emit(args, data.report, lambda: (
             f"milnor: {data.milnor}\nisolated: {data.milnor != INFINITE}\n"
             "w_basis: " + ", ".join(_mono_strs(ctx, data.w_basis))
@@ -325,29 +318,6 @@ def _run(args) -> int:
         report = mc_verify(f, sol)
         _emit(args, report.to_json, lambda: _report_text(report))
         return 0 if report.ok else VALIDATION_ERROR
-
-    if args.command in ("hh-cup", "hh-bracket"):
-        p = _cochain(ctx, json.loads(args.P))
-        q = _cochain(ctx, json.loads(args.Q))
-        out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
-        _emit(args, out.to_json, lambda: str(out))
-        return 0
-
-    if args.command == "hh-brace":
-        p = _cochain(ctx, json.loads(args.P))
-        qs = json.loads(args.Qs)
-        if not isinstance(qs, list):
-            raise ValueError("--Qs must be a JSON list of cochains")
-        qs = [_cochain(ctx, item) for item in qs]
-        out = brace(p, qs)
-        _emit(args, out.to_json, lambda: str(out))
-        return 0
-
-    if args.command == "hh-d":
-        p = _cochain(ctx, json.loads(args.P))
-        out = hochschild_differential(p)
-        _emit(args, out.to_json, lambda: str(out))
-        return 0
 
     if args.command == "hkr":
         x = parse_gelement(args.X, ctx, guard)

@@ -527,7 +527,6 @@ class GroebnerBasis:
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool
     # the leading exponents of the generators, as the engine found them
     leads: tuple[tuple, ...] = field(repr=False, compare=False)
 
@@ -555,7 +554,6 @@ class ModuleGroebnerBasis:
     generators: tuple[ModuleElement, ...]
     order: MonomialOrder
     rank: int
-    reduced: bool
     source: tuple[ModuleElement, ...] = field(repr=False, default=())
     # a certificate, not part of the basis: cofactors are not unique
     source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(
@@ -627,7 +625,6 @@ def buchberger(
     return GroebnerBasis(
         generators=tuple(e.elem.components[0] for e in entries),
         order=order,
-        reduced=True,
         leads=tuple(e.lead[1] for e in entries),
     )
 
@@ -659,7 +656,6 @@ def module_buchberger(
         generators=tuple(e.elem for e in entries),
         order=order,
         rank=rank,
-        reduced=True,
         source=tuple(gens),
         source_cofactors=tuple(e.cofs for e in entries),
     )
@@ -719,8 +715,6 @@ def standard_monomials(gb: GroebnerBasis):
     Returns the string "infinite" when some variable has no pure power
     among the leading terms (the quotient is then infinite-dimensional).
     """
-    if not gb.reduced:
-        raise ValueError("basis must be reduced")
     n = gb.ctx.n
     leads = gb.leading_exponents()
     if any(all(lt[i] != sum(lt) for lt in leads) for i in range(n)):

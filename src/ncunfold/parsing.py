@@ -20,14 +20,17 @@ term is accepted so that formatted output always re-parses.
 Each entry point takes an optional ``max_degree``: a power base^k whose
 degree in the ring variables (h, E and D do not count), deg(base)*k,
 exceeds it raises `DegreeGuardExceeded` before the power is expanded.
-Without it, powers are expanded whatever their degree.
+Without it, powers are expanded whatever their degree.  A power of a
+constant other than 0 and +-1 has degree 0, so it is bounded by size
+instead: c^k with k * bit_length(max(|num|, den)) above
+POWER_BITS_BUDGET raises `BudgetExceeded`, with or without max_degree.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import DegreeGuardExceeded, ParseError
+from .errors import BudgetExceeded, DegreeGuardExceeded, ParseError
 from .poly import HSeries, Polynomial, RingContext, accumulate, from_ints
 from .polyvector import GElement, _merge_sign
 
@@ -35,6 +38,8 @@ _SYMBOLS = set("+-*^(),/")
 # ASCII only: str.isdigit and str.isalnum also take digits such as "²"
 _WORD_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)")
 _SCALAR = (0, 0, 0)  # the value key of h^0 eps^0 with no odd generator
+# the most bits (exponent times bit length of the base) a constant power may have
+POWER_BITS_BUDGET = 1 << 20
 
 
 class _Token:
@@ -188,15 +193,30 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("NUM", "exponent")
-            if self.max_degree is not None and value:
-                degree = max(c.total_degree() for c in value.values()) * tok.value
-                if degree > self.max_degree:
-                    raise DegreeGuardExceeded(
-                        f"parsing: a power of degree {degree} (exponent at offset "
-                        f"{tok.pos}) is past the limit {self.max_degree}"
-                    )
+            self._check_power(value, tok)
             value = self._pow(value, tok.value)
         return value
+
+    def _check_power(self, value, tok: _Token):
+        """Refuse value^k before it is expanded: a degree past max_degree, or
+        a constant base whose power would pass POWER_BITS_BUDGET bits."""
+        const = value.get(_SCALAR)
+        if len(value) == 1 and const is not None and const.is_constant():
+            (num,) = const.nums.values()
+            size = max(abs(num), const.den)
+            bits = size.bit_length() * tok.value
+            if size > 1 and bits > POWER_BITS_BUDGET:
+                raise BudgetExceeded(
+                    f"parsing: a power of a constant of {bits} bits (exponent at offset "
+                    f"{tok.pos}) is over the budget of {POWER_BITS_BUDGET}"
+                )
+        if self.max_degree is not None and value:
+            degree = max(c.total_degree() for c in value.values()) * tok.value
+            if degree > self.max_degree:
+                raise DegreeGuardExceeded(
+                    f"parsing: a power of degree {degree} (exponent at offset "
+                    f"{tok.pos}) is past the limit {self.max_degree}"
+                )
 
     def base(self):
         tok = self.peek()

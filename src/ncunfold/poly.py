@@ -442,26 +442,6 @@ class Polynomial:
         return cls(ctx, terms)
 
 
-def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial | None:
-    """Return q with q*b == a exactly, or None when b does not divide a."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    _check_ctx(a, b)
-    lt_b = max(b.nums, key=grevlex_key)
-    lc_b = Fraction(b.nums[lt_b], b.den)
-    quotient: dict[tuple, Fraction] = {}
-    rem = a
-    while not rem.is_zero():
-        lt_r = max(rem.nums, key=grevlex_key)
-        if not monomial_divides(lt_b, lt_r):
-            return None
-        e = monomial_div(lt_r, lt_b)
-        c = Fraction(rem.nums[lt_r], rem.den) / lc_b
-        quotient[e] = quotient.get(e, Fraction(0)) + c
-        rem = rem - Polynomial.monomial(a.ctx, e, c) * b
-    return Polynomial(a.ctx, quotient)
-
-
 @dataclass(frozen=True)
 class Substitution:
     """A ring homomorphism x_i -> images[i].

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ncunfold import cli
 from ncunfold.cli import main
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import Polynomial, RingContext
@@ -71,7 +73,7 @@ QUANTIZE_ARGV = ["quantize", "--vars", "x,y,z", "--f", "x^2+y^2+z^2", "--p", "0"
         QUANTIZE_ARGV + ["--order", "-3"],
         QUANTIZE_ARGV + ["--order", "0"],
         ["mc-verify", "--vars", "x", "--f", "x^2", "--p", "0", "--S", "0", "--order", "0"],
-        ["milnor", "--vars", "x,y", "--f", "x^2+y^3", "--order", "two"],
+        ["mc-verify", "--vars", "x", "--f", "x^2", "--p", "0", "--S", "0", "--order", "two"],
     ],
 )
 def test_order_flag_out_of_range_is_usage_error(capsys, argv):
@@ -84,6 +86,83 @@ def test_order_flag_out_of_range_is_usage_error(capsys, argv):
 def test_order_flag_at_its_lower_bound(capsys):
     code, out, _ = run(capsys, QUANTIZE_ARGV + ["--order", "1"])
     assert code == 0 and out
+
+
+SQUARES = "x^2+y^2+z^2"
+S_SQUARES = "2*x*D(2,3)+2*y*D(3,1)+2*z*D(1,2)"
+COCHAIN = ('{"arity": 1, "terms": [{"coeff": {"terms": [{"exp": [1, 0, 0], "num": "1", '
+           '"den": "1"}]}, "alphas": [[0, 1, 0]]}]}')
+
+# one argv per command that passes every flag the command takes
+EVERY_FLAG_ARGVS = [
+    ["milnor", "--f", "x^3+y^2+z^2", "--monomial-order", "lex", "--max-degree", "9"],
+    ["jacobian", "--f", "x^3+y^2+z^2", "--monomial-order", "lex", "--max-degree", "9"],
+    ["qc-subspace", "--f", "x^3+y^2+z^2", "--max-degree", "9"],
+    ["monicize", "--f", "x*y+x^3", "--max-degree", "9"],
+    ["schouten", "--X", "x*D(1)", "--Y", "y*D(2)", "--max-degree", "9"],
+    ["koszul-lift", "--f", SQUARES, "--S", S_SQUARES, "--max-degree", "9"],
+    ["qc-check", "--f", SQUARES, "--p", "1", "--S", S_SQUARES, "--max-degree", "9"],
+    ["qc-normalize", "--f", SQUARES, "--p", "x^2+1", "--max-degree", "9"],
+    ["quantize", "--f", SQUARES, "--p", "1", "--S", S_SQUARES, "--general", "--order", "3",
+     "--max-degree", "9"],
+    ["mc-verify", "--f", SQUARES, "--p", "h", "--S", f"({S_SQUARES})*h", "--T", "0",
+     "--order", "3", "--max-degree", "9"],
+    ["hh-cup", "--P", COCHAIN, "--Q", COCHAIN],
+    ["hh-brace", "--P", COCHAIN, "--Qs", f"[{COCHAIN}]"],
+    ["hh-bracket", "--P", COCHAIN, "--Q", COCHAIN],
+    ["hh-d", "--P", COCHAIN],
+    ["hkr", "--X", "x*D(1,2)", "--max-degree", "9"],
+]
+
+
+def _subparsers():
+    top = cli.build_parser()
+    (commands,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return top, commands.choices
+
+
+def test_every_command_has_an_every_flag_argv():
+    assert sorted(argv[0] for argv in EVERY_FLAG_ARGVS) == sorted(_subparsers()[1])
+
+
+@pytest.mark.parametrize("argv", EVERY_FLAG_ARGVS, ids=[argv[0] for argv in EVERY_FLAG_ARGVS])
+def test_each_command_reads_every_flag_it_accepts(argv):
+    """An argv that passes every flag of the command's subparser: running
+    it reads every attribute the parse filled in."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    top, subparsers = _subparsers()
+    argv = [argv[0], "--vars", "x,y,z", *argv[1:], "--format", "json"]
+    flags = {s for a in subparsers[argv[0]]._actions for s in a.option_strings}
+    assert flags - {"-h", "--help"} <= set(argv)
+    args = top.parse_args(argv, namespace=Recording())
+    reads.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli._run(args)
+    assert code in (0, 2) and out.getvalue()
+    assert set(vars(args)) <= reads, set(vars(args)) - reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qc-subspace", "--vars", "x,y,z", "--f", "x^5+x^2*y^2+y^5+z^2", "--monomial-order", "lex"],
+        ["milnor", "--vars", "x,y", "--f", "x^2+y^3", "--order", "3"],
+        ["hh-d", "--vars", "x,y,z", "--P", COCHAIN, "--max-degree", "3"],
+    ],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    """A command accepts only the flags it reads: any other is refused by
+    the parser, before any work."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err and argv[-2] in err
+    assert "Traceback" not in err
 
 
 def test_non_isolated_exit_2(capsys):
@@ -242,6 +321,18 @@ def test_power_past_max_degree_exits_3_at_parse_time(capsys, names, f):
     elapsed = time.perf_counter() - start
     assert (code, out) == (3, "")
     assert err.startswith("error: parsing: ") and "past the limit 64" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0, elapsed
+
+
+def test_constant_power_over_its_bit_budget_exits_3_at_once(capsys):
+    """3^16000000 has degree 0, so the degree guard passes it; it is
+    refused by size before the parser expands it (expanding it took 11 s)."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["milnor", "--vars", "x,y", "--f", "x^2+y^2+3^16000000"])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err.startswith("error: parsing: ") and "offset 10" in err
     assert "Traceback" not in err
     assert elapsed < 1.0, elapsed
 

@@ -42,7 +42,6 @@ def test_buchberger_monic_scaling():
     x, y, z = xyz()
     gb = buchberger([2 * x, 2 * y, 2 * z])
     assert list(gb.generators) == [x, y, z]
-    assert gb.reduced
 
 
 def test_buchberger_single_variable():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncunfold.errors import DegreeGuardExceeded, ParseError
+from ncunfold.errors import BudgetExceeded, DegreeGuardExceeded, ParseError
 from ncunfold.parsing import (
+    POWER_BITS_BUDGET,
     _Parser,
     format_series,
     parse_gelement,
@@ -396,3 +397,42 @@ def test_power_past_the_degree_guard_is_refused_before_expansion(monkeypatch):
         assert message.startswith("parsing: ") and degree in message and offset in message
         assert f"limit {guard}" in message
         assert pows == inner, text
+
+
+def test_power_of_a_constant_past_the_bit_budget_is_refused_before_expansion(monkeypatch):
+    """A constant has degree 0, so its power c^k is bounded by size
+    instead: k * bit_length(max(|num|, den)) above POWER_BITS_BUDGET
+    raises BudgetExceeded before _pow runs, with or without max_degree.
+    At the budget the power is exact, and 0 and +-1 pass at any exponent."""
+    k = POWER_BITS_BUDGET // 2  # 2 and 3 have two bits
+    assert parse_polynomial(f"3^{k}", CTX2) == Polynomial.constant(CTX2, 3 ** k)
+    assert parse_polynomial(f"x + (1/3)^{k}", CTX2, max_degree=1) == (
+        Polynomial.variable(CTX2, 1) + Polynomial.constant(CTX2, Fraction(1, 3 ** k))
+    )
+    assert parse_polynomial("(-2/3)^1001", CTX2) == Polynomial.constant(
+        CTX2, Fraction(-2, 3) ** 1001
+    )
+    huge = 10 ** 12 + 1
+    assert parse_polynomial(f"(-1)^{huge} + 0^{huge} + (x-x)^{huge}", CTX2) == (
+        Polynomial.constant(CTX2, -1)
+    )
+
+    pows = []
+    pow_ = _Parser._pow
+    monkeypatch.setattr(_Parser, "_pow", lambda self, a, e: pows.append(e) or pow_(self, a, e))
+    cases = [
+        (parse_polynomial, f"3^{k + 1}", f"{2 * k + 2} bits", "offset 2", []),
+        (parse_polynomial, "x + (1/3)^16000000", "32000000 bits", "offset 10", []),
+        (parse_polynomial, f"(2^{k})^2", f"{2 * k + 2} bits", f"offset {len(str(k)) + 5}", [k]),
+        (parse_series, "h + (7)^16000000", "48000000 bits", "offset 8", []),
+        (parse_gelement, "D(1) * 5^16000000", "48000000 bits", "offset 9", []),
+    ]
+    for parse, text, bits, offset, inner in cases:
+        for guard in (None, 64):
+            pows.clear()
+            with pytest.raises(BudgetExceeded) as info:
+                parse(text, CTX2, max_degree=guard)
+            message = str(info.value)
+            assert message.startswith("parsing: ") and bits in message and offset in message
+            assert f"budget of {POWER_BITS_BUDGET}" in message
+            assert pows == inner, text

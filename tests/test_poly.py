@@ -13,7 +13,6 @@ from ncunfold.poly import (
     Polynomial,
     RingContext,
     Substitution,
-    exact_divide,
     product_kernel,
 )
 
@@ -435,24 +434,6 @@ def test_substitution_composition_is_homomorphism():
         assert sigma(f * g) == sigma(f) * sigma(g)
         assert sigma(f + g) == sigma(f) + sigma(g)
         assert tau(sigma(f)) == sigma.compose(tau)(f)
-
-
-def test_exact_divide_examples():
-    x, y, _ = xyz()
-    assert exact_divide(x ** 2 - y ** 2, x - y) == x + y
-    assert exact_divide(x, x + 1) is None
-    assert exact_divide(Polynomial.zero(CTX3), x + 1).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(x, Polynomial.zero(CTX3))
-
-
-def test_exact_divide_roundtrip_random():
-    rng = random.Random(99)
-    for _ in range(60):
-        a = rand_poly(rng, CTX2, max_degree=3)
-        b = rand_poly(rng, CTX2, max_degree=3, zero_ok=False)
-        q = exact_divide(a * b, b)
-        assert q == a
 
 
 def test_json_roundtrip_byte_exact():
