@@ -16,8 +16,10 @@ twice the width, so no key wraps and no result depends on the width.
 Every normal form is computed by one routine, `_reduce`: fraction-free on
 a flat map from keys to the polynomials' integer numerators over one
 denominator, taking each leading term from a heap.  Cofactors over the
-input are carried by module bases (`module_buchberger`, and through it
-`module_preimage` and `ideal_membership`) and by the normal forms; the
+input are components past the rank: module bases (`module_buchberger`,
+and through it `module_preimage` and `ideal_membership`) and normal forms
+append the unit vector e_i to input i as component rank + i, which every
+S-pair and reduction step carries in the same integer arithmetic.  The
 identities they assert are rechecked on construction of a ReductionTrace,
 not sampled.
 
@@ -32,7 +34,6 @@ over the input.  On rank-1 input the two give the same reduced basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -226,9 +227,10 @@ def _packed(run, elems: list[ModuleElement], order: MonomialOrder, max_degree: i
             width *= 2
 
 
-def _integer_map(v: ModuleElement, pk: _Packing):
-    """({key: int}, den) with v == sum(int * term) / den: the numerators
-    of the components on the lcm of their denominators."""
+def _integer_map(v: ModuleElement, pk: _Packing, unit: int | None = None):
+    """({key: int}, den) with v == sum(int * term) / den: the numerators of
+    the components on the lcm of their denominators, and den at the constant
+    term of component unit if given (v extended by that unit vector)."""
     den = lcm(*(p.den for p in v.components))
     key = pk.key
     ints = {
@@ -236,6 +238,8 @@ def _integer_map(v: ModuleElement, pk: _Packing):
         for comp, p in enumerate(v.components)
         for exps, c in p.nums.items()
     }
+    if unit is not None:
+        ints[key(unit, (0,) * v.ctx.n)] = den
     return ints, den
 
 
@@ -256,73 +260,78 @@ def _guard(max_degree: int | None, degree: int) -> None:
 
 @dataclass
 class _Entry:
-    """A monic basis element with its cofactors over the input generators
-    (None when not tracked) and its primitive integer form: leading
-    coefficient lc > 0 and the remaining (key, int) terms.  reach is how far
-    the degree of the tail rises above the leading term's, or 0 (always 0
-    for an ideal under grevlex)."""
+    """A basis element in primitive integer form, cofactor components
+    included: leading coefficient lc > 0 at key and the other (key, int)
+    terms.  reach is how far the degree of the module part rises above the
+    lead's, or 0 (always 0 for an ideal under grevlex), and rise how far
+    any term's does.  elem, the monic element on space (ctx, number of
+    components, packing), is built on its first read into the field built
+    (a field, not a lazily added attribute, keeps _reduce's reads fast)."""
 
-    elem: ModuleElement
-    cofs: tuple[Polynomial, ...] | None
     lead: tuple  # (comp, exps)
     key: int
     lc: int
     tail: tuple
     reach: int
+    rise: int
+    space: tuple = field(repr=False)
     sig: tuple | None = None  # (input index, key of the monomial) in the signature loop
+    built: ModuleElement | None = field(default=None, repr=False)
+
+    @property
+    def elem(self) -> ModuleElement:
+        if self.built is None:
+            self.built = _element(*self.space, ((self.key, self.lc), *self.tail), self.lc)
+        return self.built
 
 
-def _make_entry(ctx: RingContext, rank: int, ints: dict, den: int, cofs,
-                pk: _Packing) -> _Entry:
-    """The entry of the monic multiple of v = sum(int * term) / den for a
-    nonzero integer map ints, given the cofactors of v."""
+def _make_entry(ints: dict, rank: int, space: tuple) -> _Entry:
+    """The entry of an integer map whose module part (keys below rank << cshift) is nonzero."""
+    pk = space[2]
     key = min(ints)
     content = gcd(*ints.values())
     if ints[key] < 0:
         content = -content
     if content != 1:
         ints = {k: c // content for k, c in ints.items()}
-    lc = ints[key]
-    if cofs is not None and den != content * lc:  # v's leading coefficient is not 1
-        cofs = tuple(c * Fraction(den, content * lc) for c in cofs)
-    elem = _element(ctx, rank, pk, ints.items(), lc)
     tail = tuple(item for item in ints.items() if item[0] != key)
+    degree, top, module = pk.degree, pk.degree(key), rank << pk.cshift
     # under grevlex no term of an ideal element has a higher degree than its lead
-    reach = 0 if rank == 1 and pk.graded else max(map(pk.degree, ints)) - pk.degree(key)
-    return _Entry(elem, cofs, pk.term(key), key, lc, tail, reach)
+    reach = 0 if rank == 1 and pk.graded else max(map(degree, filter(module.__gt__, ints))) - top
+    rise = reach if space[1] == rank else max(map(degree, ints)) - top  # over the cofactors too
+    return _Entry(pk.term(key), key, ints[key], tail, reach, rise, space)
 
 
 _CONTENT_EVERY = 8  # reduction steps between removals of the integer content
 
 
-def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
-            pk: _Packing, max_degree: int | None, below=None):
+def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
+            max_degree: int | None, below=None):
     """Full normal form of v = sum(cur[k] * term k) / den against the
-    entries, consuming cur: (ints, rden, cofactors), the remainder being
-    sum(ints[k] * term k) / rden.
+    entries, consuming cur: (ints, rden), the remainder being sum(ints[k] *
+    term k) / rden.
 
-    The divisor of a leading term t is the first entry whose leading term
-    divides it and, when a predicate below is given, for which below(entry,
-    t) holds.  Fraction-free: v is num/den * cur, and a step with cur's
-    leading coefficient a and the divisor's b, g = gcd(a, b), takes cur to
-    (b/g) * cur - (a/g) * x^q * divisor and num/den to num/den * g/b.  An
-    irreducible term a leaves cur as the numerator a * num over den; the
-    remainder goes on one denominator at the end.  When tracked (cofs is
-    not None), the cofactors keep the invariant: if v == sum(cofs_in *
-    gens) and every entry satisfies entry == sum(entry.cofs * gens), then
-    the remainder equals sum(cofs_out * gens).
+    The keys past rank << cshift are cofactor components: no leading term
+    divides them, so they ride along with each step, and max_degree holds
+    only the module part below.  The divisor of a leading term t is the
+    first entry whose leading term divides it and, when a predicate below
+    is given, for which below(entry, t) holds.  Fraction-free: v is num/den
+    * cur, and a step with cur's leading coefficient a and the divisor's b,
+    g = gcd(a, b), takes cur to (b/g) * cur - (a/g) * x^q * divisor and
+    num/den to num/den * g/b.  An irreducible term a leaves cur as the
+    numerator a * num over den; the remainder goes on one denominator at
+    the end.
     """
     degree = pk.degree
-    if cur and max_degree is not None:
-        _guard(max_degree, max(map(degree, cur)))
+    cshift, esign, eguard = pk.cshift, pk.esign, pk.eguard
+    if max_degree is not None:  # on the module part
+        _guard(max_degree, max(map(degree, filter((rank << cshift).__gt__, cur)), default=0))
     heap = list(cur)
     heapify(heap)
-    cshift, esign, eguard = pk.cshift, pk.esign, pk.eguard
     leads: dict[int, list] = {}  # (exponent part, entry) by component
     for e in entries:
         leads.setdefault(e.lead[0], []).append((esign * e.key, e))
     rem = []
-    cofs = None if cofs is None else list(cofs)
     steps = 0
     num = 1
     while heap:
@@ -337,23 +346,18 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
         else:
             rem.append((t, a * num, den))
             continue
-        if divisor.reach > 0:  # the step may create terms above t's degree
-            top = degree(t) + divisor.reach
-            _guard(max_degree, top)
-            if top > pk.top:
+        if divisor.rise > 0:  # the step may create terms above t's degree
+            top = degree(t)
+            _guard(max_degree, top + divisor.reach)
+            if top + divisor.rise > pk.top:
                 raise _Overflow
         b = divisor.lc
         g = gcd(a, b)
         ma, mb = a // g, b // g
-        shift = t - divisor.key
-        if cofs is not None:
-            u = from_ints(ctx, {pk.term(shift + pk.one)[1]: a * num}, den)
-            for j, dc in enumerate(divisor.cofs):
-                if dc:
-                    cofs[j] = cofs[j] - u * dc
         if mb != 1:
             cur = {k: c * mb for k, c in cur.items()}
             den *= mb
+        shift = t - divisor.key
         for k, c in divisor.tail:
             k += shift
             old = cur.get(k)
@@ -376,25 +380,25 @@ def _reduce(ctx: RingContext, cur: dict, den: int, cofs, entries: list[_Entry],
             num, den = num // g, den // g
     rden = lcm(*{d for _, _, d in rem})
     ints = {t: n * (rden // d) for t, n, d in rem}
-    return ints, rden, None if cofs is None else tuple(cofs)
+    return ints, rden
 
 
-def _spair(ctx: RingContext, a: _Entry, b: _Entry):
-    """(ua, ub, ua * a - ub * b) for the monomials ua, ub that take the
-    leading terms of a and b to their lcm."""
+def _spair(ctx: RingContext, a: _Entry, b: _Entry) -> ModuleElement:
+    """ua * a - ub * b, cofactor components included, for the monomials ua,
+    ub that take the leading terms of a and b to their lcm."""
     lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
-    ua = from_ints(ctx, {monomial_div(lcm_ab, a.lead[1]): 1}, 1)
-    ub = from_ints(ctx, {monomial_div(lcm_ab, b.lead[1]): 1}, 1)
-    return ua, ub, a.elem.scale_poly(ua) - b.elem.scale_poly(ub)
+    ua, ub = (from_ints(ctx, {monomial_div(lcm_ab, e.lead[1]): 1}, 1) for e in (a, b))
+    return a.elem.scale_poly(ua) - b.elem.scale_poly(ub)
 
 
 def _signature_entries(
     gens: list[ModuleElement], pk: _Packing, max_degree: int | None, track: bool
 ) -> list[_Entry]:
-    """Entries of the basis of gens, with their cofactors over gens when
-    track is set, by an incremental signature-based loop (F5-style, in the
-    form of Eder and Faugere's survey, JSC 2017, and of Gao, Volny and
-    Wang's module framework, Math. Comp. 2016).
+    """Entries of the basis of gens by an incremental signature-based loop
+    (F5-style, in the form of Eder and Faugere's survey, JSC 2017, and of
+    Gao, Volny and Wang's module framework, Math. Comp. 2016), generator
+    idx extended by the unit vector e_idx at component rank + idx when
+    track is set, so that every entry carries its cofactors over gens.
 
     Zero generators are skipped, and keep a zero column in every cofactor
     row.  Generator idx is fully reduced by the entries of the generators
@@ -402,37 +406,34 @@ def _signature_entries(
     (of two entries whose leading terms share a component) are then taken
     in increasing signature: the signature of ua * a - ub * b is the larger
     of ua * sig(a) and ub * sig(b), a signature of an earlier index being
-    the smaller, and its cofactors are ua * cofs(a) - ub * cofs(b).  A pair
-    is skipped when its signature is a multiple of a signature that
-    reduced to zero or, for an ideal (rank 1), of an earlier-index leading
-    monomial (both are signatures of syzygies; the principal syzygies
-    g_i e_j - g_j e_i behind the second exist only among scalars), when
-    both sides have the same signature, when its signature was already
-    processed, or when an entry added after its top side has a signature
-    dividing it (the rewrite criterion).  A reducer is admitted only when
-    its shifted signature is below the pair's, so the result keeps the
-    pair's signature, and every nonzero result is added, also one whose
-    leading term only a reducer of equal signature divides.  On a regular
-    sequence nothing reduces to zero.
+    the smaller.  A pair is skipped when its signature is a multiple of a
+    signature that reduced to zero or, for an ideal (rank 1), of an
+    earlier-index leading monomial (both are signatures of syzygies; the
+    principal syzygies g_i e_j - g_j e_i behind the second exist only among
+    scalars), when both sides have the same signature, when its signature
+    was already processed, or when an entry added after its top side has a
+    signature dividing it (the rewrite criterion).  A reducer is admitted
+    only when its shifted signature is below the pair's, so the result
+    keeps the pair's signature, and every result with a nonzero module part
+    is added, also one whose leading term only a reducer of equal signature
+    divides.  On a regular sequence nothing reduces to zero.
 
     Signatures are packed like terms, so a larger signature has the
     smaller key, and the pair heap is ordered by negated keys.
     """
     ctx, rank = gens[0].ctx, gens[0].rank
+    space = (ctx, rank + len(gens) if track else rank, pk)
+    module = rank << pk.cshift
     key, one, divides, checked, guard = pk.key, pk.one, pk.divides, pk.checked, pk.guard
-    zero = Polynomial.zero(ctx)
     entries: list[_Entry] = []
 
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        cofs = None
-        if track:
-            cofs = tuple(Polynomial.one(ctx) if j == idx else zero for j in range(len(gens)))
-        ints, den = _integer_map(g, pk)
+        ints, den = _integer_map(g, pk, rank + idx if track else None)
         if entries:
-            ints, den, cofs = _reduce(ctx, ints, den, cofs, entries, pk, max_degree)
-            if not ints:
+            ints, den = _reduce(rank, ints, den, entries, pk, max_degree)
+            if min(ints, default=module) >= module:
                 continue  # every signature of index idx is a syzygy's
         else:
             _guard(max_degree, g.max_degree())
@@ -441,8 +442,8 @@ def _signature_entries(
         zeros: list[int] = []
         done: set[int] = set()
 
-        def append(ints: dict, den: int, cofs, sig: int):
-            a = _make_entry(ctx, rank, ints, den, cofs, pk)
+        def append(ints: dict, sig: int):
+            a = _make_entry(ints, rank, space)
             a.sig = (idx, sig)
             k = len(entries)
             entries.append(a)
@@ -460,7 +461,7 @@ def _signature_entries(
                     top, other, s = (k, j, sa) if sa < sb else (j, k, sb)
                     heappush(pairs, (-s, -top, other))
 
-        append(ints, den, cofs, one)
+        append(ints, one)
         while pairs:
             sig, top, other = heappop(pairs)
             sig, top = -sig, -top
@@ -482,14 +483,10 @@ def _signature_entries(
                     raise _Overflow
                 return s > sig
 
-            a, b = entries[top], entries[other]
-            ua, ub, spair = _spair(ctx, a, b)
-            if track:
-                cofs = tuple(ua * ca - ub * cb for ca, cb in zip(a.cofs, b.cofs))
-            ints, den, cofs = _reduce(ctx, *_integer_map(spair, pk), cofs, entries, pk,
-                                      max_degree, below)
-            if ints:
-                append(ints, den, cofs, sig)
+            spair = _spair(ctx, entries[top], entries[other])
+            ints, _ = _reduce(rank, *_integer_map(spair, pk), entries, pk, max_degree, below)
+            if min(ints, default=module) < module:
+                append(ints, sig)
             else:
                 zeros.append(sig)
     return _interreduce(ctx, rank, entries, pk, max_degree)
@@ -515,8 +512,8 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
             continue
         cur = dict(entry.tail)
         cur[entry.key] = entry.lc
-        ints, den, rcofs = _reduce(ctx, cur, entry.lc, entry.cofs, others, pk, max_degree)
-        entries[idx] = _make_entry(ctx, rank, ints, den, rcofs, pk)
+        ints, _ = _reduce(rank, cur, entry.lc, others, pk, max_degree)
+        entries[idx] = _make_entry(ints, rank, entry.space)
     # increasing leading term, the higher component first: decreasing key
     return sorted((e for e in entries if e is not None), key=lambda e: -e.key)
 
@@ -653,32 +650,28 @@ def module_buchberger(
     entries = _packed(lambda pk: _signature_entries(gens, pk, max_degree, True), gens, order,
                       max_degree)
     return ModuleGroebnerBasis(
-        generators=tuple(e.elem for e in entries),
+        generators=tuple(ModuleElement(e.elem.components[:rank]) for e in entries),
         order=order,
         rank=rank,
         source=tuple(gens),
-        source_cofactors=tuple(e.cofs for e in entries),
+        source_cofactors=tuple(e.elem.components[rank:] for e in entries),
     )
 
 
 def _normal_form(v: ModuleElement, basis, order: MonomialOrder, max_degree: int | None):
-    """(remainder, cofactors c) with v == remainder + sum(c_k * basis_k)."""
-    ctx = v.ctx
+    """(remainder, cofactors c) with v == remainder + sum(c_k * basis_k):
+    basis_k enters extended by e_k, so v's remainder ends with -c."""
+    ctx, rank = v.ctx, v.rank
     if any(g.ctx != ctx for g in basis):
         raise ContextMismatch("element from a different ring")
-    zero, one = Polynomial.zero(ctx), Polynomial.one(ctx)
 
     def run(pk: _Packing):
-        entries = [
-            _make_entry(ctx, v.rank, *_integer_map(g, pk),
-                        tuple(one if j == k else zero for j in range(len(basis))), pk)
-            for k, g in enumerate(basis)
-        ]
-        ints, den, cofs = _reduce(ctx, *_integer_map(v, pk), (zero,) * len(basis), entries, pk,
-                                  max_degree)
-        # _reduce tracks the remainder's expression; the trace wants the
-        # reduction cofactors of v = sum(c_k g_k) + r, which are the negatives
-        return _element(ctx, v.rank, pk, ints.items(), den), tuple(-c for c in cofs)
+        space = (ctx, rank + len(basis), pk)
+        entries = [_make_entry(_integer_map(g, pk, rank + k)[0], rank, space)
+                   for k, g in enumerate(basis)]
+        ints, den = _reduce(rank, *_integer_map(v, pk), entries, pk, max_degree)
+        out = _element(ctx, space[1], pk, ints.items(), den).components
+        return ModuleElement(out[:rank]), tuple(-c for c in out[rank:])
 
     return _packed(run, [v, *basis], order, max_degree)
 

@@ -18,8 +18,9 @@ the permutation folded into the coefficient.  A leading sign on the first
 term is accepted so that formatted output always re-parses.
 
 Each entry point takes an optional ``max_degree``: a power base^k whose
-degree in the ring variables (h, E and D do not count), deg(base)*k,
-exceeds it raises `DegreeGuardExceeded` before the power is expanded.
+degree in the ring variables (h, E and D do not count), deg(base)*k, or
+whose E degree (max E power of base)*k exceeds it raises
+`DegreeGuardExceeded` before the power is expanded; so (x*E)^3 passes 3.
 Without it, powers are expanded whatever their degree.  A power of a
 constant other than 0 and +-1 has degree 0, so it is bounded by size
 instead: c^k with k * bit_length(max(|num|, den)) above
@@ -40,6 +41,12 @@ _WORD_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)")
 _SCALAR = (0, 0, 0)  # the value key of h^0 eps^0 with no odd generator
 # the most bits (exponent times bit length of the base) a constant power may have
 POWER_BITS_BUDGET = 1 << 20
+
+
+def _scalar(value):
+    """The constant Polynomial that a value is, else None."""
+    c = value.get(_SCALAR)
+    return c if len(value) == 1 and c is not None and c.is_constant() else None
 
 
 class _Token:
@@ -101,9 +108,7 @@ class _Parser:
     # value helpers ----------------------------------------------------------
 
     def _const(self, num: int, den: int = 1):
-        if num == 0:
-            return {}
-        return {_SCALAR: from_ints(self.ctx, {(0,) * self.ctx.n: num}, den)}
+        return {_SCALAR: from_ints(self.ctx, {(0,) * self.ctx.n: num}, den)} if num else {}
 
     def _add(self, a, b):
         out = dict(a)
@@ -132,6 +137,9 @@ class _Parser:
         return out
 
     def _pow(self, a, e: int):
+        c = _scalar(a)
+        if c is not None:  # one Fraction power: each squaring of a Polynomial takes a gcd
+            return {_SCALAR: Polynomial.constant(self.ctx, c.constant_term() ** e)}
         result = self._const(1)
         base = a
         while e:
@@ -198,25 +206,25 @@ class _Parser:
         return value
 
     def _check_power(self, value, tok: _Token):
-        """Refuse value^k before it is expanded: a degree past max_degree, or
-        a constant base whose power would pass POWER_BITS_BUDGET bits."""
-        const = value.get(_SCALAR)
-        if len(value) == 1 and const is not None and const.is_constant():
-            (num,) = const.nums.values()
-            size = max(abs(num), const.den)
-            bits = size.bit_length() * tok.value
-            if size > 1 and bits > POWER_BITS_BUDGET:
-                raise BudgetExceeded(
-                    f"parsing: a power of a constant of {bits} bits (exponent at offset "
-                    f"{tok.pos}) is over the budget of {POWER_BITS_BUDGET}"
-                )
+        """Refuse value^k before it is expanded: a degree in the ring
+        variables or in E past max_degree, or a constant base whose power
+        would pass POWER_BITS_BUDGET bits."""
+        c = _scalar(value)
+        size = 0 if c is None else max(*map(abs, c.nums.values()), c.den)
+        bits = size.bit_length() * tok.value
+        if size > 1 and bits > POWER_BITS_BUDGET:
+            raise BudgetExceeded(
+                f"parsing: a power of a constant of {bits} bits (exponent at offset "
+                f"{tok.pos}) is over the budget of {POWER_BITS_BUDGET}"
+            )
         if self.max_degree is not None and value:
-            degree = max(c.total_degree() for c in value.values()) * tok.value
-            if degree > self.max_degree:
-                raise DegreeGuardExceeded(
-                    f"parsing: a power of degree {degree} (exponent at offset "
-                    f"{tok.pos}) is past the limit {self.max_degree}"
-                )
+            ring = max(c.total_degree() for c in value.values())
+            for what, degree in (("degree", ring), ("E degree", max(e for _, e, _ in value))):
+                if degree * tok.value > self.max_degree:
+                    raise DegreeGuardExceeded(
+                        f"parsing: a power of {what} {degree * tok.value} (exponent at "
+                        f"offset {tok.pos}) is past the limit {self.max_degree}"
+                    )
 
     def base(self):
         tok = self.peek()

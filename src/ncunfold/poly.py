@@ -213,8 +213,10 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ctx: RingContext, value) -> "Polynomial":
-        q = Fraction(value)
-        return from_ints(ctx, {(0,) * ctx.n: q.numerator} if q else {}, q.denominator)
+        q = Fraction(value)  # in lowest terms: no gcd to take, as from_ints would
+        out = cls.__new__(cls)
+        out.ctx, out.nums, out.den = ctx, {(0,) * ctx.n: q.numerator} if q else {}, q.denominator
+        return out
 
     @classmethod
     def one(cls, ctx: RingContext) -> "Polynomial":

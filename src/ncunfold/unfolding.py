@@ -373,7 +373,6 @@ def quantize_general(
     p1: Polynomial,
     s1: GElement,
     max_order: int = 8,
-    p_higher=None,
 ):
     """Order-by-order extension probe for arbitrary n; f is a Polynomial or
     a Singularity.
@@ -382,8 +381,7 @@ def quantize_general(
     T = (lift of S_1) * h, which settles [f - p, S] = 0 identically; the
     remaining Poisson condition sum_{i+j=k} [S_i, S_j] = 0 is checked at
     each order and the first nonzero component is reported as an
-    obstruction.  Higher p-coefficients default to zero but may be
-    supplied by the caller.  Returns MCSolution or ObstructionReport.
+    obstruction.  p is p1 * h.  Returns MCSolution or ObstructionReport.
     """
     sing = Singularity.of(f)
     f, ctx = sing.f, sing.ctx
@@ -393,8 +391,7 @@ def quantize_general(
         raise QCInvalid(violations)
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    p_terms = {1: p1, **dict(zip(range(2, max_order + 1), p_higher or ()))}
-    p_series = HSeries.sparse(p_terms, max_order, Polynomial.zero(ctx))
+    p_series = HSeries.sparse({1: p1}, max_order, Polynomial.zero(ctx))
     sol, report = _witness_form(f, p_series, koszul_lift(sing, s1), max_order)
     for o in report.nonzero:
         if o.h_power >= 2 and not o.poisson_square.is_zero():

@@ -325,6 +325,19 @@ def test_power_past_max_degree_exits_3_at_parse_time(capsys, names, f):
     assert elapsed < 1.0, elapsed
 
 
+def test_power_of_E_past_max_degree_exits_3_at_parse_time(capsys):
+    """E is not a ring variable, but its power is held to --max-degree
+    too: expanding (1+E)^1000 took 2.8 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["schouten", "--vars", "x,y", "--X", "(1+E)^1000*D(1)",
+                                  "--Y", "x"])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err.startswith("error: parsing: a power of E degree 1000 (exponent at offset 6)")
+    assert "Traceback" not in err
+    assert elapsed < 1.0, elapsed
+
+
 def test_constant_power_over_its_bit_budget_exits_3_at_once(capsys):
     """3^16000000 has degree 0, so the degree guard passes it; it is
     refused by size before the parser expands it (expanding it took 11 s)."""

@@ -557,6 +557,40 @@ def test_degree_guard_crossed_by_an_intermediate_term(cofactors):
         assert trace.remainder == ModuleElement((x ** 6,))
 
 
+def _abort_or_basis(compute):
+    try:
+        return compute()
+    except DegreeGuardExceeded:
+        return "abort"
+
+
+def test_degree_guard_reads_no_cofactor_component():
+    """The cofactors ride along as components past the rank, yet the guard
+    holds only the module's: on 400 small ideals at guards 3 to 5, the
+    rank-1 module basis aborts exactly when the ideal basis does, and is
+    the same basis otherwise.  On the columns below, a cofactor passes
+    degree 3 on the way to the basis (1)."""
+    rng = random.Random(2020)
+    aborts = 0
+    for _ in range(400):
+        ctx = rng.choice([CTX2, CTX3])
+        gens = [rand_poly(rng, ctx, 3, rng.randint(1, 3), zero_ok=False)
+                for _ in range(rng.randint(2, 3))]
+        guard = rng.choice([3, 4, 5])
+        ideal = _abort_or_basis(lambda: list(buchberger(gens, max_degree=guard).generators))
+        module = _abort_or_basis(lambda: [g.components[0] for g in
+                                          _rank_one(gens, max_degree=guard).generators])
+        assert module == ideal, (gens, guard)
+        aborts += ideal == "abort"
+    assert aborts >= 5
+
+    x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
+    gb = _rank_one([2 - 2 * x ** 2 * y, y, 2 * x ** 2], max_degree=3)
+    assert gb.generators == (ModuleElement((Polynomial.one(CTX2),)),)
+    assert gb.source_cofactors == ((Polynomial.constant(CTX2, Fraction(1, 2)), x ** 2,
+                                    Polynomial.zero(CTX2)),)
+
+
 # -- cofactors are computed only where they are read ---------------------------
 
 

@@ -1,6 +1,7 @@
 """Expression grammar: parsing, formatting, error positions, round-trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -364,7 +365,9 @@ def test_series_at_a_high_order_holds_only_its_nonzero_terms():
 def test_power_past_the_degree_guard_is_refused_before_expansion(monkeypatch):
     """With max_degree, a power base^k with deg(base)*k above it raises
     DegreeGuardExceeded before any product is formed; h, E and D do not
-    count towards the degree, and without a guard nothing changes."""
+    count towards the degree, and without a guard nothing changes.  E
+    powers are bounded apart, by the largest E power of the base times k:
+    (1+E)^2000 took 9.4 s to expand."""
     x, y = (Polynomial.variable(CTX2, i) for i in (1, 2))
     assert parse_polynomial("(x+y)^3", CTX2, max_degree=3) == (x + y) ** 3
     assert parse_polynomial("((x+y)^2)^4", CTX2, max_degree=8) == (x + y) ** 8
@@ -376,6 +379,9 @@ def test_power_past_the_degree_guard_is_refused_before_expansion(monkeypatch):
     assert series.terms[4] == GElement.from_polynomial(x ** 4)
     wedge = parse_gelement("(x*E)^3 + (y*D(1,2))^1", CTX2, max_degree=3)
     assert wedge == parse_gelement("x^3*E^3 + y*D(1,2)", CTX2)
+    assert parse_gelement("(1+E)^70", CTX2) == parse_gelement("(1+E)^35*(1+E)^35", CTX2)
+    series = parse_series("(x*h + E)^2", CTX2, order=4, max_degree=2)
+    assert series.terms[2] == GElement.from_polynomial(x ** 2)
 
     # the exponents _pow is called with: only the powers inside the refused one
     pows = []
@@ -388,6 +394,9 @@ def test_power_past_the_degree_guard_is_refused_before_expansion(monkeypatch):
         (parse_gelement, "(x*y*E*D(1))^2", 3, "degree 4", "offset 13", []),
         (parse_poly_series, "(x*h)^5", 4, "degree 5", "offset 6", []),
         (parse_series, "(y^2*h)^2 * D(2)", 3, "degree 4", "offset 8", [2]),
+        (parse_gelement, "(1+E)^1000*D(1)", 64, "E degree 1000", "offset 6", []),
+        (parse_gelement, "x*(E^2 + x)^33", 64, "E degree 66", "offset 12", [2]),
+        (parse_series, "h*((1+E)^2)^2", 3, "E degree 4", "offset 12", [2]),
     ]
     for parse, text, guard, degree, offset, inner in cases:
         pows.clear()
@@ -436,3 +445,22 @@ def test_power_of_a_constant_past_the_bit_budget_is_refused_before_expansion(mon
             assert message.startswith("parsing: ") and bits in message and offset in message
             assert f"budget of {POWER_BITS_BUDGET}" in message
             assert pows == inner, text
+
+
+def test_fractional_constant_power_is_one_fraction_power():
+    """A power of a constant is one Fraction power, whose numerator and
+    denominator are coprime with no gcd taken: at the budget it takes
+    about what an integer power takes (squaring the polynomial took 1.8
+    s).  0, +-1, 0^0 and negative bases stay exact."""
+    for text, want in [("(2/3)^524288", Fraction(2, 3) ** 524288),
+                       ("(-2/3)^524287", Fraction(-2, 3) ** 524287)]:
+        start = time.perf_counter()
+        value = parse_polynomial(text, CTX2)
+        elapsed = time.perf_counter() - start
+        assert value == Polynomial.constant(CTX2, want)
+        assert elapsed < 0.5, (text, elapsed)
+    assert parse_polynomial("0^0 + (-3/2)^3 - 1^7 + (-1)^2", CTX2) == Polynomial.constant(
+        CTX2, Fraction(-19, 8)
+    )
+    assert parse_polynomial("0^5 * x + (1/2)^0", CTX2) == Polynomial.one(CTX2)
+    assert _Parser("(3/3)^9 - 1", CTX2, False, None, None).parse() == {}

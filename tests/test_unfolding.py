@@ -333,13 +333,13 @@ def test_general_rejects_bad_first_order():
         quantize_general(f, Polynomial.zero(CTX3), g("x*D(1,2)"), max_order=4)
 
 
-def test_general_with_caller_p_series():
+def test_general_p_series_is_p1_times_h():
     f = a_k(2)
     x = Polynomial.variable(CTX3, 1)
     s1 = ad_f(f, GElement(CTX3, {(0, 0b111): x}))
-    sol = quantize_general(f, x, s1, max_order=4, p_higher=[x * x])
+    sol = quantize_general(f, x, s1, max_order=4)
     assert isinstance(sol, MCSolution)
-    assert sol.p_series.coeffs[2] == x * x
+    assert sol.p_series.terms == {1: x}
     assert mc_verify(f, sol).ok
 
 
