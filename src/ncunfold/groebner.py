@@ -302,9 +302,6 @@ def _make_entry(ints: dict, rank: int, space: tuple) -> _Entry:
     return _Entry(pk.term(key), key, ints[key], tail, reach, rise, space)
 
 
-_CONTENT_EVERY = 8  # reduction steps between removals of the integer content
-
-
 def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
             max_degree: int | None, below=None):
     """Full normal form of v = sum(cur[k] * term k) / den against the
@@ -315,12 +312,12 @@ def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
     divides them, so they ride along with each step, and max_degree holds
     only the module part below.  The divisor of a leading term t is the
     first entry whose leading term divides it and, when a predicate below
-    is given, for which below(entry, t) holds.  Fraction-free: v is num/den
-    * cur, and a step with cur's leading coefficient a and the divisor's b,
-    g = gcd(a, b), takes cur to (b/g) * cur - (a/g) * x^q * divisor and
-    num/den to num/den * g/b.  An irreducible term a leaves cur as the
-    numerator a * num over den; the remainder goes on one denominator at
-    the end.
+    is given, for which below(entry, t) holds.  Fraction-free: v is cur /
+    den, and a step with cur's leading coefficient a and the divisor's b,
+    g = gcd(a, b), takes cur to (b/g) * cur - (a/g) * x^q * divisor and den
+    to den * b/g.  An irreducible term a leaves cur as the numerator a over
+    den.  den only grows by such factors, so each recorded denominator
+    divides the last, and the remainder goes on that one at the end.
     """
     degree = pk.degree
     cshift, esign, eguard = pk.cshift, pk.esign, pk.eguard
@@ -332,8 +329,6 @@ def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
     for e in entries:
         leads.setdefault(e.lead[0], []).append((esign * e.key, e))
     rem = []
-    steps = 0
-    num = 1
     while heap:
         t = heappop(heap)
         a = cur.pop(t, None)
@@ -344,7 +339,7 @@ def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
             if not (te - ee) & eguard and (below is None or below(divisor, t)):
                 break
         else:
-            rem.append((t, a * num, den))
+            rem.append((t, a, den))
             continue
         if divisor.rise > 0:  # the step may create terms above t's degree
             top = degree(t)
@@ -370,15 +365,7 @@ def _reduce(rank: int, cur: dict, den: int, entries: list[_Entry], pk: _Packing,
                     cur[k] = c
                 else:
                     del cur[k]
-        steps += 1
-        if steps % _CONTENT_EVERY == 0 and cur:
-            content = gcd(*cur.values())
-            if content > 1:
-                cur = {k: c // content for k, c in cur.items()}
-                num *= content
-            g = gcd(num, den)
-            num, den = num // g, den // g
-    rden = lcm(*{d for _, _, d in rem})
+    rden = rem[-1][2] if rem else den
     ints = {t: n * (rden // d) for t, n, d in rem}
     return ints, rden
 

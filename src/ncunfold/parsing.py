@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 
 from .errors import BudgetExceeded, DegreeGuardExceeded, ParseError
-from .poly import HSeries, Polynomial, RingContext, accumulate, from_ints
+from .poly import HSeries, Polynomial, RingContext, accumulate, from_decimal, from_ints
 from .polyvector import GElement, _merge_sign
 
 _SYMBOLS = set("+-*^(),/")
@@ -75,7 +75,7 @@ def _tokenize(text: str) -> list[_Token]:
         if match is None:
             raise ParseError(f"unexpected character {ch!r}", i)
         digits, name = match.groups()
-        tokens.append(_Token("NUM", int(digits), i) if digits else _Token("NAME", name, i))
+        tokens.append(_Token("NUM", from_decimal(digits), i) if digits else _Token("NAME", name, i))
         i = match.end()
     tokens.append(_Token("EOF", None, n))
     return tokens

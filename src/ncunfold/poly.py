@@ -64,12 +64,73 @@ def grevlex_key(exps: tuple) -> tuple:
 
 def _magnitude(num: int, den: int) -> str:
     """|num/den| as printed, for num/den in lowest terms with den > 0."""
-    return str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    return to_decimal(abs(num)) if den == 1 else f"{to_decimal(abs(num))}/{to_decimal(den)}"
 
 
 def lex_key(exps: tuple) -> tuple:
     # lex with x_n highest priority, consistent with x_1 < ... < x_n.
     return tuple(reversed(exps))
+
+
+# ---------------------------------------------------------------------------
+# decimal strings of any length
+#
+# The interpreter converts at most sys.get_int_max_str_digits() digits with
+# str and int (4300 by default, at least 640 when set).  Both converters
+# below split on powers 10^(_CHUNK * 2^j) down to blocks of _CHUNK digits,
+# which str and int convert under any setting, and read no process state.
+
+_CHUNK = 512  # digits per block, below the least limit the interpreter accepts
+_BLOCK = 10**_CHUNK
+
+
+def to_decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if -_BLOCK < n < _BLOCK:
+        return str(n)
+    if n < 0:
+        return "-" + to_decimal(-n)
+    powers = [_BLOCK]  # powers[j] = 10^(_CHUNK * 2^j)
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def write(m: int, j: int, pad: bool) -> str:
+        """m < powers[j + 1], padded to _CHUNK * 2^(j + 1) digits if pad."""
+        if j < 0:
+            return str(m).zfill(_CHUNK) if pad else str(m)
+        hi, lo = divmod(m, powers[j])
+        if not (hi or pad):
+            return write(lo, j - 1, False)
+        return write(hi, j - 1, pad) + write(lo, j - 1, True)
+
+    return write(n, len(powers) - 2, False)
+
+
+_DECIMAL_RE = re.compile(r"\s*([+-]?)([0-9]+)\s*\Z")
+
+
+def from_decimal(text: str) -> int:
+    """int(text) for a decimal string of any length; past _CHUNK characters
+    it must be ASCII digits with an optional sign and surrounding spaces."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    match = _DECIMAL_RE.match(text)
+    if match is None:
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    sign, digits = match.groups()
+    powers: dict[int, int] = {}
+
+    def read(s: str) -> int:
+        if len(s) <= _CHUNK:
+            return int(s)
+        k = _CHUNK << ((len(s) - 1) // _CHUNK).bit_length() - 1  # largest _CHUNK * 2^j < len(s)
+        p = powers.get(k)
+        if p is None:
+            p = powers[k] = 10 ** k
+        return read(s[:-k]) * p + read(s[-k:])
+
+    value = read(digits)
+    return -value if sign == "-" else value
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +485,7 @@ class Polynomial:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"exp": list(exps), "num": str(num), "den": str(den)}
+                {"exp": list(exps), "num": to_decimal(num), "den": to_decimal(den)}
                 for exps, num, den in self._grevlex_terms()
             ]
         }
@@ -439,7 +500,7 @@ class Polynomial:
             num, den = t["num"], t["den"]
             if any(type(v) not in (str, int) for v in (num, den)):
                 raise ValueError(f"num and den must be strings or integers, got {num!r}/{den!r}")
-            c = Fraction(int(num), int(den))
+            c = Fraction(*(v if type(v) is int else from_decimal(v) for v in (num, den)))
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return cls(ctx, terms)
 

@@ -215,7 +215,7 @@ class ObstructionReport:
 
     failing_order: int
     obstruction: GElement
-    kind: str  # "lift_failure" | "poisson_failure"
+    kind: str  # "poisson_failure", the one kind: S = [f - p, T] leaves only the Poisson condition
 
     def __post_init__(self):
         if self.obstruction.is_zero():

@@ -22,7 +22,8 @@ dicts with its own tokenizer, powers by repeated products and wedge signs
 by bubble sort, where the library parser evaluates into integer-numerator
 polynomials with square-and-multiply and bitmask merge signs; the printing
 references read the Fraction view ``terms`` where the library prints from
-integer numerators.
+integer numerators; the decimal reader takes 500-digit blocks left to right
+where the library splits on powers of ten.
 """
 
 from __future__ import annotations
@@ -287,6 +288,20 @@ def cross_product_components(s: GElement, f: Polynomial):
 
 
 # ---------------------------------------------------------------------------
+# decimal strings
+
+def decimal_value(text: str) -> int:
+    """The value of a string of decimal digits, read left to right in
+    500-digit blocks (each within any int-max-str-digits limit), where
+    poly.from_decimal splits on powers of ten."""
+    value = 0
+    for i in range(0, len(text), 500):
+        block = text[i:i + 500]
+        value = value * 10 ** len(block) + int(block)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Milnor number by sparse linear algebra (no Groebner machinery)
 
 def _monomials_upto(n, bound):
@@ -294,27 +309,26 @@ def _monomials_upto(n, bound):
     return [e for e in itertools.product(*ranges) if sum(e) <= bound]
 
 
-def _product_pivots(partials, bound):
-    """Pivot monomials of the span of {monomial * partial of degree <= bound}."""
-    ctx = partials[0].ctx
-    pivots = {}
+def _add_product_rows(partials, pivots, bound):
+    """Echelonize the rows {monomial * partial of degree exactly bound}
+    into pivots ({lead monomial: (monic row, bound at which it entered)}),
+    which already hold the rows of every lower degree."""
+    n = partials[0].ctx.n
     for g in partials:
-        if g.is_zero():
-            continue
         gdeg = g.total_degree()
-        for mono in _monomials_upto(ctx.n, bound - gdeg):
-            row = {}
-            for exps, c in g.terms.items():
-                key = tuple(a + b for a, b in zip(exps, mono))
-                row[key] = row.get(key, Fraction(0)) + c
-            row = {k: v for k, v in row.items() if v != 0}
+        if gdeg > bound:
+            continue
+        for mono in itertools.product(range(bound - gdeg + 1), repeat=n):
+            if sum(mono) != bound - gdeg:
+                continue
+            row = {tuple(a + b for a, b in zip(exps, mono)): c for exps, c in g.terms.items()}
             while row:
                 lead = max(row, key=grevlex_key)
                 if lead not in pivots:
                     lc = row[lead]
-                    pivots[lead] = {k: v / lc for k, v in row.items()}
+                    pivots[lead] = ({k: v / lc for k, v in row.items()}, bound)
                     break
-                pivot = pivots[lead]
+                pivot = pivots[lead][0]
                 factor = row[lead]
                 for k, v in pivot.items():
                     s = row.get(k, Fraction(0)) - factor * v
@@ -322,36 +336,41 @@ def _product_pivots(partials, bound):
                         row.pop(k, None)
                     else:
                         row[k] = s
-    return pivots
-
-
-def _free_count(partials, display_degree, bound):
-    ctx = partials[0].ctx
-    pivots = _product_pivots(partials, bound)
-    return sum(
-        1 for m in _monomials_upto(ctx.n, display_degree) if m not in pivots
-    )
 
 
 def milnor_oracle(f: Polynomial):
     """dim k[x]/(partials) by sparse rank computation, or "infinite".
 
     Counts monomials of degree <= d outside the span of the products
-    {monomial * partial}; the product bound is raised until the count at
-    degree d stops moving (ideal elements can need high-degree cofactors),
-    and d is raised until the count itself stabilizes.  A count that keeps
-    growing with d means the quotient is infinite-dimensional.
+    {monomial * partial of degree <= b}; the product bound b is raised until
+    the count at degree d stops moving (ideal elements can need high-degree
+    cofactors), and d is raised until the count itself stabilizes.  A count
+    that keeps growing with d means the quotient is infinite-dimensional.
+    One echelon set serves every (d, b): it is extended bound by bound with
+    the rows new at that bound, and the span at bound b has as its leading
+    monomials exactly the pivots that entered at b or below (the leading
+    monomials of a span do not depend on the rows that echelonized it).
     """
     ctx = f.ctx
-    partials = [f.partial(i) for i in range(1, ctx.n + 1)]
-    gmax = max((g.total_degree() for g in partials if not g.is_zero()), default=0)
+    partials = [g for g in (f.partial(i) for i in range(1, ctx.n + 1)) if not g.is_zero()]
+    gmax = max((g.total_degree() for g in partials), default=0)
+    pivots: dict = {}
+    reached = -1  # the product rows of degree <= reached are in pivots
+
+    def free_count(d, b):
+        nonlocal reached
+        while partials and reached < b:
+            reached += 1
+            _add_product_rows(partials, pivots, reached)
+        return sum(1 for m in _monomials_upto(ctx.n, d) if m not in pivots or pivots[m][1] > b)
+
     d_cap = 2 * f.total_degree() + 6
     counts = []
     for d in range(1, d_cap + 1):
         value = None
         prev = None
         for b in range(d + gmax, d + gmax + 13, 2):
-            c = _free_count(partials, d, b)
+            c = free_count(d, b)
             if prev is not None and c == prev:
                 value = c
                 break

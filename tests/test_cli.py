@@ -22,6 +22,8 @@ from ncunfold.poly import Polynomial, RingContext
 from ncunfold.polyvector import GElement, ad_f
 from ncunfold.unfolding import MCSolution, mc_verify
 
+from oracles import decimal_value
+
 CTX3 = RingContext(("x", "y", "z"))
 
 
@@ -256,6 +258,26 @@ def test_qc_normalize_roundtrip(capsys):
     payload = json.loads(out)
     w = Polynomial.from_json(CTX3, payload["w_part"])
     assert w == Polynomial.one(CTX3)
+
+
+def test_integer_past_4300_digits_prints_exactly(capsys):
+    """3^100000 has 47,713 digits, past the interpreter's default limit of
+    4300 for str and int; it prints in text and JSON (it exited 1 with the
+    interpreter's message), and the JSON reads back to the same polynomial."""
+    ctx = RingContext(("x", "y"))
+    argv = ["qc-normalize", "--vars", "x,y", "--f", "x^2+y^3", "--p", "3^100000"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("w_part: ") and lines[1:] == ["cofactors: 0, 0"]
+    digits = lines[0][len("w_part: "):]
+    assert len(digits) == 47713 and decimal_value(digits) == 3**100000
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    w_part = json.loads(out)["w_part"]
+    [term] = w_part["terms"]
+    assert (term["num"], term["den"], term["exp"]) == (digits, "1", [0, 0])
+    assert Polynomial.from_json(ctx, w_part) == Polynomial.constant(ctx, 3**100000)
 
 
 def test_koszul_lift_command(capsys):

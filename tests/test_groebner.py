@@ -27,7 +27,7 @@ from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext, grevlex_key, monomial_divides
 from ncunfold.singularity import Singularity, jacobian, milnor_number
 
-from oracles import naive_buchberger, oracle_vector, rand_poly
+from oracles import _normal_form_naive, _term_key, naive_buchberger, oracle_vector, rand_poly
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX2 = RingContext(("x", "y"))
@@ -635,6 +635,25 @@ def test_dense_jacobian_basis_matches_naive_buchberger():
             if not any(monomial_divides(lead, e) for lead in leads)
         ]
         assert milnor_number(f) == len(standard) == 27
+
+
+
+def test_long_reductions_match_the_naive_remainder():
+    """Dense p of degree 12-14 modulo a dense (3, 4) Jacobian basis, whose
+    coefficients have hundreds of bits: each normal form takes hundreds of
+    fraction-free steps, and its remainder is the textbook one over the
+    monic basis.  (ReductionTrace rechecks the cofactor identity.)"""
+    rng = random.Random(35)
+    monomials = [e for e in itertools.product(range(5), repeat=3) if 2 <= sum(e) <= 4]
+    f = Polynomial(CTX3, {e: rng.randint(-9, 9) for e in monomials})
+    gb = buchberger([f.partial(i) for i in (1, 2, 3)])
+    basis = [oracle_vector(g) for g in gb.generators]
+    key = _term_key("grevlex")
+    for degree in (12, 13, 14):
+        cube = itertools.product(range(degree + 1), repeat=3)
+        p = Polynomial(CTX3, {e: rng.randint(-9, 9) for e in cube if sum(e) <= degree})
+        trace = normal_form(p, gb)
+        assert oracle_vector(trace.remainder) == _normal_form_naive(oracle_vector(p), basis, key)
 
 
 # -- the signature loop of cofactor-free ideal bases ---------------------------

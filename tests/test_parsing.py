@@ -21,6 +21,7 @@ from ncunfold.poly import HSeries, Polynomial, RingContext
 from ncunfold.polyvector import GElement
 
 from oracles import (
+    decimal_value,
     eval_expression,
     flat_value,
     fraction_cochain_json,
@@ -464,3 +465,15 @@ def test_fractional_constant_power_is_one_fraction_power():
     )
     assert parse_polynomial("0^5 * x + (1/2)^0", CTX2) == Polynomial.one(CTX2)
     assert _Parser("(3/3)^9 - 1", CTX2, False, None, None).parse() == {}
+
+
+def test_literal_past_4300_digits_parses_exactly():
+    """A 5,000-digit literal is past the interpreter's default limit of
+    4300 digits for int (it raised "Exceeds the limit"); it parses exactly,
+    here checked against its value built from 500-digit blocks."""
+    rng = random.Random(7)
+    digits = str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(4999))
+    value = decimal_value(digits)
+    got = parse_polynomial(f"x^2 - {digits}*y + {digits}/7", CTX2)
+    want = Polynomial(CTX2, {(2, 0): 1, (0, 1): -value, (0, 0): Fraction(value, 7)})
+    assert got == want

@@ -13,12 +13,15 @@ from ncunfold.poly import (
     Polynomial,
     RingContext,
     Substitution,
+    from_decimal,
     product_kernel,
+    to_decimal,
 )
 
 from ncunfold.polyvector import GElement, schouten_bracket
 
 from oracles import (
+    decimal_value,
     naive_derive,
     naive_poly_add,
     naive_poly_mul,
@@ -444,6 +447,23 @@ def test_json_roundtrip_byte_exact():
         q = Polynomial.from_json(CTX3, json.loads(blob))
         assert q == p
         assert json.dumps(q.to_json(), sort_keys=True) == blob
+
+
+def test_decimal_strings_of_any_length_match_block_arithmetic():
+    """to_decimal and from_decimal against the block oracle, at lengths
+    around the 512-digit block and its doublings, past the interpreter's
+    default limit of 4300 digits."""
+    rng = random.Random(11)
+    for ndigits in (1, 2, 511, 512, 513, 1023, 1024, 1025, 2049, 4300, 4301, 9000):
+        digits = str(rng.randint(1, 9)) + "".join(map(str, rng.choices(range(10), k=ndigits - 1)))
+        for text in (digits, "1" + "0" * (ndigits - 1), "9" * ndigits):
+            value = decimal_value(text)
+            assert to_decimal(value) == text and to_decimal(-value) == "-" + text
+            assert from_decimal(text) == value and from_decimal(f" -{text}\n") == -value
+    assert (to_decimal(0), from_decimal("0"), from_decimal("+7")) == ("0", 0, 7)
+    for bad in ("1" * 600 + "x", "1_" * 400, "--" + "1" * 600, "٣" * 600):
+        with pytest.raises(ValueError):
+            from_decimal(bad)
 
 
 def test_hashable_and_equality_semantics():

@@ -1,5 +1,6 @@
 """Jacobian data, Milnor numbers, the complement W, and monicization."""
 
+import itertools
 import random
 import warnings
 
@@ -65,6 +66,18 @@ def test_milnor_matches_linear_algebra_oracle_small():
         assert milnor_number(f) == milnor_oracle(f)
     f = parse_polynomial("x^2*y", CTX2)
     assert milnor_oracle(f) == INFINITE
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 3)])
+def test_milnor_matches_linear_algebra_oracle_on_dense_f(n, d):
+    """Dense f on every monomial of degree 2..d (as the Milnor workload
+    draws it), against the oracle's incremental echelon set: mu is the
+    Bezout count (d - 1)^n."""
+    rng = random.Random(36)
+    ctx = RingContext(("x", "y", "z")[:n])
+    monomials = [e for e in itertools.product(range(d + 1), repeat=n) if 2 <= sum(e) <= d]
+    f = Polynomial(ctx, {e: rng.randint(-9, 9) for e in monomials})
+    assert milnor_number(f) == milnor_oracle(f) == (d - 1) ** n
 
 
 def test_a_series_values():
