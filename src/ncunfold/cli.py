@@ -39,7 +39,7 @@ from .parsing import (
     parse_poly_series,
     parse_series,
 )
-from .poly import INFINITE, RingContext
+from .poly import INFINITE, RingContext, from_decimal
 from .polyvector import schouten_bracket
 from .singularity import Singularity, jacobian, monicize, qc_subspace
 from .unfolding import (
@@ -133,6 +133,15 @@ def _ctx(args) -> RingContext:
     return RingContext(names)
 
 
+def _json(text: str):
+    """Decode a JSON flag: integers of any length, and nesting too deep for
+    the decoder a ValueError (exit 1), like any other malformed JSON."""
+    try:
+        return json.loads(text, parse_int=from_decimal)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
     """Decode a cochain; malformed JSON becomes a ValueError (exit 1)."""
     try:
@@ -181,15 +190,15 @@ def _run(args) -> int:
     ctx = _ctx(args)
 
     if args.command in ("hh-cup", "hh-bracket"):
-        p = _cochain(ctx, json.loads(args.P))
-        q = _cochain(ctx, json.loads(args.Q))
+        p = _cochain(ctx, _json(args.P))
+        q = _cochain(ctx, _json(args.Q))
         out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
         _emit(args, out.to_json, lambda: str(out))
         return 0
 
     if args.command == "hh-brace":
-        p = _cochain(ctx, json.loads(args.P))
-        qs = json.loads(args.Qs)
+        p = _cochain(ctx, _json(args.P))
+        qs = _json(args.Qs)
         if not isinstance(qs, list):
             raise ValueError("--Qs must be a JSON list of cochains")
         qs = [_cochain(ctx, item) for item in qs]
@@ -198,7 +207,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hh-d":
-        p = _cochain(ctx, json.loads(args.P))
+        p = _cochain(ctx, _json(args.P))
         out = hochschild_differential(p)
         _emit(args, out.to_json, lambda: str(out))
         return 0

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import BudgetExceeded, ContextMismatch
-from .poly import Polynomial, RingContext, accumulate
+from .poly import Polynomial, RingContext, TermMap, accumulate
 from .polyvector import GElement, bits_of
 
 # the most output terms hkr builds: 10,000 keeps the top polyvector of
@@ -42,11 +42,11 @@ def _zero_alpha(n: int) -> tuple:
     return (0,) * n
 
 
-class PolyDiffOperator:
+class PolyDiffOperator(TermMap):
     """Polydifferential operator of fixed arity; terms keyed by derivative
-    multi-indices (alpha_1, ..., alpha_k)."""
+    multi-indices (alpha_1, ..., alpha_k).  Two summands share the arity."""
 
-    __slots__ = ("ctx", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, ctx: RingContext, arity: int, terms: dict | None = None):
         if type(arity) is not int or arity < 0:
@@ -72,57 +72,9 @@ class PolyDiffOperator:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _make(cls, ctx: RingContext, arity: int, terms: dict) -> "PolyDiffOperator":
-        """Trusted constructor: `terms` has valid keys and no zero coefficient."""
-        out = cls.__new__(cls)
-        out.ctx, out.arity, out.terms = ctx, arity, terms
-        return out
-
-    @classmethod
-    def zero(cls, ctx: RingContext, arity: int) -> "PolyDiffOperator":
-        return cls(ctx, arity)
-
-    @classmethod
     def constant(cls, value: Polynomial) -> "PolyDiffOperator":
         """The arity-0 cochain with the given value."""
         return cls(value.ctx, 0, {(): value})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ContextMismatch("mixed contexts")
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch in sum")
-        res = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(res, key, c)
-        return self._make(self.ctx, self.arity, res)
-
-    def __neg__(self) -> "PolyDiffOperator":
-        return self._make(self.ctx, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        return self + (-other)
-
-    def scale(self, q) -> "PolyDiffOperator":
-        q = Fraction(q)
-        terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
-        return self._make(self.ctx, self.arity, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
 
     # -- semantics ----------------------------------------------------------
 
@@ -198,7 +150,7 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     for a1, c1 in p.terms.items():
         for a2, c2 in q.terms.items():
             accumulate(res, a1 + a2, c1 * c2)
-    return PolyDiffOperator._make(p.ctx, p.arity + q.arity, res)
+    return PolyDiffOperator._make(p.ctx, res, p.arity + q.arity)
 
 
 def _splits(alpha: tuple, parts: int) -> tuple:
@@ -211,14 +163,14 @@ def _splits(alpha: tuple, parts: int) -> tuple:
     """
     n = len(alpha)
 
-    def splits_1d(total: int, k: int):
+    def splits_1d(total: int, k: int) -> list:
+        """The compositions of total into k parts in lexicographic order: the
+        gaps between k - 1 bars placed among total + k - 1 slots."""
         if k == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(total + 1):
-            for rest in splits_1d(total - first, k - 1):
-                yield (first,) + rest
+            return [()] if total == 0 else []
+        ends = (total + k - 1,)
+        return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
+                for bars in itertools.combinations(range(total + k - 1), k - 1)]
 
     per_coord = [
         [(split, math.factorial(a) // math.prod(map(math.factorial, split)))
@@ -289,7 +241,7 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
                 ]
             for alphas, coeff in stack:
                 accumulate(res, alphas, coeff)
-    return PolyDiffOperator._make(p.ctx, out_arity, res)
+    return PolyDiffOperator._make(p.ctx, res, out_arity)
 
 
 def _brace_or_zero(p: PolyDiffOperator, qs) -> PolyDiffOperator:
@@ -344,6 +296,8 @@ def hkr(x: GElement) -> PolyDiffOperator:
     norm = Fraction(1, perms)
     for (e, mask), coeff in x.terms.items():
         indices = bits_of(mask)
+        piece = coeff * norm
+        signed = (piece, -piece)  # by the parity of the permutation
         for perm in itertools.permutations(range(k)):
             inversions = sum(
                 1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
@@ -353,9 +307,5 @@ def hkr(x: GElement) -> PolyDiffOperator:
                 a = [0] * ctx.n
                 a[indices[perm[j]] - 1] = 1
                 alphas.append(tuple(a))
-            key = tuple(alphas)
-            piece = coeff * norm
-            if inversions & 1:
-                piece = -piece
-            accumulate(res, key, piece)
-    return PolyDiffOperator(ctx, k, res)
+            accumulate(res, tuple(alphas), signed[inversions & 1])
+    return PolyDiffOperator._make(ctx, res, k)

@@ -25,6 +25,10 @@ Without it, powers are expanded whatever their degree.  A power of a
 constant other than 0 and +-1 has degree 0, so it is bounded by size
 instead: c^k with k * bit_length(max(|num|, den)) above
 POWER_BITS_BUDGET raises `BudgetExceeded`, with or without max_degree.
+
+Parentheses nest at most MAX_NESTING deep: a `(` past that depth is a
+`ParseError` at its offset, before the recursion can reach the
+interpreter's limit.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ _WORD_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)")
 _SCALAR = (0, 0, 0)  # the value key of h^0 eps^0 with no odd generator
 # the most bits (exponent times bit length of the base) a constant power may have
 POWER_BITS_BUDGET = 1 << 20
+# the deepest parentheses nest; each level takes four frames of the descent
+MAX_NESTING = 100
 
 
 def _scalar(value):
@@ -104,6 +110,7 @@ class _Parser:
         self.allow_h = h_order is not None
         self.h_order = h_order or 0
         self.max_degree = max_degree
+        self.depth = 0  # parentheses open around the current token
 
     # value helpers ----------------------------------------------------------
 
@@ -239,8 +246,12 @@ class _Parser:
                 return self._const(num, den_tok.value)
             return self._const(num)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect(")", "')'")
             return value
         if tok.kind == "NAME":
@@ -337,19 +348,5 @@ def format_gelement(x: GElement) -> str:
 
 
 def format_series(s: HSeries) -> str:
-    """The series as parse_series input: a coefficient of several terms is
-    parenthesized, and a later one-term coefficient with a minus sign is
-    joined with ``-`` (the grammar has no ``+ -``)."""
-    parts = []
-    for k, c in s.terms.items():
-        text = str(c)
-        h = "" if k == 0 else ("h" if k == 1 else f"h^{k}")
-        body = f"({text})" if (" " in text and h) else text
-        term = f"{body}*{h}" if h else body
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(f"+ {term}")
-    return " ".join(parts) if parts else "0"
+    """The series as parse_series input."""
+    return str(s)

@@ -62,11 +62,6 @@ def grevlex_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(map(neg, exps)))
 
 
-def _magnitude(num: int, den: int) -> str:
-    """|num/den| as printed, for num/den in lowest terms with den > 0."""
-    return to_decimal(abs(num)) if den == 1 else f"{to_decimal(abs(num))}/{to_decimal(den)}"
-
-
 def lex_key(exps: tuple) -> tuple:
     # lex with x_n highest priority, consistent with x_1 < ... < x_n.
     return tuple(reversed(exps))
@@ -466,7 +461,9 @@ class Polynomial:
         parts = []
         for exps, num, den in self._grevlex_terms():
             mono = self.ctx.format_monomial(exps)
-            mag = _magnitude(num, den)
+            mag = to_decimal(abs(num))
+            if den != 1:
+                mag = f"{mag}/{to_decimal(den)}"
             if mono == "1":
                 body = mag
             elif mag == "1":
@@ -503,6 +500,71 @@ class Polynomial:
             c = Fraction(*(v if type(v) is int else from_decimal(v) for v in (num, den)))
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return cls(ctx, terms)
+
+
+class TermMap:
+    """An element of a free module over the ring: ``terms`` maps basis keys
+    to nonzero Polynomials.
+
+    Subclasses name the basis and check its keys in their constructors;
+    the linear structure is implemented here once, and `_make` is the one
+    constructor that trusts its terms.  A subclass's own ``__slots__`` is
+    its shape, what two summands must share besides the ring (a cochain's
+    arity), so each subclass declares ``__slots__``, empty when it has no
+    shape.  Elements of different classes neither add nor compare equal.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    @classmethod
+    def _make(cls, ctx: RingContext, terms: dict, *shape):
+        """The element with these terms, unchecked: their keys must be valid
+        and no coefficient zero; ``shape`` fills the subclass's slots."""
+        out = cls.__new__(cls)
+        out.ctx, out.terms = ctx, terms
+        for name, value in zip(cls.__slots__, shape):
+            setattr(out, name, value)
+        return out
+
+    @classmethod
+    def zero(cls, ctx: RingContext, *shape):
+        return cls(ctx, *shape)
+
+    def _shape(self) -> tuple:
+        slots = self.__slots__  # a class with no shape skips the map: this runs on every sum
+        return tuple(map(self.__getattribute__, slots)) if slots else ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_ctx(self, other)
+        shape = self._shape()
+        if other._shape() != shape:
+            raise ValueError(f"{', '.join(self.__slots__)} mismatch in sum")
+        res = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(res, key, c)
+        return self._make(self.ctx, res, *shape)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(self.ctx, {k: -c for k, c in self.terms.items()}, *self._shape())
+
+    def scale(self, q):
+        q = Fraction(q)
+        terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
+        return self._make(self.ctx, terms, *self._shape())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ctx == other.ctx and self._shape() == other._shape()
+                and self.terms == other.terms)
 
 
 @dataclass(frozen=True)
@@ -644,11 +706,22 @@ class HSeries:
         return (self.order, self.terms, self.zero) == (other.order, other.terms, other.zero)
 
     def __str__(self):
+        """The series as `parsing.parse_series` input: a coefficient of several
+        terms is parenthesized, and a later one-term coefficient with a minus
+        sign is joined with ``-`` (the grammar has no ``+ -``)."""
         parts = []
         for k, c in self.terms.items():
-            h = "" if k == 0 else ("*h" if k == 1 else f"*h^{k}")
-            parts.append(f"({c}){h}")
-        return " + ".join(parts) if parts else "0"
+            text = str(c)
+            h = "" if k == 0 else ("h" if k == 1 else f"h^{k}")
+            body = f"({text})" if (" " in text and h) else text
+            term = f"{body}*{h}" if h else body
+            if not parts:
+                parts.append(term)
+            elif term.startswith("-"):
+                parts.append(f"- {term[1:]}")
+            else:
+                parts.append(f"+ {term}")
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"HSeries(order={self.order}, {self})"

@@ -58,7 +58,7 @@ from .poly import (
     HSeries,
     Polynomial,
     RingContext,
-    _magnitude,
+    TermMap,
     accumulate,
     from_ints,
     product_kernel,
@@ -99,10 +99,10 @@ def _merge_sign(m1: int, m2: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-class GElement:
+class GElement(TermMap):
     """Element of A[eps, d_1..d_n]; terms keyed by (eps power, odd bitmask)."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
     def __init__(self, ctx: RingContext, terms: dict | None = None):
         self.ctx = ctx
@@ -120,10 +120,6 @@ class GElement:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: RingContext) -> "GElement":
-        return cls(ctx)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "GElement":
@@ -152,9 +148,6 @@ class GElement:
         return cls(ctx, {(0, mask_of(idx)): c})
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_polyvector(self) -> bool:
         """True iff eps-free."""
@@ -195,35 +188,6 @@ class GElement:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "GElement") -> "GElement":
-        if not isinstance(other, GElement):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ContextMismatch("mixed contexts")
-        res = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(res, key, c)
-        out = GElement.__new__(GElement)
-        out.ctx = self.ctx
-        out.terms = res
-        return out
-
-    def __sub__(self, other: "GElement") -> "GElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GElement":
-        out = GElement.__new__(GElement)
-        out.ctx = self.ctx
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def scale(self, q) -> "GElement":
-        q = Fraction(q)
-        out = GElement.__new__(GElement)
-        out.ctx = self.ctx
-        out.terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
-        return out
-
     def __mul__(self, other):
         """Graded-commutative (wedge) product; eps is even, d_i odd."""
         if isinstance(other, (int, Fraction)):
@@ -242,20 +206,12 @@ class GElement:
                     continue
                 piece = c1 * c2 if sign > 0 else -(c1 * c2)
                 accumulate(res, (e1 + e2, m1 | m2), piece)
-        out = GElement.__new__(GElement)
-        out.ctx = self.ctx
-        out.terms = res
-        return out
+        return self._make(self.ctx, res)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
 
     # -- presentation -------------------------------------------------------
 
@@ -277,24 +233,13 @@ class GElement:
                 tail.append(f"E^{e}")
             if mask:
                 tail.append("D(" + ",".join(str(i) for i in bits_of(mask)) + ")")
-            sign = "+"
-            if len(coeff.nums) == 1:
-                # a canonical one-term coefficient is num/den in lowest terms
-                (exps, num), = coeff.nums.items()
-                mono = self.ctx.format_monomial(exps)
-                mag = _magnitude(num, coeff.den)
-                if num < 0:
-                    sign = "-"
-                head = []
-                if mag != "1" or (mono == "1" and not tail):
-                    head.append(mag)
-                if mono != "1":
-                    head.append(mono)
-                body = "*".join(head + tail) if (head or tail) else "1"
-            elif not tail:
-                body = str(coeff) if not parts else f"({coeff})"
-            else:
-                body = "*".join([f"({coeff})"] + tail)
+            text = str(coeff)
+            if len(coeff.nums) > 1:
+                sign = "+"
+                body = "*".join([f"({text})"] + tail) if tail or parts else text
+            else:  # one term: its sign joins the sum, and a bare 1 drops before E or D
+                sign, text = ("-", text[1:]) if text[0] == "-" else ("+", text)
+                body = "*".join(([] if text == "1" and tail else [text]) + tail)
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -367,14 +312,12 @@ def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: 
 def _collect(ctx: RingContext, acc: dict, den: int) -> GElement:
     """The element with coefficients acc / den: one `from_ints` per nonzero
     output term."""
-    out = GElement.__new__(GElement)
-    out.ctx = ctx
-    out.terms = {}
+    terms = {}
     for key, sums in acc.items():
         nums = {m: v for m, v in sums.items() if v}
         if nums:
-            out.terms[key] = from_ints(ctx, nums, den)
-    return out
+            terms[key] = from_ints(ctx, nums, den)
+    return GElement._make(ctx, terms)
 
 
 def schouten_bracket(x: GElement, y: GElement) -> GElement:

@@ -387,6 +387,70 @@ def test_hkr_over_its_output_budget_exits_3_at_once(capsys):
     assert elapsed < 1.0, elapsed
 
 
+def _within_a_second(capsys, argv):
+    """run(), asserting that it took under 1 s and printed no traceback."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0, argv[:2]
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def test_cochain_integer_literal_past_4300_digits_reads_exactly(capsys):
+    """A 5,000-digit integer literal, not a string, in cochain JSON reads as
+    the same digits in a string do (it exited 1 with the interpreter's
+    message on its limit of 4300 digits)."""
+    digits = "7" * 5000
+    cochain = ('{"arity": 1, "terms": [{"coeff": {"terms": [{"exp": [0], "num": %s, '
+               '"den": 1}]}, "alphas": [[0]]}]}')
+    argv = ["hh-d", "--vars", "x", "--format", "json", "--P"]
+    code, out, err = _within_a_second(capsys, argv + [cochain % digits])
+    assert (code, err) == (0, "")
+    [term] = json.loads(out)["terms"]
+    assert term["coeff"]["terms"][0]["num"] == digits and term["alphas"] == [[0], [0]]
+    assert _within_a_second(capsys, argv + [cochain % f'"{digits}"']) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh-brace", "--vars", "x", "--P", '{"arity": 1, "terms": []}', "--Qs", "[" * 3000],
+        ["hh-d", "--vars", "x", "--P", "[" * 1000],
+        ["hh-cup", "--vars", "x", "--P", "[" * 20000 + "]" * 20000, "--Q", "[]"],
+        ["hh-bracket", "--vars", "x", "--P", '{"arity": 1, "terms": []}',
+         "--Q", '{"terms": ' * 5000 + "[]" + "}" * 5000],
+    ],
+    ids=["qs-3000-deep", "p-1000-deep", "p-20000-deep-closed", "q-5000-deep-objects"],
+)
+def test_json_nested_past_the_decoder_depth_exits_1(capsys, argv):
+    """Nesting deeper than the decoder follows is malformed JSON (it raised
+    RecursionError out of main)."""
+    code, out, err = _within_a_second(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_parentheses_past_the_nesting_bound_exit_1(capsys):
+    """300 nested parentheses are refused at the 101st (they raised
+    RecursionError in the parser); 100 parse."""
+    deep = "(" * 300 + "x" + ")" * 300 + "+y^2"
+    code, out, err = _within_a_second(capsys, ["milnor", "--vars", "x,y", "--f", deep])
+    assert (code, out) == (1, "")
+    assert err == "error: syntax error at offset 100: parentheses nest deeper than 100\n"
+    deep = "(" * 100 + "x^3" + ")" * 100 + "+y^2"
+    assert _within_a_second(capsys, ["milnor", "--vars", "x,y", "--f", deep]) == (
+        0, "milnor: 2\n", "")
+
+
+def test_hh_d_of_a_cochain_of_arity_2000_exits_0(capsys):
+    """The product of 2,000 arguments is a cocycle; splitting a derivative
+    order over 2,000 parts recursed once per part and overflowed the stack."""
+    one = {"terms": [{"exp": [0], "num": "1", "den": "1"}]}
+    cochain = json.dumps({"arity": 2000, "terms": [{"coeff": one, "alphas": [[0]] * 2000}]})
+    code, out, err = _within_a_second(capsys, ["hh-d", "--vars", "x", "--P", cochain])
+    assert (code, out, err) == (0, "0 (arity 2001)\n", "")
+
+
 def test_monicize_command(capsys):
     code, out, _ = run(
         capsys, ["monicize", "--vars", "x,y", "--f", "x*y", "--format", "json"]

@@ -20,9 +20,10 @@ def _exponent(rng, top):
 
 
 def _factor(rng, names, graded, series, valid):
-    """One factor, now and then raised to a power.  A fractional constant
-    is raised to at most 10^4: near the power budget, arithmetic on its
-    numerator and denominator takes seconds (ROADMAP item 2)."""
+    """One factor, now and then raised to a power or inside up to 400
+    parentheses.  A fractional constant is raised to at most 10^4: near
+    the power budget, arithmetic on its numerator and denominator takes
+    seconds (ROADMAP item 2)."""
     x, sign = rng.choice(names), rng.choice("+-")
     other = rng.choice(["1", "2*" + rng.choice(names)])
     pool = [rng.choice(names), rng.choice(names), f"({x} {sign} {other})",
@@ -39,6 +40,9 @@ def _factor(rng, names, graded, series, valid):
     if (graded or not valid) and rng.random() < 0.08:
         return f"(1+E)^{rng.randint(0, 2000)}"
     base = rng.choice(pool)
+    if rng.random() < 0.03:
+        depth = int(10 ** rng.uniform(0, 2.6))  # on both sides of parsing.MAX_NESTING
+        return "(" * depth + base + ")" * depth
     if rng.random() < 0.35:
         return f"{base}^{_exponent(rng, 4 if '/' in base else 6)}"
     return base
@@ -57,13 +61,20 @@ def _expr(rng, names, graded=False, series=False):
     return text
 
 
-def _cochain(rng, n):
+def _cochain(rng, n, wide=False):
     """Cochain JSON of arity 0-2, now and then with a key dropped, a value
-    of the wrong type or the text cut."""
-    arity = rng.randint(0, 2)
+    of the wrong type or the text cut, or nested up to 10^4 deep.  A wide
+    one (for hh-d) now and then has arity up to 2,000, with derivative
+    orders 0 so that its output stays small."""
+    if rng.random() < 0.05:
+        depth = int(10 ** rng.uniform(0, 4))
+        opener, closer = rng.choice([("[", "]"), ('{"terms": ', "}")])
+        return opener * depth + ("0" + closer * depth if rng.random() < 0.5 else "")
+    arity = int(10 ** rng.uniform(0, 3.3)) if wide and rng.random() < 0.2 else rng.randint(0, 2)
+    top = 2 if arity <= 2 else 0
     terms = [{"coeff": {"terms": [{"exp": [rng.randint(0, 3) for _ in range(n)],
                                    "num": str(rng.randint(-5, 5)), "den": str(rng.randint(1, 3))}]},
-              "alphas": [[rng.randint(0, 2) for _ in range(n)] for _ in range(arity)]}
+              "alphas": [[rng.randint(0, top) for _ in range(n)] for _ in range(arity)]}
              for _ in range(rng.randint(0, 2))]
     data = {"arity": arity, "terms": terms}
     roll = rng.random()
@@ -98,7 +109,7 @@ def _argv(rng):
         elif flag in ("--S", "--X", "--Y") or (flag == "--T" and rng.random() < 0.5):
             argv += [flag, _expr(rng, names, graded=True, series=series)]
         elif flag in ("--P", "--Q"):
-            argv += [flag, _cochain(rng, n)]
+            argv += [flag, _cochain(rng, n, wide=command == "hh-d")]
         elif flag == "--Qs":
             cochains = [_cochain(rng, n) for _ in range(rng.randint(0, 2))]
             argv += [flag, "[" + ", ".join(cochains) + "]"]
@@ -118,9 +129,11 @@ def _argv(rng):
 def test_every_drawn_argv_exits_with_a_documented_code_at_once():
     """800 seeded argv over all 15 commands: fractions, undeclared names,
     E, h and D(...) with bad indices, powers from 0 to 10^6 and (1+E)^k up
-    to k = 2000, stray symbols, non-ASCII digits, and valid and malformed
-    cochain JSON.  Each exits 0, 1, 2 or 3, with no traceback, in under 2
-    s; E powers past --max-degree are refused before they are expanded."""
+    to k = 2000, parentheses up to 400 deep, stray symbols, non-ASCII
+    digits, and valid and malformed cochain JSON, nested up to 10^4 deep
+    or of arity up to 2,000.  Each exits 0, 1, 2 or 3, with no traceback,
+    in under 2 s; E powers past --max-degree are refused before they are
+    expanded."""
     rng = random.Random(2026)
     codes, commands = set(), set()
     for _ in range(800):

@@ -16,10 +16,11 @@ import time
 from fractions import Fraction
 
 import itertools
+import math
 
 import pytest
 
-from ncunfold.errors import BudgetExceeded
+from ncunfold.errors import BudgetExceeded, ContextMismatch
 from ncunfold.hochschild import (
     HKR_TERM_BUDGET,
     PolyDiffOperator,
@@ -218,6 +219,26 @@ def test_splits_into_zero_parts():
     assert _splits((0, 1), 0) == ()
     assert _splits((3,), 0) == ()
     assert _splits((2, 1), 1) == ((((2, 1),), 1),)
+
+
+def test_splits_enumerate_every_composition_once_in_order():
+    """Against the product of per-part ranges, filtered by sum; the
+    compositions come in lexicographic order, and many parts recurse
+    nowhere (2,000 parts overflowed the stack)."""
+    for alpha, parts in [((3,), 3), ((2, 1), 2), ((0, 2), 4), ((4,), 1)]:
+        want = []
+        box = list(itertools.product(*[range(a + 1) for a in alpha]))
+        for pieces in itertools.product(box, repeat=parts):
+            if tuple(map(sum, zip(*pieces))) == alpha:
+                multi = math.prod(
+                    math.factorial(a) // math.prod(math.factorial(p[d]) for p in pieces)
+                    for d, a in enumerate(alpha)
+                )
+                want.append((pieces, multi))
+        got = _splits(alpha, parts)
+        assert sorted(got) == sorted(want)
+        assert [pieces for pieces, _ in got] == sorted(pieces for pieces, _ in got)
+    assert _splits((0,), 2000) == ((((0,),) * 2000, 1),)
 
 
 def test_brace_with_constants():
@@ -422,6 +443,36 @@ def test_homotopy_commutativity_identity():
 # -- operator equality oracle -----------------------------------------------------
 
 
+def test_term_maps_add_and_compare_only_within_one_module():
+    """Polyvectors and cochains share one linear structure: a sum or an
+    equality across the two classes is refused or false, cochains add only
+    at one arity, and both add only in one ring."""
+    x, y = parse_gelement("x*D(1)", CTX2), parse_gelement("E", CTX2)
+    d = d_dx(CTX2)
+    for a, b in [(x, d), (d, x)]:
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        assert a != b and not a == b
+    assert GElement.zero(CTX2) != PolyDiffOperator.zero(CTX2, 0)
+    with pytest.raises(ValueError, match="arity"):
+        d + multiplication_cochain(CTX2)
+    with pytest.raises(ValueError, match="arity"):
+        d - PolyDiffOperator.zero(CTX2, 2)
+    assert d + PolyDiffOperator.zero(CTX2, 1) == d != PolyDiffOperator.zero(CTX2, 1)
+    assert PolyDiffOperator.zero(CTX2, 1) != PolyDiffOperator.zero(CTX2, 2)
+    with pytest.raises(ContextMismatch):
+        x + parse_gelement("x*D(1)", CTX3)
+    with pytest.raises(ContextMismatch):
+        d + d_dx(CTX3)
+    assert x != parse_gelement("x*D(1)", CTX3) and d != d_dx(CTX3)
+    for a in (x, x + y, d, d + d_dx(CTX2, 2)):
+        assert a - a == a.scale(0) and (-a).terms == {k: -c for k, c in a.terms.items()}
+        assert (-a).scale(-2) == a + a and a.scale(Fraction(1, 2)).scale(2) == a
+        assert not a.is_zero() and (a - a).is_zero()
+
+
 def test_canonical_equality_matches_apply_equality():
     rng = random.Random(37)
     for _ in range(10):
@@ -480,6 +531,27 @@ def test_hkr_output_budget_counts_k_factorial_per_term():
     with pytest.raises(BudgetExceeded, match=r"hkr.* 40320 terms"):
         hkr(GElement.wedge_monomial(ctx, range(1, 9)))
     assert time.perf_counter() - start < 1.0
+
+
+def test_hkr_scales_each_coefficient_once_per_term(monkeypatch):
+    """coeff / k! and its negation are formed once per term of X, not once
+    per permutation: 720 products on D(1,...,6) at the parent."""
+    ctx = RingContext(tuple(f"x{i}" for i in range(1, 7)))
+    coeff = Polynomial.variable(ctx, 1) + 1
+    unit = hkr(GElement.wedge_monomial(ctx, range(1, 7)))
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    out = hkr(GElement.wedge_monomial(ctx, range(1, 7), coeff))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(unit.terms) == 720
+    assert out.terms == {k: c * coeff for k, c in unit.terms.items()}
 
 
 def test_hkr_images_are_cocycles():

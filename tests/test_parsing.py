@@ -8,6 +8,7 @@ import pytest
 
 from ncunfold.errors import BudgetExceeded, DegreeGuardExceeded, ParseError
 from ncunfold.parsing import (
+    MAX_NESTING,
     POWER_BITS_BUDGET,
     _Parser,
     format_series,
@@ -135,13 +136,17 @@ def test_parse_format_roundtrip_gelements():
 
 
 def test_format_series_roundtrip():
+    """str(series) is the parse_series form, and format_series prints it;
+    a series of polynomials re-parses through parse_poly_series."""
     rng = random.Random(265)
     for _ in range(20):
         coeffs = [GElement.zero(CTX3)] + [rand_gelement(rng, CTX3) for _ in range(3)]
-        from ncunfold.poly import HSeries
-
         s = HSeries(coeffs, 3)
-        assert parse_series(format_series(s), CTX3, order=3) == s
+        assert str(s) == format_series(s) and repr(s) == f"HSeries(order=3, {s})"
+        assert parse_series(str(s), CTX3, order=3) == s
+        p = HSeries([rand_poly(rng, CTX3, max_degree=3) for _ in range(4)], 3)
+        assert parse_poly_series(str(p), CTX3, order=3) == p
+    assert str(HSeries.sparse({}, 2, Polynomial.zero(CTX3))) == "0"
 
 
 def test_power_matches_polynomial_power():
@@ -244,7 +249,24 @@ PARSE_ERRORS = [
     ("D(1 2)", parse_gelement, 4, "expected ')' or ','"),
     ("D(1,3,1)*h", parse_series, 6, "repeated index 1"),
     ("x*h^2 + ) ", parse_series, 8, "expected a term"),
+    # parentheses nest at most MAX_NESTING = 100 deep; the 101st ( is refused
+    ("(" * 101 + "x" + ")" * 101, parse_polynomial, 100, "parentheses nest deeper than 100"),
+    ("x+" + "(" * 300 + "x" + ")" * 300, parse_series, 102, "parentheses nest deeper than 100"),
 ]
+
+
+def test_parentheses_nest_up_to_the_bound():
+    """MAX_NESTING levels parse, also side by side and around D(...), whose
+    parenthesis is not nesting; one more is a ParseError (300 levels
+    overflowed the interpreter's stack)."""
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    x = parse_polynomial("x", CTX3)
+    assert parse_polynomial(f"{deep}*{deep}^2", CTX3) == x ** 3
+    wedge = "(" * MAX_NESTING + "D(1,2)" + ")" * MAX_NESTING
+    assert parse_gelement(wedge, CTX3) == parse_gelement("D(1,2)", CTX3)
+    with pytest.raises(ParseError) as err:
+        parse_gelement("(" + wedge + ")", CTX3)
+    assert err.value.position == MAX_NESTING
 
 
 @pytest.mark.parametrize("text, parse, offset, message", PARSE_ERRORS)
@@ -285,8 +307,8 @@ def test_print_parse_roundtrip_on_random_values():
     for _ in range(300):
         order = rng.randint(1, 5)
         s = _single_term_series(rng, order)
-        text = format_series(s)
-        assert "+ -" not in text
+        text = str(s)
+        assert "+ -" not in text and format_series(s) == text
         later = [str(c) for c in s.coeffs if not c.is_zero()][1:]
         minus_joins += any(t.startswith("-") and " " not in t for t in later)
         assert parse_series(text, CTX3, order) == s, text
