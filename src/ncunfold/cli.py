@@ -55,6 +55,11 @@ from .unfolding import (
 
 USAGE_ERROR, VALIDATION_ERROR, DEGREE_ABORT = 1, 2, 3
 
+# The JSON output of `mc-verify` and `quantize --general` lists every order
+# through --order, so its size grows with --order whatever the series hold;
+# past this order it is refused (exit 3) before any series is parsed.
+JSON_ORDER_BUDGET = 10_000
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -148,6 +153,16 @@ def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
         return PolyDiffOperator.from_json(ctx, data)
     except (KeyError, TypeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
+
+
+def _check_json_order(args) -> None:
+    """BudgetExceeded when JSON output would list more than
+    JSON_ORDER_BUDGET orders."""
+    if args.format == "json" and args.order > JSON_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"{args.command}: JSON output lists every order, and --order "
+            f"{args.order} is over the budget of {JSON_ORDER_BUDGET}"
+        )
 
 
 def _emit(args, payload, text) -> None:
@@ -294,6 +309,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "quantize":
+        if args.general:
+            _check_json_order(args)
         f = parse_polynomial(args.f, ctx, guard)
         p = parse_polynomial(args.p, ctx, guard)
         s = parse_gelement(args.S, ctx, guard)
@@ -319,6 +336,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mc-verify":
+        _check_json_order(args)
         f = parse_polynomial(args.f, ctx, guard)
         p_series = parse_poly_series(args.p, ctx, args.order, guard)
         s_series = parse_series(args.S, ctx, args.order, guard)

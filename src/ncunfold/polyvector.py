@@ -38,14 +38,29 @@ wedge parts are even, -1 otherwise, relabelling the second sum gives
 
 term pairs with an odd wedge part cancel and the rest count twice.
 
-Arithmetic of the bracket: `schouten_bracket` and `_square` read each
+On an element of degree 2, such as a coefficient p*eps + S of a
+deformation series w, every term is even, so (1/2)[X, X] is the sum of
+half(a, b) over the ordered pairs of its terms; a term without odd part
+contributes only as b.  Reading h as an even, bracket-inert generator like
+eps, the same sum runs over a whole series at once.  With W = w - f*eps,
+f*eps at h^0, graded antisymmetry in degree 2 gives [f*eps, w] = [w, f*eps]
+and [f*eps, f*eps] = 0, so the Maurer-Cartan residual is one square:
+
+    dw + (1/2)[w, w] = -[f*eps, w] + (1/2)[w, w] = (1/2)[W, W],
+
+the sum of half(a, b) over ordered pairs of terms a at h^i, b at h^j with
+i + j <= the truncation order.  `mc_residual` and `_square` are that one
+pair loop, `_half_square`, with and without h.
+
+Arithmetic of the bracket: `schouten_bracket` and `_half_square` read each
 operand once as integer numerators over one denominator, the lcm of its
 term denominators, and take each operand term's d/dx_i at most once.
 Every product of numerators is added straight into one {exps: int} map
-per output term (eps power, mask) by `poly.product_kernel(n)`, the same
-per-n kernel that `Polynomial.__mul__` runs; at the end each nonzero
-output term becomes one polynomial by one `from_ints` over the product of
-the two denominators.  No Polynomial arithmetic runs in between.
+per output term, (eps power, mask) and for `_half_square` its h power, by
+`poly.product_kernel(n)`, the same per-n kernel that `Polynomial.__mul__`
+runs; at the end each nonzero output term becomes one polynomial by one
+`from_ints` over the product of the two denominators.  No Polynomial
+arithmetic runs in between.
 """
 
 from __future__ import annotations
@@ -270,13 +285,13 @@ class GElement(TermMap):
 # ---------------------------------------------------------------------------
 # the bracket
 
-def _numerators(x: GElement) -> tuple[dict, int]:
-    """The coefficients of x as integer numerator maps over one denominator,
-    the lcm of the term denominators: ({(e, mask): {exps: int}}, den)."""
-    den = math.lcm(*[c.den for c in x.terms.values()])
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """Polynomial coefficients as integer numerator maps over one denominator,
+    the lcm of theirs: ({key: {exps: int}}, den), keys kept."""
+    den = math.lcm(*[c.den for c in terms.values()])
     return {
         k: c.nums if c.den == den else {m: v * (den // c.den) for m, v in c.nums.items()}
-        for k, c in x.terms.items()
+        for k, c in terms.items()
     }, den
 
 
@@ -325,8 +340,8 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
     evaluated term pair by term pair with the closed form given there."""
     if x.ctx != y.ctx:
         raise ContextMismatch("mixed contexts")
-    xs, dx = _numerators(x)
-    ys, dy = _numerators(y)
+    xs, dx = _numerators(x.terms)
+    ys, dy = _numerators(y.terms)
     kernel = product_kernel(x.ctx.n)
     cx: dict = {}
     cy: dict = {}
@@ -343,19 +358,35 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
     return _collect(x.ctx, acc, dx * dy)
 
 
-def _square(x: GElement) -> GElement:
-    """(1/2)[X, X] by the closed form in the header: one half per pair of
-    even terms."""
-    xs, den = _numerators(x)
-    even = [(k, a) for k, a in xs.items() if not k[1].bit_count() & 1]
-    kernel = product_kernel(x.ctx.n)
+def _half_square(ctx: RingContext, terms: dict, order: int) -> dict:
+    """(1/2)[X, X] for X = sum c h^k eps^e d_mask, given as terms
+    {(k, e, mask): c} in increasing k, through h^order: {k: GElement}.
+
+    By the closed form in the header, one half per ordered pair of even
+    terms with k1 + k2 <= order; odd terms cancel and are dropped."""
+    nums, den = _numerators(terms)
+    even = [(key, a) for key, a in nums.items() if not key[2].bit_count() & 1]
+    kernel = product_kernel(ctx.n)
     cache: dict = {}
-    acc: dict = {}
-    for (e1, m1), a in even:
-        for k2, b in even:
-            e2, m2 = k2
-            _add_half(acc, e1 + e2, m1, a, m2, k2, b, cache, 1, kernel)
-    return _collect(x.ctx, acc, den * den)
+    accs: dict = {}
+    for (k1, e1, m1), a in even:
+        if not m1:  # no odd part: half(a, -) is zero
+            continue
+        for key2, b in even:
+            k2, e2, m2 = key2
+            if k1 + k2 > order:
+                break
+            acc = accs.get(k1 + k2)
+            if acc is None:
+                acc = accs[k1 + k2] = {}
+            _add_half(acc, e1 + e2, m1, a, m2, key2, b, cache, 1, kernel)
+    return {k: _collect(ctx, acc, den * den) for k, acc in accs.items()}
+
+
+def _square(x: GElement) -> GElement:
+    """(1/2)[X, X]: `_half_square` without h."""
+    halves = _half_square(x.ctx, {(0, e, m): c for (e, m), c in x.terms.items()}, 0)
+    return halves.get(0, GElement.zero(x.ctx))
 
 
 def ad_f(f: Polynomial, x: GElement) -> GElement:
@@ -383,21 +414,15 @@ def _check_degree_one(w: HSeries, ctx: RingContext) -> None:
 def mc_residual(f: Polynomial, w: HSeries) -> HSeries:
     """dw + (1/2)[w, w] for a deformation series w with coefficients p*eps + S.
 
-    The coefficients have degree 2, so [w_i, w_j] = [w_j, w_i] and the
-    h^k part of (1/2)[w, w] is the sum of [w_i, w_j] over i < j, i + j = k,
-    plus (1/2)[w_i, w_i] by the closed form of the header when k = 2i."""
+    The coefficients have degree 2, so by the header this is (1/2)[W, W]
+    for W = w - f*eps: one `_half_square` over the terms of every order,
+    f*eps at h^0, truncated at the order of w."""
     _check_degree_one(w, f.ctx)
-    out = {k: g_differential(f, c) for k, c in w.terms.items()}
-    nonzero = list(w.terms.items())
-    for a, (i, x) in enumerate(nonzero):
-        if 2 * i > w.order:
-            break
-        accumulate(out, 2 * i, _square(x))
-        for j, y in nonzero[a + 1:]:
-            if i + j > w.order:
-                break
-            accumulate(out, i + j, schouten_bracket(x, y))
-    return HSeries.sparse(out, w.order, w.zero)
+    terms = {} if f.is_zero() else {(0, 1, 0): -f}
+    for k, x in w.terms.items():
+        for (e, m), c in x.terms.items():
+            terms[k, e, m] = c
+    return HSeries.sparse(_half_square(f.ctx, terms, w.order), w.order, w.zero)
 
 
 def bivector_square(s: GElement) -> GElement:

@@ -334,13 +334,21 @@ def _mc_report(f: Polynomial, sol: MCSolution, check_witness: bool) -> MCReport:
     return MCReport(tuple(nonzero), check_order, zero_g, witness_consistent, ok)
 
 
-def _witness_form(f: Polynomial, p_series: HSeries, t1: GElement, order):
-    """The solution p, T = T_1*h, S = [f - p, T] through the order of p,
-    with the label `order`, and its residual report; S is built from T, so
-    the witness is not rechecked."""
-    top = p_series.order
-    witness = HSeries.sparse({1: t1}, top, GElement.zero(f.ctx))
-    s_series = _f_minus_p(f, p_series, top).convolve(witness, schouten_bracket)
+def _witness_form(f: Polynomial, p1: Polynomial, t1: GElement, s1: GElement, s2: GElement,
+                  order):
+    """The solution p = p1*h, T = T_1*h, S = [f - p, T] with the label
+    `order`, through h^order or h^2 for an exact one, and its residual
+    report.
+
+    S = S_1*h + S_2*h^2 is assembled from the brackets the caller holds,
+    S_1 = [f, T_1] (checked by `koszul_lift`) and S_2 = -[p1, T_1], so no
+    bracket is taken here; S is [f - p, T] by construction, so the witness
+    is not rechecked."""
+    top = 2 if order == EXACT else order
+    zero = GElement.zero(f.ctx)
+    p_series = HSeries.sparse({1: p1}, top, Polynomial.zero(f.ctx))
+    s_series = HSeries.sparse({1: s1, 2: s2}, top, zero)
+    witness = HSeries.sparse({1: t1}, top, zero)
     sol = MCSolution(order, p_series, s_series, witness)
     return sol, _mc_report(f, sol, check_witness=False)
 
@@ -352,8 +360,9 @@ def quantize_n3(f: Polynomial | Singularity, p1: Polynomial, s1: GElement) -> MC
     With T_1 the Koszul lift of S_1 made by qc_validate, the pair p = p1*h,
     T = T_1*h solves the deformation equation exactly: S = [f - p, T] =
     S_1*h - [p1, T_1]*h^2, and [S, S] vanishes identically because
-    [T, [f - p, T]] is a four-vector.  The residual is verified to be
-    identically zero.
+    [T, [f - p, T]] is a four-vector.  Both coefficients of S come from the
+    datum, S_1 and its extension bivector -[p1, T_1], so S costs no
+    bracket.  The residual is verified to be identically zero.
     """
     sing = Singularity.of(f)
     if sing.ctx.n != 3:
@@ -361,8 +370,7 @@ def quantize_n3(f: Polynomial | Singularity, p1: Polynomial, s1: GElement) -> MC
     datum = qc_validate(sing, p1, s1)
     if isinstance(datum, list):
         raise QCInvalid(datum)
-    p_series = HSeries.sparse({1: p1}, 2, Polynomial.zero(sing.ctx))
-    sol, report = _witness_form(sing.f, p_series, datum.lift, EXACT)
+    sol, report = _witness_form(sing.f, p1, datum.lift, s1, datum.extension_bivector, EXACT)
     if not report.ok:
         raise RuntimeError("internal: quantize_n3 produced a nonzero residual")
     return sol
@@ -381,18 +389,20 @@ def quantize_general(
     T = (lift of S_1) * h, which settles [f - p, S] = 0 identically; the
     remaining Poisson condition sum_{i+j=k} [S_i, S_j] = 0 is checked at
     each order and the first nonzero component is reported as an
-    obstruction.  p is p1 * h.  Returns MCSolution or ObstructionReport.
+    obstruction.  p is p1 * h, and S = S_1*h - [p1, T_1]*h^2 costs one
+    bracket.  Returns MCSolution or ObstructionReport.
     """
     sing = Singularity.of(f)
-    f, ctx = sing.f, sing.ctx
+    f = sing.f
     sing.isolated_jacobian()
     violations = _qc_violations(f, s1)
     if violations:
         raise QCInvalid(violations)
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    p_series = HSeries.sparse({1: p1}, max_order, Polynomial.zero(ctx))
-    sol, report = _witness_form(f, p_series, koszul_lift(sing, s1), max_order)
+    t1 = koszul_lift(sing, s1)
+    s2 = -schouten_bracket(GElement.from_polynomial(p1), t1)
+    sol, report = _witness_form(f, p1, t1, s1, s2, max_order)
     for o in report.nonzero:
         if o.h_power >= 2 and not o.poisson_square.is_zero():
             return ObstructionReport(o.h_power, o.poisson_square, "poisson_failure")

@@ -387,6 +387,32 @@ def test_hkr_over_its_output_budget_exits_3_at_once(capsys):
     assert elapsed < 1.0, elapsed
 
 
+@pytest.mark.parametrize("command, p, h", [(["mc-verify"], "h", "*h"),
+                                            (["quantize", "--general"], "x", "")])
+def test_json_past_its_order_budget_exits_3_before_parsing(capsys, command, p, h):
+    """JSON output lists every order through --order: at --order 1000000
+    mc-verify took 15.6 s and 1.29 GB and printed 107 MB.  Past
+    JSON_ORDER_BUDGET it is refused before any series is parsed, so even
+    an unparsable --S exits 3; text output has no such budget."""
+    head = [*command, "--vars", "x,y,z", "--f", "x^2+y^2+z^2", "--p", p, "--S"]
+    s = f"(2*x*D(2,3)+2*y*D(3,1)+2*z*D(1,2)){h}"
+    over = str(cli.JSON_ORDER_BUDGET + 1)
+    for text in (s, "D("):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [*head, text, "--order", over, "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {command[0]}: JSON output lists every order")
+        assert over in err and "Traceback" not in err
+    code, out, err = run(capsys, [*head, s, "--order", over])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, [*head, s, "--order", str(cli.JSON_ORDER_BUDGET),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert len(data["orders"] if "orders" in data else data["S"]) == cli.JSON_ORDER_BUDGET + 1
+
+
 def _within_a_second(capsys, argv):
     """run(), asserting that it took under 1 s and printed no traceback."""
     start = time.perf_counter()

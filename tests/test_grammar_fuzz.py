@@ -101,6 +101,7 @@ def _argv(rng):
     argv = [command, "--vars", ",".join(names) + (rng.choice([",w", ",x", ",,"])
                                                    if rng.random() < 0.05 else "")]
     series = command == "mc-verify"
+    big_order = False
     for flag in cli._COMMANDS[command][1].split():
         if flag == "--f":
             argv += [flag, _expr(rng, names)]
@@ -116,12 +117,17 @@ def _argv(rng):
         elif flag == "--general" and rng.random() < 0.5:
             argv.append(flag)
         elif flag == "--order" and rng.random() < 0.5:
-            argv += [flag, rng.choice(["1", "3", "8", "0", "-2", "x"])]
+            # a large order comes with JSON output, which lists every order
+            big_order = rng.random() < 0.5
+            argv += [flag, str(int(10 ** rng.uniform(0, 6))) if big_order
+                     else rng.choice(["1", "3", "8", "0", "-2", "x"])]
         elif flag == "--monomial-order" and rng.random() < 0.3:
             argv += [flag, rng.choice(["lex", "grevlex", "deglex"])]
         elif flag == "--max-degree" and rng.random() < 0.2:
             argv += [flag, rng.choice(["3", "8", "64", "x"])]
-    if rng.random() < 0.3:
+    if big_order:
+        argv += ["--format", "json"]
+    elif rng.random() < 0.3:
         argv += ["--format", rng.choice(["json", "text"])]
     return argv
 
@@ -130,12 +136,14 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
     """800 seeded argv over all 15 commands: fractions, undeclared names,
     E, h and D(...) with bad indices, powers from 0 to 10^6 and (1+E)^k up
     to k = 2000, parentheses up to 400 deep, stray symbols, non-ASCII
-    digits, and valid and malformed cochain JSON, nested up to 10^4 deep
-    or of arity up to 2,000.  Each exits 0, 1, 2 or 3, with no traceback,
-    in under 2 s; E powers past --max-degree are refused before they are
-    expanded."""
+    digits, valid and malformed cochain JSON, nested up to 10^4 deep or of
+    arity up to 2,000, and --order up to 10^6 with JSON output.  Each
+    exits 0, 1, 2 or 3, with no traceback, in under 2 s; E powers past
+    --max-degree are refused before they are expanded, and JSON orders
+    past cli.JSON_ORDER_BUDGET before any series is parsed."""
     rng = random.Random(2026)
     codes, commands = set(), set()
+    large_orders = {"refused": 0, "passed": 0}
     for _ in range(800):
         argv = _argv(rng)
         out, err = io.StringIO(), io.StringIO()
@@ -149,4 +157,12 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
         assert elapsed < 2.0, (elapsed, argv)
         codes.add(code)
         commands.add(argv[0])
+        order = argv[argv.index("--order") + 1] if "--order" in argv else ""
+        if order.isdigit() and int(order) > 100 and argv[-2:] == ["--format", "json"]:
+            if "JSON output lists every order" in err.getvalue():
+                assert code == 3 and int(order) > cli.JSON_ORDER_BUDGET, argv
+                large_orders["refused"] += 1
+            else:
+                large_orders["passed"] += 1
     assert codes == {0, 1, 2, 3} and commands == set(cli._COMMANDS)
+    assert min(large_orders.values()) >= 3, large_orders

@@ -1,5 +1,6 @@
 """Koszul lifting, quasiclassical data, quantization, residual reports."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 import ncunfold.groebner as groebner
+import ncunfold.polyvector as polyvector
 import ncunfold.singularity as singularity
+import ncunfold.unfolding as unfolding
 from ncunfold.errors import DegreeGuardExceeded, NotACycle, NotIsolated, QCInvalid
 from ncunfold.groebner import ideal_membership
 from ncunfold.parsing import parse_gelement, parse_polynomial
@@ -527,6 +530,54 @@ def test_verify_matches_oracle_on_general_obstructions(t, p):
     assert not report.ok and report.witness_consistent
 
 
+def _drawn_residual_case(rng, ctx, kind):
+    """(f, MCSolution) of one kind: "eps", only p*eps coefficients;
+    "pair", bivectors on one index pair each, any pair of indices; "sparse",
+    p and S at h^1 and h^50 of order 120; "edge", two powers i <= j with
+    i + j exactly the order and a third past it.  f is 0 in a quarter of
+    the cases."""
+    zero_p, zero_g = Polynomial.zero(ctx), GElement.zero(ctx)
+    f = zero_p if rng.random() < 0.25 else rand_poly(rng, ctx, 3, zero_ok=False)
+    pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
+
+    def bivector():
+        mask = sum(1 << i - 1 for i in rng.choice(pairs))
+        return GElement(ctx, {(0, mask): rand_poly(rng, ctx, 2, zero_ok=False)})
+
+    if kind == "sparse":
+        order, powers = 120, [1, 50]
+    else:
+        order = rng.randint(3, 12)
+        i = rng.randint(1, order // 2)
+        powers = ([i, order - i, order - i + 1] if kind == "edge"
+                  else rng.sample(range(1, order + 1), 3))
+    p, s = {}, {}
+    for k in powers:
+        if kind == "eps" or rng.random() < 0.5:
+            p[k] = rand_poly(rng, ctx, 2, zero_ok=False)
+        if kind != "eps":
+            s[k] = rand_bivector(rng, ctx) if kind == "sparse" else bivector()
+    label = EXACT if kind != "sparse" and rng.random() < 0.2 else order
+    return f, MCSolution(label, HSeries.sparse(p, order, zero_p), HSeries.sparse(s, order, zero_g))
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3, RingContext(("x", "y", "z", "w"))],
+                         ids=["n2", "n3", "n4"])
+def test_residual_matches_oracle_on_drawn_series(ctx):
+    """mc_residual takes the residual as one square (1/2)[W, W] of
+    W = w - f*eps; the oracle brackets every ordered pair of orders on its
+    own and adds -[f*eps, w].  Dropping the -f*eps term, or losing the
+    pairs with i + j equal to the order, fails here."""
+    rng = random.Random(23 + ctx.n)
+    at_the_order = 0
+    for kind in ("eps", "pair", "sparse", "edge") * 4:
+        f, sol = _drawn_residual_case(rng, ctx, kind)
+        report = _same_report(f, sol)
+        if kind == "edge":
+            at_the_order += any(o.h_power == sol.s_series.order for o in report.nonzero)
+    assert at_the_order >= 3  # the pairs with i + j = order leave a residual there
+
+
 def test_solution_json_roundtrip():
     f = a_k(2)
     x = Polynomial.variable(CTX3, 1)
@@ -585,6 +636,75 @@ def test_quantize_n3_lifts_s_once(monkeypatch):
         lift = qc_validate(f, p1, s1).lift
         assert ad_f(f, lift) == s1
         assert sol.witness.coeffs[1] == lift
+
+
+def test_quantizers_take_only_the_brackets_they_need(monkeypatch):
+    """quantize_n3 takes seven brackets, all in qc_validate: [f, S_1]; the
+    lift's cycle check, its one column and its check; S_2 = -[p1, T_1] and
+    both sides of [f, S_2] = [p1, S_1].  quantize_general takes the same
+    less the two Jacobi sides.  S = S_1*h + S_2*h^2 reuses S_1 and S_2,
+    and the residual is one square, so neither takes another."""
+    calls, in_witness_form = [], []
+    real_bracket, real_witness_form = polyvector.schouten_bracket, unfolding._witness_form
+
+    def bracket(x, y):
+        calls.append((x, y))
+        return real_bracket(x, y)
+
+    def witness_form(*args):
+        before = len(calls)
+        out = real_witness_form(*args)
+        in_witness_form.append(len(calls) - before)
+        return out
+
+    for module in (polyvector, unfolding):  # ad_f reads it from polyvector
+        monkeypatch.setattr(module, "schouten_bracket", bracket)
+    monkeypatch.setattr(unfolding, "_witness_form", witness_form)
+    f = a_k(2)
+    p1, s1 = _ade_datum(f)
+    calls.clear()
+    quantize_n3(f, p1, s1)
+    assert len(calls) == 7
+    calls.clear()
+    quantize_general(f, p1, s1, max_order=4)
+    assert len(calls) == 5
+    assert in_witness_form == [0, 0]
+
+
+def _random_isolated_f(rng):
+    """x^a + y^b + z^c plus three random terms of degree 2 to 4, drawn
+    until f is isolated."""
+    while True:
+        a, b, c = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 3)
+        f = parse_polynomial(f"x^{a}+y^{b}+z^{c}", CTX3)
+        for _ in range(3):
+            exps = [0, 0, 0]
+            for _ in range(rng.randint(2, 4)):
+                exps[rng.randrange(3)] += 1
+            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            f = f + Polynomial.monomial(CTX3, tuple(exps), coeff)
+        if Singularity(f).is_isolated():
+            return f
+
+
+def test_witness_form_solutions_rebuild_s_from_their_witness():
+    """S = S_1*h + S_2*h^2 is assembled from brackets the quantizers
+    already hold; mc_verify rebuilds [f - p, T] by convolution and must
+    find it equal to S, for every ADE f and for random isolated f."""
+    rng = random.Random(47)
+    cases = [(f, *_ade_datum(f)) for _, f in ade_catalog()]
+    for _ in range(6):
+        f = _random_isolated_f(rng)
+        cases.append((f, rand_w_element(rng, f), ad_f(f, rand_trivector3(rng, CTX3))))
+    for f, p1, s1 in cases:
+        sols = [quantize_n3(f, p1, s1)]
+        for order in range(2, 7):
+            sol = quantize_general(f, p1, s1, max_order=order)
+            assert isinstance(sol, MCSolution)
+            sols.append(sol)
+        for sol in sols:
+            report = mc_verify(f, sol)
+            assert report.witness_consistent is True and report.ok
 
 
 def test_degree_guard_reaches_lift_and_normal_form():
