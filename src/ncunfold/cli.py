@@ -25,11 +25,13 @@ from .errors import (
 from .groebner import GREVLEX, MonomialOrder, ideal_membership
 from .hochschild import (
     PolyDiffOperator,
+    _brace_products,
     brace,
     cup,
     gerstenhaber_bracket,
     hkr,
     hochschild_differential,
+    multiplication_cochain,
 )
 from .parsing import (
     format_gelement,
@@ -59,6 +61,15 @@ USAGE_ERROR, VALIDATION_ERROR, DEGREE_ABORT = 1, 2, 3
 # through --order, so its size grows with --order whatever the series hold;
 # past this order it is refused (exit 3) before any series is parsed.
 JSON_ORDER_BUDGET = 10_000
+
+# The hh-* commands cost what their output costs.  Past COCHAIN_TERM_BUDGET
+# term products, an upper bound counted before expanding anything, they are
+# refused (exit 3); the bracket of x^250 with the 250th derivative in two
+# arguments would form 63,254.  A derivative order or exponent past
+# COCHAIN_ORDER_LIMIT, which bounds the size of the coefficients that
+# derivatives make, is refused (exit 3) on reading.
+COCHAIN_TERM_BUDGET = 10_000
+COCHAIN_ORDER_LIMIT = 1_000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -148,11 +159,34 @@ def _json(text: str):
 
 
 def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
-    """Decode a cochain; malformed JSON becomes a ValueError (exit 1)."""
+    """Decode a cochain; malformed JSON becomes a ValueError (exit 1), and
+    a derivative order or exponent past COCHAIN_ORDER_LIMIT BudgetExceeded."""
     try:
-        return PolyDiffOperator.from_json(ctx, data)
+        p = PolyDiffOperator.from_json(ctx, data)
     except (KeyError, TypeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
+    top = max((e for alphas, c in p.terms.items()
+               for exps in (*alphas, *c.nums) for e in exps), default=0)
+    if top > COCHAIN_ORDER_LIMIT:
+        raise BudgetExceeded(f"a cochain holds the derivative order or exponent {top}, "
+                             f"past the limit of {COCHAIN_ORDER_LIMIT}")
+    return p
+
+
+def _check_products(args, count: int) -> None:
+    """BudgetExceeded when the command's bound on its term products is over
+    COCHAIN_TERM_BUDGET."""
+    if count > COCHAIN_TERM_BUDGET:
+        raise BudgetExceeded(
+            f"{args.command}: expanding these cochains may take {count} or more term "
+            f"products, over the budget of {COCHAIN_TERM_BUDGET}"
+        )
+
+
+def _bracket_products(p: PolyDiffOperator, q: PolyDiffOperator) -> int:
+    """The count of [P, Q], the braces P{Q} and Q{P}."""
+    return (_brace_products(p, [q], COCHAIN_TERM_BUDGET)
+            + _brace_products(q, [p], COCHAIN_TERM_BUDGET))
 
 
 def _check_json_order(args) -> None:
@@ -207,7 +241,12 @@ def _run(args) -> int:
     if args.command in ("hh-cup", "hh-bracket"):
         p = _cochain(ctx, _json(args.P))
         q = _cochain(ctx, _json(args.Q))
-        out = cup(p, q) if args.command == "hh-cup" else gerstenhaber_bracket(p, q)
+        if args.command == "hh-cup":
+            _check_products(args, len(p.terms) * len(q.terms))
+            out = cup(p, q)
+        else:
+            _check_products(args, _bracket_products(p, q))
+            out = gerstenhaber_bracket(p, q)
         _emit(args, out.to_json, lambda: str(out))
         return 0
 
@@ -217,12 +256,14 @@ def _run(args) -> int:
         if not isinstance(qs, list):
             raise ValueError("--Qs must be a JSON list of cochains")
         qs = [_cochain(ctx, item) for item in qs]
+        _check_products(args, _brace_products(p, qs, COCHAIN_TERM_BUDGET))
         out = brace(p, qs)
         _emit(args, out.to_json, lambda: str(out))
         return 0
 
     if args.command == "hh-d":
         p = _cochain(ctx, _json(args.P))
+        _check_products(args, _bracket_products(multiplication_cochain(ctx), p))
         out = hochschild_differential(p)
         _emit(args, out.to_json, lambda: str(out))
         return 0

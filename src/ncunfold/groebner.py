@@ -33,7 +33,6 @@ over the input.  On rank-1 input the two give the same reduced basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -43,6 +42,7 @@ from .poly import (
     INFINITE,
     Polynomial,
     RingContext,
+    Value,
     from_ints,
     grevlex_key,
     lex_key,
@@ -51,15 +51,15 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Value):
     """grevlex (default) or lex, both with x_1 < x_2 < ... < x_n."""
 
-    kind: str = "grevlex"
+    __slots__ = _fields = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
+    def __init__(self, kind: str = "grevlex"):
+        if kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown monomial order {kind!r}")
+        self._set(kind)
 
     def key(self, exps: tuple) -> tuple:
         return grevlex_key(exps) if self.kind == "grevlex" else lex_key(exps)
@@ -69,20 +69,21 @@ GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(Value):
     """Element of a free module A^r, stored as r polynomial components."""
 
-    components: tuple[Polynomial, ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        if isinstance(self.components, list):
-            object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[Polynomial, ...]):
+        if isinstance(components, list):
+            components = tuple(components)
+        if not components:
             raise ValueError("module rank must be >= 1")
-        ctx = self.components[0].ctx
-        if any(c.ctx != ctx for c in self.components):
-            raise ContextMismatch("mixed contexts in module element")
+        ctx = components[0].ctx
+        for c in components:
+            if c.ctx is not ctx and c.ctx != ctx:
+                raise ContextMismatch("mixed contexts in module element")
+        object.__setattr__(self, "components", components)
 
     @property
     def rank(self) -> int:
@@ -258,25 +259,23 @@ def _guard(max_degree: int | None, degree: int) -> None:
         raise DegreeGuardExceeded(f"intermediate degree exceeded the limit {max_degree}")
 
 
-@dataclass
 class _Entry:
     """A basis element in primitive integer form, cofactor components
     included: leading coefficient lc > 0 at key and the other (key, int)
-    terms.  reach is how far the degree of the module part rises above the
-    lead's, or 0 (always 0 for an ideal under grevlex), and rise how far
-    any term's does.  elem, the monic element on space (ctx, number of
-    components, packing), is built on its first read into the field built
-    (a field, not a lazily added attribute, keeps _reduce's reads fast)."""
+    terms, lead being (comp, exps) of key.  reach is how far the degree of
+    the module part rises above the lead's, or 0 (always 0 for an ideal
+    under grevlex), and rise how far any term's does.  sig is (input index,
+    key of the monomial) in the signature loop.  elem, the monic element on
+    space (ctx, number of components, packing), is built on its first read
+    into the slot built."""
 
-    lead: tuple  # (comp, exps)
-    key: int
-    lc: int
-    tail: tuple
-    reach: int
-    rise: int
-    space: tuple = field(repr=False)
-    sig: tuple | None = None  # (input index, key of the monomial) in the signature loop
-    built: ModuleElement | None = field(default=None, repr=False)
+    __slots__ = ("lead", "key", "lc", "tail", "reach", "rise", "space", "sig", "built")
+
+    def __init__(self, lead: tuple, key: int, lc: int, tail: tuple, reach: int, rise: int,
+                 space: tuple):
+        self.lead, self.key, self.lc, self.tail = lead, key, lc, tail
+        self.reach, self.rise, self.space = reach, rise, space
+        self.sig = self.built = None
 
     @property
     def elem(self) -> ModuleElement:
@@ -505,14 +504,16 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
     return sorted((e for e in entries if e is not None), key=lambda e: -e.key)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced Groebner basis of an ideal."""
+class GroebnerBasis(Value):
+    """Reduced Groebner basis of an ideal; leads, the leading exponents of
+    the generators as the engine found them, is not compared."""
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-    # the leading exponents of the generators, as the engine found them
-    leads: tuple[tuple, ...] = field(repr=False, compare=False)
+    __slots__ = ("generators", "order", "leads")
+    _fields = ("generators", "order")
+
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder,
+                 leads: tuple[tuple, ...]):
+        self._set(generators, order, leads)
 
     @property
     def ctx(self) -> RingContext:
@@ -531,18 +532,19 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.generators) + "}"
 
 
-@dataclass(frozen=True)
-class ModuleGroebnerBasis:
-    """Reduced Groebner basis of a submodule of A^r."""
+class ModuleGroebnerBasis(Value):
+    """Reduced Groebner basis of a submodule of A^r, with the cofactors of
+    each generator over the input generators source.  The cofactors are a
+    certificate, not part of the basis (they are not unique): they are not
+    compared."""
 
-    generators: tuple[ModuleElement, ...]
-    order: MonomialOrder
-    rank: int
-    source: tuple[ModuleElement, ...] = field(repr=False, default=())
-    # a certificate, not part of the basis: cofactors are not unique
-    source_cofactors: tuple[tuple[Polynomial, ...], ...] = field(
-        repr=False, compare=False, default=()
-    )
+    __slots__ = ("generators", "order", "rank", "source", "source_cofactors")
+    _fields = ("generators", "order", "rank", "source")
+
+    def __init__(self, generators: tuple[ModuleElement, ...], order: MonomialOrder, rank: int,
+                 source: tuple[ModuleElement, ...] = (),
+                 source_cofactors: tuple[tuple[Polynomial, ...], ...] = ()):
+        self._set(generators, order, rank, source, source_cofactors)
 
     def to_json(self) -> dict:
         return {
@@ -554,24 +556,21 @@ class ModuleGroebnerBasis:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Value):
     """remainder + cofactors over a basis; the identity is rechecked."""
 
-    input: object
-    basis: tuple
-    remainder: object
-    cofactors: tuple[Polynomial, ...]
+    __slots__ = _fields = ("input", "basis", "remainder", "cofactors")
 
-    def __post_init__(self):
-        acc = self.remainder
-        for c, g in zip(self.cofactors, self.basis):
+    def __init__(self, input, basis: tuple, remainder, cofactors: tuple[Polynomial, ...]):
+        acc = remainder
+        for c, g in zip(cofactors, basis):
             if isinstance(g, ModuleElement):
                 acc = acc + g.scale_poly(c)
             else:
                 acc = acc + c * g
-        if acc != self.input:
+        if acc != input:
             raise AssertionError("reduction identity violated")
+        self._set(input, basis, remainder, cofactors)
 
     def over_source(self, gb: "ModuleGroebnerBasis") -> "ReductionTrace":
         """This trace over gb.generators rewritten over the input generators

@@ -244,6 +244,57 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
     return PolyDiffOperator._make(p.ctx, res, out_arity)
 
 
+def _brace_products(p: PolyDiffOperator, qs, limit: int) -> int:
+    """The slot combinations brace(p, qs) visits plus an upper bound on the
+    term products it forms, counted with no derivative or product; once
+    past limit, the count so far.
+
+    Per term of Q_t and coordinate, the table of Q_t at order a takes
+    gamma0 in 0..m, m = min(a, the coefficient's degree), and splits a -
+    gamma0 over the k arguments in C(a - gamma0 + k - 1, k - 1) ways: C(a +
+    k, k) in all, less C(a - m - 1 + k, k) when m < a.  Inserting block t
+    at slot s forms one product per stack item; f sums the items over the
+    later slots and C(s, t) counts the earlier ones.
+    """
+    l, arity = len(qs), p.arity
+    if not qs or l > arity:
+        return 0
+    total = math.comb(arity, l)
+    if total > limit:
+        return total
+    n = p.ctx.n
+    shapes = [(q.arity, [tuple(c.degree_in(d) for d in range(1, n + 1)) for c in q.terms.values()])
+              for q in qs]
+
+    @functools.cache
+    def size(t: int, alpha: tuple) -> int:
+        k, degrees = shapes[t]
+        out = 0
+        for degree in degrees:
+            count = 1
+            for a, m in zip(alpha, degree):
+                count *= math.comb(a + k, k) - (math.comb(a - m - 1 + k, k) if m < a else 0)
+            out += count
+        return out
+
+    for alphas in p.terms:
+        # block t takes a slot s in t..t + arity - l
+        f = [size(l - 1, alpha) for alpha in alphas]
+        for t in reversed(range(l)):
+            if t < l - 1:
+                later, acc, f = f, 0, [0] * arity
+                for s in reversed(range(t, t + arity - l + 1)):
+                    acc += later[s + 1]
+                    f[s] = size(t, alphas[s]) * acc
+            ways = 1  # C(s, t)
+            for s in range(t, t + arity - l + 1):
+                total += ways * f[s]
+                ways = ways * (s + 1) // (s + 1 - t)
+        if total > limit:
+            return total
+    return total
+
+
 def _brace_or_zero(p: PolyDiffOperator, qs) -> PolyDiffOperator:
     l = len(qs)
     if l > p.arity:

@@ -18,7 +18,8 @@ template and adds each exponent pair unpacked by name, (x0 + y0, ...,
 x{n-1} + y{n-1}), so keys stay plain tuples.  ``terms`` is a read-only
 Fraction view, built on each read.  Printing and serialization read
 ``nums``/``den`` in grevlex order and bring each coefficient to lowest
-terms with one gcd; they build no Fraction.
+terms with one gcd; they build no Fraction.  ``Value`` is the base of the
+library's immutable records.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge, neg, sub
 from types import MappingProxyType
@@ -159,28 +159,87 @@ def product_kernel(n: int):
     return namespace["kernel"]
 
 
-@dataclass(frozen=True)
-class RingContext:
-    """The ambient ring k[x_1, ..., x_n], fixed by its ordered variable names."""
+def _rebuild(cls, values: tuple):
+    """The instance of a Value class whose slots hold values, built without
+    its __init__ (copy and pickle)."""
+    out = object.__new__(cls)
+    out._set(*values)
+    return out
 
-    names: tuple[str, ...]
 
-    def __post_init__(self):
-        if isinstance(self.names, list):
-            object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) < 1:
+class Value:
+    """Base of the immutable record classes.
+
+    A subclass declares its attributes in ``__slots__``, sets them in its
+    own ``__init__`` (with ``_set``), and lists in ``_fields`` the ones that
+    ``==``, ``hash`` and ``repr`` read (a cache stays out).  Two values are
+    equal when they are of one class and their fields are equal.
+    Assignment and deletion raise AttributeError; copy and pickle rebuild
+    an instance from its slots, without running ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        """Set the slots, in order, to values."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(map(self.__getattribute__, self.__slots__)))
+
+
+class RingContext(Value):
+    """The ambient ring k[x_1, ..., x_n], fixed by its ordered variable names;
+    n is their number."""
+
+    __slots__ = ("names", "n")
+    _fields = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        if isinstance(names, list):
+            names = tuple(names)
+        if len(names) < 1:
             raise ValueError("a ring needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        for name in self.names:
+        for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid variable name {name!r}")
             if name in RESERVED_NAMES:
                 raise ValueError(f"variable name {name!r} is reserved")
+        self._set(names, len(names))
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
+    # written out: `!=` on rings runs in every arithmetic operation's check
+    def __eq__(self, other):
+        if other.__class__ is not RingContext:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     def index_of(self, name: str) -> int:
         """1-based index of a variable name; KeyError if undeclared."""
@@ -567,25 +626,24 @@ class TermMap:
                 and self.terms == other.terms)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Value):
     """A ring homomorphism x_i -> images[i].
 
     Composition is left-to-right: ``sigma.compose(tau)`` applies sigma
     first, then tau.
     """
 
-    ctx: RingContext
-    images: tuple[Polynomial, ...]
+    __slots__ = _fields = ("ctx", "images")
 
-    def __post_init__(self):
-        if isinstance(self.images, list):
-            object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.ctx.n:
+    def __init__(self, ctx: RingContext, images: tuple[Polynomial, ...]):
+        if isinstance(images, list):
+            images = tuple(images)
+        if len(images) != ctx.n:
             raise ValueError("substitution arity mismatch")
-        for im in self.images:
-            if im.ctx != self.ctx:
+        for im in images:
+            if im.ctx != ctx:
                 raise ContextMismatch("substitution image in a different ring")
+        self._set(ctx, images)
 
     @classmethod
     def identity(cls, ctx: RingContext) -> "Substitution":
@@ -704,6 +762,10 @@ class HSeries:
         if not isinstance(other, HSeries):
             return NotImplemented
         return (self.order, self.terms, self.zero) == (other.order, other.terms, other.zero)
+
+    def __reduce__(self):
+        # copy and pickle: the read-only view of terms takes neither
+        return HSeries.sparse, (dict(self.terms), self.order, self.zero)
 
     def __str__(self):
         """The series as `parsing.parse_series` input: a coefficient of several

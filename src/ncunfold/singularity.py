@@ -8,8 +8,9 @@ k[x_1..x_n] / (df/dx_1, ..., df/dx_n).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import NotIsolated
 from .groebner import (
@@ -20,18 +21,18 @@ from .groebner import (
     quotient_dimension,
     standard_monomials,
 )
-from .poly import INFINITE, Polynomial, RingContext, Substitution
+from .poly import INFINITE, Polynomial, RingContext, Substitution, Value
 
 
-@dataclass(frozen=True)
-class JacobianData:
-    """Partials, their reduced Groebner basis, the Milnor number, and the
-    standard-monomial basis of the complement W."""
+class JacobianData(Value):
+    """Partials, their reduced Groebner basis, the Milnor number (an int or
+    "infinite"), and the standard-monomial basis of the complement W."""
 
-    partials: tuple[Polynomial, ...]
-    gb: GroebnerBasis
-    milnor: object  # int or "infinite"
-    w_basis: tuple[tuple, ...]
+    __slots__ = _fields = ("partials", "gb", "milnor", "w_basis")
+
+    def __init__(self, partials: tuple[Polynomial, ...], gb: GroebnerBasis, milnor,
+                 w_basis: tuple[tuple, ...]):
+        self._set(partials, gb, milnor, w_basis)
 
     def report(self) -> dict:
         return {
@@ -41,14 +42,21 @@ class JacobianData:
         }
 
 
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
 def _require_nonconstant(f: Polynomial) -> None:
+    """ValueError for a constant f; a UserWarning for a nonzero constant
+    term, attributed to the innermost caller outside this package.  Each
+    public entry point calls this once, so a call warns at most once."""
     if f.is_constant():
         raise ValueError("f must be nonconstant")
     if f.constant_term() != 0:
-        warnings.warn(
-            "f has a nonzero constant term; the Jacobian ideal is unaffected",
-            stacklevel=3,
-        )
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+            frame, level = frame.f_back, level + 1
+        warnings.warn("f has a nonzero constant term; the Jacobian ideal is unaffected",
+                      stacklevel=level)
 
 
 def jacobian(
@@ -84,23 +92,23 @@ def qc_subspace(f: Polynomial | Singularity) -> list[tuple]:
     return list(Singularity.of(f).isolated_jacobian().w_basis)
 
 
-@dataclass(frozen=True)
-class Singularity:
+class Singularity(Value):
     """A polynomial f viewed as a map-germ; the base ring k[y] acts via y = f.
 
     Owner of the data derived from the Jacobian ideal of f: its
     JacobianData is computed on first use, once, under the degree guard
-    max_degree given here.  The unfolding functions accept a Singularity
-    in place of f and hand it on, so one top-level call computes it once;
-    this is the only place they take a degree guard from.
+    max_degree given here, and kept out of equality.  The unfolding
+    functions accept a Singularity in place of f and hand it on, so one
+    top-level call computes it once; this is the only place they take a
+    degree guard from.
     """
 
-    f: Polynomial
-    max_degree: int | None = None
-    _jacobian: JacobianData | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("f", "max_degree", "_jacobian")
+    _fields = ("f", "max_degree")
 
-    def __post_init__(self):
-        _require_nonconstant(self.f)
+    def __init__(self, f: Polynomial, max_degree: int | None = None):
+        _require_nonconstant(f)
+        self._set(f, max_degree, None)
 
     @classmethod
     def of(cls, f) -> "Singularity":
@@ -113,7 +121,11 @@ class Singularity:
 
     def jacobian(self) -> JacobianData:
         if self._jacobian is None:
-            data = jacobian(self.f, max_degree=self.max_degree)
+            # f's constant term was warned of on construction and changes no
+            # partial, so the data is computed without it, warning no more
+            f = self.f
+            c = f.constant_term()
+            data = jacobian(f - c if c else f, max_degree=self.max_degree)
             object.__setattr__(self, "_jacobian", data)
         return self._jacobian
 

@@ -21,11 +21,10 @@ runs unguarded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotACycle, QCInvalid
 from .groebner import GREVLEX, ModuleElement, module_preimage, normal_form
-from .poly import HSeries, Polynomial, RingContext, accumulate
+from .poly import HSeries, Polynomial, RingContext, Value, accumulate
 from .polyvector import (
     GElement,
     ad_f,
@@ -104,24 +103,27 @@ def qc_normalize(f: Polynomial | Singularity, p: Polynomial) -> Polynomial:
     return normal_form(p, sing.isolated_jacobian().gb, sing.max_degree).remainder
 
 
-@dataclass(frozen=True)
-class QCViolation:
-    kind: str  # "not_f_compatible" | "not_poisson" | "wrong_degree"
-    message: str
-    element: GElement | None = None
+class QCViolation(Value):
+    """A failed first-order condition: kind is "not_f_compatible",
+    "not_poisson" or "wrong_degree"."""
+
+    __slots__ = _fields = ("kind", "message", "element")
+
+    def __init__(self, kind: str, message: str, element: GElement | None = None):
+        self._set(kind, message, element)
 
 
-@dataclass(frozen=True)
-class QuasiClassicalDatum:
+class QuasiClassicalDatum(Value):
     """First-order data (p, S) with [f, S] = 0 and [S, S] = 0; p is kept both
-    raw and in W-normal form, and S with its Koszul lift T."""
+    raw and in W-normal form, and S with its Koszul lift T (``lift``, with
+    [f, T] = S) and the extension bivector S_2 = -[p, T], so [f, S_2] =
+    [p, S]."""
 
-    f: Polynomial
-    p_raw: Polynomial
-    p_normal: Polynomial
-    s: GElement
-    extension_bivector: GElement  # S_2 = -[p, T], so [f, S_2] = [p, S]
-    lift: GElement  # T with [f, T] = S
+    __slots__ = _fields = ("f", "p_raw", "p_normal", "s", "extension_bivector", "lift")
+
+    def __init__(self, f: Polynomial, p_raw: Polynomial, p_normal: Polynomial, s: GElement,
+                 extension_bivector: GElement, lift: GElement):
+        self._set(f, p_raw, p_normal, s, extension_bivector, lift)
 
 
 def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
@@ -172,18 +174,19 @@ def qc_validate(f: Polynomial | Singularity, p: Polynomial, s: GElement):
 EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class MCSolution:
+class MCSolution(Value):
     """Truncated (or exact polynomial-in-h) solution series.
 
-    `order` is either a truncation order or "exact"; `witness` is a
-    trivector series T with S = [f - p, T] when available.
+    `order` is either a truncation order or "exact"; p_series has Polynomial
+    and s_series GElement (bivector) coefficients; `witness` is a trivector
+    series T with S = [f - p, T] when available.
     """
 
-    order: object  # int or "exact"
-    p_series: HSeries  # Polynomial coefficients
-    s_series: HSeries  # GElement (bivector) coefficients
-    witness: HSeries | None = None
+    __slots__ = _fields = ("order", "p_series", "s_series", "witness")
+
+    def __init__(self, order, p_series: HSeries, s_series: HSeries,
+                 witness: HSeries | None = None):
+        self._set(order, p_series, s_series, witness)
 
     def h_degree(self) -> int:
         return max([*self.p_series.terms, *self.s_series.terms], default=0)
@@ -209,25 +212,27 @@ class MCSolution:
         return cls(data["order"], HSeries(p), HSeries(s), witness)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    """First failure of the order-by-order extension."""
+class ObstructionReport(Value):
+    """First failure of the order-by-order extension.  kind is
+    "poisson_failure", the one kind: S = [f - p, T] leaves only the Poisson
+    condition."""
 
-    failing_order: int
-    obstruction: GElement
-    kind: str  # "poisson_failure", the one kind: S = [f - p, T] leaves only the Poisson condition
+    __slots__ = _fields = ("failing_order", "obstruction", "kind")
 
-    def __post_init__(self):
-        if self.obstruction.is_zero():
+    def __init__(self, failing_order: int, obstruction: GElement, kind: str):
+        if obstruction.is_zero():
             raise ValueError("obstruction must be nonzero")
+        self._set(failing_order, obstruction, kind)
 
 
-@dataclass(frozen=True)
-class OrderResidual:
-    h_power: int
-    bracket_f_minus_p_s: GElement
-    poisson_square: GElement
-    residual: GElement
+class OrderResidual(Value):
+    """The three parts of the residual at one power of h."""
+
+    __slots__ = _fields = ("h_power", "bracket_f_minus_p_s", "poisson_square", "residual")
+
+    def __init__(self, h_power: int, bracket_f_minus_p_s: GElement, poisson_square: GElement,
+                 residual: GElement):
+        self._set(h_power, bracket_f_minus_p_s, poisson_square, residual)
 
     def is_zero(self) -> bool:
         return (
@@ -237,8 +242,7 @@ class OrderResidual:
         )
 
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(Value):
     """The residual report of `mc_verify`.
 
     ``nonzero`` holds the `OrderResidual` of each order with a nonzero part,
@@ -248,11 +252,11 @@ class MCReport:
     the nonzero orders only.
     """
 
-    nonzero: tuple[OrderResidual, ...]
-    top: int
-    zero: GElement
-    witness_consistent: bool | None
-    ok: bool
+    __slots__ = _fields = ("nonzero", "top", "zero", "witness_consistent", "ok")
+
+    def __init__(self, nonzero: tuple[OrderResidual, ...], top: int, zero: GElement,
+                 witness_consistent: bool | None, ok: bool):
+        self._set(nonzero, top, zero, witness_consistent, ok)
 
     @property
     def orders(self) -> tuple[OrderResidual, ...]:

@@ -11,12 +11,14 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from ncunfold import cli
 from ncunfold.cli import main
+from ncunfold.hochschild import PolyDiffOperator, gerstenhaber_bracket
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import Polynomial, RingContext
 from ncunfold.polyvector import GElement, ad_f
@@ -475,6 +477,81 @@ def test_hh_d_of_a_cochain_of_arity_2000_exits_0(capsys):
     cochain = json.dumps({"arity": 2000, "terms": [{"coeff": one, "alphas": [[0]] * 2000}]})
     code, out, err = _within_a_second(capsys, ["hh-d", "--vars", "x", "--P", cochain])
     assert (code, out, err) == (0, "0 (arity 2001)\n", "")
+
+
+def _power_cochain(arity: int, exponent: int, order: int, n: int = 1) -> str:
+    """The cochain x^exponent * d^order in each of its arguments, every
+    variable raised and derived alike."""
+    term = {"coeff": {"terms": [{"exp": [exponent] * n, "num": "1", "den": "1"}]},
+            "alphas": [[order] * n] * arity}
+    return json.dumps({"arity": arity, "terms": [term]})
+
+
+def test_cochains_past_their_term_budget_exit_3_before_expanding(capsys):
+    """[P, Q] for P = x^250 (arity 2, zero orders) and Q = the 250th
+    derivative in both arguments forms 63,254 term products: expanding it
+    took 1.8 s and printed 19 MB.  Past COCHAIN_TERM_BUDGET, hh-bracket,
+    hh-brace and hh-d are refused before any product; k = 20 runs."""
+    p, q = _power_cochain(2, 250, 0), _power_cochain(2, 0, 250)
+    argvs = [["hh-bracket", "--vars", "x", "--P", p, "--Q", q],
+             ["hh-brace", "--vars", "x", "--P", q, "--Qs", f"[{p}]"],
+             ["hh-d", "--vars", "x,y", "--P", _power_cochain(2, 0, 250, n=2)]]
+    for argv in argvs:
+        code, out, err = _within_a_second(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {argv[0]}: expanding these cochains may take ")
+        assert err.endswith(f" or more term products, over the budget of "
+                            f"{cli.COCHAIN_TERM_BUDGET}\n")
+    # the 63,254 products and the 2 + 2 slots that P{Q} and Q{P} insert into
+    assert " 63258 or more " in _within_a_second(capsys, argvs[0])[2]
+    p, q = _power_cochain(2, 20, 0), _power_cochain(2, 0, 20)
+    code, out, err = _within_a_second(
+        capsys, ["hh-bracket", "--vars", "x", "--P", p, "--Q", q, "--format", "json"])
+    ctx = RingContext(("x",))
+    bracket = gerstenhaber_bracket(*(PolyDiffOperator.from_json(ctx, json.loads(c)) for c in (p, q)))
+    assert (code, err) == (0, "") and json.loads(out) == bracket.to_json()
+
+
+def test_cochain_order_or_exponent_past_the_limit_exits_3(capsys):
+    """A derivative order or an exponent past COCHAIN_ORDER_LIMIT is refused
+    on reading, by every hh-* command; at the limit it is read."""
+    over, at = cli.COCHAIN_ORDER_LIMIT + 1, cli.COCHAIN_ORDER_LIMIT
+    one = _power_cochain(1, 0, 0)
+    for p in (_power_cochain(1, over, 0), _power_cochain(1, 0, over)):
+        for argv in (["hh-cup", "--P", p, "--Q", one], ["hh-d", "--P", p],
+                     ["hh-brace", "--P", one, "--Qs", f"[{p}]"],
+                     ["hh-bracket", "--P", one, "--Q", p]):
+            code, out, err = _within_a_second(capsys, [argv[0], "--vars", "x", *argv[1:]])
+            assert (code, out) == (3, "")
+            assert err == (f"error: a cochain holds the derivative order or exponent {over}, "
+                           f"past the limit of {at}\n")
+    code, out, err = _within_a_second(capsys, ["hh-d", "--vars", "x", "--P",
+                                               _power_cochain(1, at, at)])
+    assert (code, err) == (0, "")
+
+
+def test_constant_term_warning_names_the_caller_once(capsys):
+    """Each command that reads f warns once of a constant term, naming the
+    first frame outside the package (here, this file; in a process, the
+    interpreter's entry point), never a generated <string> frame."""
+    f = ["--vars", "x,y", "--f", "x^3+y^2+1"]
+    argvs = [["milnor", *f], ["jacobian", *f], ["qc-subspace", *f], ["monicize", *f],
+             ["qc-normalize", *f, "--p", "x"], ["koszul-lift", *f, "--S", "y*D(1)"]]
+    for argv in argvs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(capsys, argv)[0] in (0, 2), argv
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)], argv
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent.parent / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "ncunfold.cli", "qc-subspace", *f],
+                          capture_output=True, env=env, timeout=120, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "w_basis: 1, x\n")
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if "Warning" in line] == [
+        line for line in lines if "UserWarning: f has a nonzero constant term" in line]
+    assert len([line for line in lines if "UserWarning" in line]) == 1, proc.stderr
+    assert "<string>" not in proc.stderr and "ncunfold" not in lines[0], proc.stderr
 
 
 def test_monicize_command(capsys):

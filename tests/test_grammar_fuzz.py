@@ -5,12 +5,15 @@ import contextlib
 import io
 import json
 import random
+import re
 import time
 import warnings
 
 from ncunfold import cli
 
 NAMES = ("x", "y", "z")
+# a derivative order or an exponent of 100 or more in cochain JSON
+LARGE_ORDER = re.compile(r"(?:\[|, )\d{3,}[,\]]")
 STRAY = ["^^", "*", ")", "(", ",", "+ -", "$", "#", "/", "1/0", "²", "٣", "x²", "D(", "^", "é"]
 
 
@@ -61,20 +64,26 @@ def _expr(rng, names, graded=False, series=False):
     return text
 
 
-def _cochain(rng, n, wide=False):
+def _cochain(rng, n, wide=False, large=0):
     """Cochain JSON of arity 0-2, now and then with a key dropped, a value
     of the wrong type or the text cut, or nested up to 10^4 deep.  A wide
     one (for hh-d) now and then has arity up to 2,000, with derivative
-    orders 0 so that its output stays small."""
+    orders 0 so that its output stays small.  Given large, it has arity 1
+    or 2, and each derivative order and exponent is 0 or, twice as often,
+    large."""
     if rng.random() < 0.05:
         depth = int(10 ** rng.uniform(0, 4))
         opener, closer = rng.choice([("[", "]"), ('{"terms": ', "}")])
         return opener * depth + ("0" + closer * depth if rng.random() < 0.5 else "")
     arity = int(10 ** rng.uniform(0, 3.3)) if wide and rng.random() < 0.2 else rng.randint(0, 2)
     top = 2 if arity <= 2 else 0
-    terms = [{"coeff": {"terms": [{"exp": [rng.randint(0, 3) for _ in range(n)],
+    order, exponent = (lambda: rng.randint(0, top)), (lambda: rng.randint(0, 3))
+    if large:
+        arity = rng.randint(1, 2)
+        order = exponent = lambda: rng.choice([0, large, large])
+    terms = [{"coeff": {"terms": [{"exp": [exponent() for _ in range(n)],
                                    "num": str(rng.randint(-5, 5)), "den": str(rng.randint(1, 3))}]},
-              "alphas": [[rng.randint(0, top) for _ in range(n)] for _ in range(arity)]}
+              "alphas": [[order() for _ in range(n)] for _ in range(arity)]}
              for _ in range(rng.randint(0, 2))]
     data = {"arity": arity, "terms": terms}
     roll = rng.random()
@@ -101,6 +110,10 @@ def _argv(rng):
     argv = [command, "--vars", ",".join(names) + (rng.choice([",w", ",x", ",,"])
                                                    if rng.random() < 0.05 else "")]
     series = command == "mc-verify"
+    # a quarter of the hh-* commands take cochains of one large order, from
+    # 100 to 2,000: on both sides of cli.COCHAIN_ORDER_LIMIT and, in
+    # products, of cli.COCHAIN_TERM_BUDGET
+    large = int(10 ** rng.uniform(2, 3.3)) if rng.random() < 0.25 else 0
     big_order = False
     for flag in cli._COMMANDS[command][1].split():
         if flag == "--f":
@@ -110,9 +123,9 @@ def _argv(rng):
         elif flag in ("--S", "--X", "--Y") or (flag == "--T" and rng.random() < 0.5):
             argv += [flag, _expr(rng, names, graded=True, series=series)]
         elif flag in ("--P", "--Q"):
-            argv += [flag, _cochain(rng, n, wide=command == "hh-d")]
+            argv += [flag, _cochain(rng, n, wide=command == "hh-d", large=large)]
         elif flag == "--Qs":
-            cochains = [_cochain(rng, n) for _ in range(rng.randint(0, 2))]
+            cochains = [_cochain(rng, n, large=large) for _ in range(rng.randint(0, 2))]
             argv += [flag, "[" + ", ".join(cochains) + "]"]
         elif flag == "--general" and rng.random() < 0.5:
             argv.append(flag)
@@ -136,14 +149,18 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
     """800 seeded argv over all 15 commands: fractions, undeclared names,
     E, h and D(...) with bad indices, powers from 0 to 10^6 and (1+E)^k up
     to k = 2000, parentheses up to 400 deep, stray symbols, non-ASCII
-    digits, valid and malformed cochain JSON, nested up to 10^4 deep or of
-    arity up to 2,000, and --order up to 10^6 with JSON output.  Each
-    exits 0, 1, 2 or 3, with no traceback, in under 2 s; E powers past
-    --max-degree are refused before they are expanded, and JSON orders
-    past cli.JSON_ORDER_BUDGET before any series is parsed."""
+    digits, valid and malformed cochain JSON, nested up to 10^4 deep, of
+    arity up to 2,000 or with derivative orders and exponents up to 2,000,
+    and --order up to 10^6 with JSON output.  Each exits 0, 1, 2 or 3,
+    with no traceback, in under 2 s; E powers past --max-degree are
+    refused before they are expanded, JSON orders past
+    cli.JSON_ORDER_BUDGET before any series is parsed, and cochains past
+    cli.COCHAIN_ORDER_LIMIT or cli.COCHAIN_TERM_BUDGET before any product
+    is formed."""
     rng = random.Random(2026)
     codes, commands = set(), set()
     large_orders = {"refused": 0, "passed": 0}
+    large_cochains = {"refused": 0, "passed": 0}
     for _ in range(800):
         argv = _argv(rng)
         out, err = io.StringIO(), io.StringIO()
@@ -164,5 +181,13 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
                 large_orders["refused"] += 1
             else:
                 large_orders["passed"] += 1
+        refused = "term products" in err.getvalue() or "derivative order or exponent" in err.getvalue()
+        assert code == 3 or not refused, argv
+        if argv[0].startswith("hh-") and LARGE_ORDER.search(" ".join(argv[3:])):
+            if refused:
+                large_cochains["refused"] += 1
+            elif code == 0:
+                large_cochains["passed"] += 1
     assert codes == {0, 1, 2, 3} and commands == set(cli._COMMANDS)
     assert min(large_orders.values()) >= 3, large_orders
+    assert min(large_cochains.values()) >= 3, large_cochains

@@ -24,6 +24,7 @@ from ncunfold.errors import BudgetExceeded, ContextMismatch
 from ncunfold.hochschild import (
     HKR_TERM_BUDGET,
     PolyDiffOperator,
+    _brace_products,
     _splits,
     brace,
     cup,
@@ -331,6 +332,50 @@ def test_brace_cost_follows_output_size():
     ):
         assert pq.apply([a, b]) == (x ** 2 * a * b).derive((k, k))
     assert not pq.apply([x ** 50 * y ** 60, x ** 49 * y ** 41]).is_zero()
+
+
+def _random_cochain(rng, ctx, arity, monomial):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        alphas = tuple(tuple(rng.randint(0, 2) for _ in range(ctx.n)) for _ in range(arity))
+        exps = [tuple(rng.randint(0, 3) for _ in range(ctx.n))
+                for _ in range(1 if monomial else rng.randint(1, 3))]
+        terms[alphas] = Polynomial(ctx, {e: rng.randint(1, 5) for e in exps})
+    return PolyDiffOperator(ctx, arity, terms)
+
+
+def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
+    """_brace_products is C(arity, l) slot combinations plus an upper bound on
+    the coefficient products brace forms, counted without any: exact when
+    every coefficient is a monomial (no derivative in a table's box
+    vanishes), an upper bound otherwise, and a partial count past limit."""
+    products = [0]
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        products[0] += isinstance(b, Polynomial)  # the table's integer scalings are not counted
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    rng = random.Random(77)
+    kinds = {True: 0, False: 0}
+    for _ in range(300):
+        ctx = RingContext(("x", "y", "z")[: rng.randint(1, 3)])
+        monomial = rng.random() < 0.5
+        p = _random_cochain(rng, ctx, rng.randint(1, 3), monomial)
+        qs = [_random_cochain(rng, ctx, rng.randint(0, 2), monomial)
+              for _ in range(rng.randint(1, p.arity))]
+        bound = _brace_products(p, qs, math.inf) - math.comb(p.arity, len(qs))
+        if bound > 5000:
+            assert _brace_products(p, qs, 5000) > 5000
+            continue
+        products[0] = 0
+        brace(p, qs)
+        assert bound == products[0] if monomial else bound >= products[0]
+        kinds[monomial] += 1
+    assert min(kinds.values()) >= 100, kinds
+    p = PolyDiffOperator(CTX1, 1, {((0,),): Polynomial.one(CTX1)})
+    assert _brace_products(p, [], math.inf) == _brace_products(p, [p, p], math.inf) == 0
 
 
 # -- Gerstenhaber bracket -----------------------------------------------------------

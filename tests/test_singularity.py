@@ -60,6 +60,41 @@ def test_constant_rejected_and_warning():
     assert any("constant term" in str(w.message) for w in caught)
 
 
+WITH_CONSTANT = parse_polynomial("x^3 + y^2 + 1", CTX2)
+
+# each public entry point that checks f, called on an f with a constant term
+ENTRY_POINTS = {
+    "Singularity": lambda: Singularity(WITH_CONSTANT),
+    "Singularity.of": lambda: Singularity.of(WITH_CONSTANT),
+    "jacobian": lambda: jacobian(WITH_CONSTANT),
+    "milnor_number": lambda: milnor_number(WITH_CONSTANT),
+    "is_isolated": lambda: is_isolated(WITH_CONSTANT),
+    "qc_subspace": lambda: qc_subspace(WITH_CONSTANT),
+    "monicize": lambda: monicize(WITH_CONSTANT),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_constant_term_warns_once_naming_the_caller(entry):
+    """One UserWarning per call, attributed to the first frame outside the
+    package: here, the lambda in this file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ENTRY_POINTS[entry]()
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "f has a nonzero constant term; the Jacobian ideal is unaffected")
+    ]
+    assert caught[0].filename == __file__
+
+
+def test_singularity_warns_on_construction_only():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sing = Singularity(WITH_CONSTANT)
+        assert sing.milnor_number() == 2 and qc_subspace(sing) == [(0, 0), (1, 0)]
+    assert len(caught) == 1 and caught[0].filename == __file__
+
+
 def test_milnor_matches_linear_algebra_oracle_small():
     # independent sparse-elimination oracle on the smaller catalog entries
     for f in (a_k(1), a_k(2), a_k(3), d_k(4), e_8()):
