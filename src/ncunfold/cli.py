@@ -63,11 +63,11 @@ USAGE_ERROR, VALIDATION_ERROR, DEGREE_ABORT = 1, 2, 3
 JSON_ORDER_BUDGET = 10_000
 
 # The hh-* commands cost what their output costs.  Past COCHAIN_TERM_BUDGET
-# term products, an upper bound counted before expanding anything, they are
-# refused (exit 3); the bracket of x^250 with the 250th derivative in two
-# arguments would form 63,254.  A derivative order or exponent past
-# COCHAIN_ORDER_LIMIT, which bounds the size of the coefficients that
-# derivatives make, is refused (exit 3) on reading.
+# slot combinations, visits and monomial products, counted before expanding
+# anything, they are refused (exit 3); the bracket of x^250 with the 250th
+# derivative in two arguments would form 63,254.  A derivative order or
+# exponent past COCHAIN_ORDER_LIMIT, which bounds the size of the
+# coefficients that derivatives make, is refused (exit 3) on reading.
 COCHAIN_TERM_BUDGET = 10_000
 COCHAIN_ORDER_LIMIT = 1_000
 
@@ -174,7 +174,7 @@ def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
 
 
 def _check_products(args, count: int) -> None:
-    """BudgetExceeded when the command's bound on its term products is over
+    """BudgetExceeded when the command's count of its work is over
     COCHAIN_TERM_BUDGET."""
     if count > COCHAIN_TERM_BUDGET:
         raise BudgetExceeded(
@@ -242,7 +242,8 @@ def _run(args) -> int:
         p = _cochain(ctx, _json(args.P))
         q = _cochain(ctx, _json(args.Q))
         if args.command == "hh-cup":
-            _check_products(args, len(p.terms) * len(q.terms))
+            _check_products(args, sum(len(c.nums) for c in p.terms.values())
+                            * sum(len(c.nums) for c in q.terms.values()))
             out = cup(p, q)
         else:
             _check_products(args, _bracket_products(p, q))

@@ -11,7 +11,9 @@ and the cochain-level HKR map are implemented on this model.
 A brace expands each inserted Q through one insertion table per
 derivative multi-index alpha at its slot: the Leibniz terms of d^alpha of
 Q's output, built once and reused by every term of P, so the cost is
-proportional to the nonzero terms of the expansion.
+proportional to the nonzero terms of the expansion.  `_brace_products`
+runs that loop on table sizes alone, counting its slot combinations,
+visits and monomial products before anything is expanded.
 
 Sign conventions: a brace insertion P{Q_1..Q_l} carries the sign
 (-1)^(sum (q_t - 1) * o_t) where o_t is the number of argument positions
@@ -36,10 +38,6 @@ from .polyvector import GElement, bits_of
 # the most output terms hkr builds: 10,000 keeps the top polyvector of
 # n <= 7 variables (7! = 5040 terms) and stops n = 8 (40,320)
 HKR_TERM_BUDGET = 10_000
-
-
-def _zero_alpha(n: int) -> tuple:
-    return (0,) * n
 
 
 class PolyDiffOperator(TermMap):
@@ -133,12 +131,12 @@ class PolyDiffOperator(TermMap):
 
 def identity_cochain(ctx: RingContext) -> PolyDiffOperator:
     """The arity-1 identity a -> a."""
-    return PolyDiffOperator(ctx, 1, {(_zero_alpha(ctx.n),): Polynomial.one(ctx)})
+    return PolyDiffOperator(ctx, 1, {((0,) * ctx.n,): Polynomial.one(ctx)})
 
 
 def multiplication_cochain(ctx: RingContext) -> PolyDiffOperator:
     """mu(a, b) = a*b, the arity-2 cochain whose bracket is the differential."""
-    z = _zero_alpha(ctx.n)
+    z = (0,) * ctx.n
     return PolyDiffOperator(ctx, 2, {(z, z): Polynomial.one(ctx)})
 
 
@@ -146,10 +144,8 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     """(P cup Q)(b_1..b_{p+q}) = P(b_1..b_p) * Q(b_{p+1}..b_{p+q})."""
     if p.ctx != q.ctx:
         raise ContextMismatch("mixed contexts")
-    res: dict[tuple, Polynomial] = {}
-    for a1, c1 in p.terms.items():
-        for a2, c2 in q.terms.items():
-            accumulate(res, a1 + a2, c1 * c2)
+    # distinct term pairs give distinct keys, and no product of nonzero terms is 0
+    res = {a1 + a2: c1 * c2 for a1, c1 in p.terms.items() for a2, c2 in q.terms.items()}
     return PolyDiffOperator._make(p.ctx, res, p.arity + q.arity)
 
 
@@ -200,6 +196,8 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         return p
     arities = [q.arity for q in qs]
     out_arity = p.arity - l + sum(arities)
+    if not p.terms or not all(q.terms for q in qs):
+        return PolyDiffOperator.zero(p.ctx, out_arity)
     # the tables ask again for the same few (alpha, parts)
     splits = functools.cache(_splits)
 
@@ -208,10 +206,11 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         """[(block, coeff)]: the terms of d^alpha applied to Q_t's output.
         gamma0, the part of alpha on Q_t's coefficient, runs over the box
         where its derivative can be nonzero, weighted by prod C(alpha, gamma0);
-        the rest of alpha is split over Q_t's arguments."""
+        the rest of alpha is split over Q_t's arguments, so with none gamma0 = alpha."""
         entries = []
         for q_alphas, q_coeff in qs[t].terms.items():
-            box = [range(min(a, q_coeff.degree_in(d)) + 1) for d, a in enumerate(alpha, 1)]
+            box = [range(0 if arities[t] else a, min(a, q_coeff.degree_in(d)) + 1)
+                   for d, a in enumerate(alpha, 1)]
             for gamma0 in itertools.product(*box):
                 dcoeff = q_coeff.derive(gamma0)
                 if dcoeff.is_zero():
@@ -239,74 +238,66 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
                     for alphas, coeff in stack
                     for block, dcoeff in entries
                 ]
+                if not stack:
+                    break
             for alphas, coeff in stack:
                 accumulate(res, alphas, coeff)
     return PolyDiffOperator._make(p.ctx, res, out_arity)
 
 
 def _brace_products(p: PolyDiffOperator, qs, limit: int) -> int:
-    """The slot combinations brace(p, qs) visits plus an upper bound on the
-    term products it forms, counted with no derivative or product; once
-    past limit, the count so far.
+    """brace(p, qs)'s own loop, run without derivatives or products: 1 per
+    slot combination and 1 per term of P in it, plus an upper bound on the
+    monomial products of each insertion; once past limit, the count so far.
 
-    Per term of Q_t and coordinate, the table of Q_t at order a takes
-    gamma0 in 0..m, m = min(a, the coefficient's degree), and splits a -
-    gamma0 over the k arguments in C(a - gamma0 + k - 1, k - 1) ways: C(a +
-    k, k) in all, less C(a - m - 1 + k, k) when m < a.  Inserting block t
-    at slot s forms one product per stack item; f sums the items over the
-    later slots and C(s, t) counts the earlier ones.
+    stack bounds the terms of the coefficients on brace's stack, so an
+    insertion forms at most stack * size monomial products; it starts at
+    the term count of P's coefficient.  Per term of Q_t and coordinate,
+    the table of Q_t at order a takes gamma0 in 0..m, m = min(a, the
+    coefficient's degree), and splits a - gamma0 over the k arguments in
+    C(a - gamma0 + k - 1, k - 1) ways: C(a + k, k) in all, less
+    C(a - m - 1 + k, k) when m < a.  Each entry is weighted by the term
+    count of Q_t's coefficient, which no derivative raises.
     """
-    l, arity = len(qs), p.arity
-    if not qs or l > arity:
+    l = len(qs)
+    if not qs or l > p.arity or not p.terms or not all(q.terms for q in qs):
         return 0
-    total = math.comb(arity, l)
-    if total > limit:
-        return total
     n = p.ctx.n
-    shapes = [(q.arity, [tuple(c.degree_in(d) for d in range(1, n + 1)) for c in q.terms.values()])
+    shapes = [(q.arity, [(tuple(c.degree_in(d) for d in range(1, n + 1)), len(c.nums))
+                         for c in q.terms.values()])
               for q in qs]
 
     @functools.cache
     def size(t: int, alpha: tuple) -> int:
-        k, degrees = shapes[t]
+        k, coeffs = shapes[t]
         out = 0
-        for degree in degrees:
-            count = 1
+        for degree, count in coeffs:
             for a, m in zip(alpha, degree):
                 count *= math.comb(a + k, k) - (math.comb(a - m - 1 + k, k) if m < a else 0)
             out += count
         return out
 
-    for alphas in p.terms:
-        # block t takes a slot s in t..t + arity - l
-        f = [size(l - 1, alpha) for alpha in alphas]
-        for t in reversed(range(l)):
-            if t < l - 1:
-                later, acc, f = f, 0, [0] * arity
-                for s in reversed(range(t, t + arity - l + 1)):
-                    acc += later[s + 1]
-                    f[s] = size(t, alphas[s]) * acc
-            ways = 1  # C(s, t)
-            for s in range(t, t + arity - l + 1):
-                total += ways * f[s]
-                ways = ways * (s + 1) // (s + 1 - t)
-        if total > limit:
-            return total
+    total = 0
+    for slots in itertools.combinations(range(p.arity), l):
+        total += 1
+        for p_alphas, p_coeff in p.terms.items():
+            total += 1
+            stack = len(p_coeff.nums)
+            for t in reversed(range(l)):
+                stack *= size(t, p_alphas[slots[t]])
+                if not stack:
+                    break
+                total += stack
+            if total > limit:
+                return total
     return total
 
 
-def _brace_or_zero(p: PolyDiffOperator, qs) -> PolyDiffOperator:
-    l = len(qs)
-    if l > p.arity:
-        arities = sum(q.arity for q in qs)
-        return PolyDiffOperator.zero(p.ctx, max(0, p.arity - l + arities))
-    return brace(p, qs)
-
-
 def gerstenhaber_bracket(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
-    """[P, Q] = P{Q} - (-1)^((p-1)(q-1)) Q{P}; over-arity braces contribute 0."""
-    first = _brace_or_zero(p, [q])
-    second = _brace_or_zero(q, [p])
+    """[P, Q] = P{Q} - (-1)^((p-1)(q-1)) Q{P}; a brace into arity 0 is 0."""
+    arity = max(0, p.arity + q.arity - 1)
+    first = brace(p, [q]) if p.arity else PolyDiffOperator.zero(p.ctx, arity)
+    second = brace(q, [p]) if q.arity else PolyDiffOperator.zero(q.ctx, arity)
     if ((p.arity - 1) * (q.arity - 1)) & 1:
         return first + second
     return first - second
@@ -346,17 +337,11 @@ def hkr(x: GElement) -> PolyDiffOperator:
     res: dict[tuple, Polynomial] = {}
     norm = Fraction(1, perms)
     for (e, mask), coeff in x.terms.items():
-        indices = bits_of(mask)
+        units = [tuple(int(d == i) for d in range(1, ctx.n + 1)) for i in bits_of(mask)]
         piece = coeff * norm
         signed = (piece, -piece)  # by the parity of the permutation
+        # each term has its own index set and each permutation its own key
         for perm in itertools.permutations(range(k)):
-            inversions = sum(
-                1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-            )
-            alphas = []
-            for j in range(k):
-                a = [0] * ctx.n
-                a[indices[perm[j]] - 1] = 1
-                alphas.append(tuple(a))
-            accumulate(res, tuple(alphas), signed[inversions & 1])
+            inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+            res[tuple(units[j] for j in perm)] = signed[inversions & 1]
     return PolyDiffOperator._make(ctx, res, k)

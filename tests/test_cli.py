@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shlex
@@ -20,7 +21,7 @@ from ncunfold import cli
 from ncunfold.cli import main
 from ncunfold.hochschild import PolyDiffOperator, gerstenhaber_bracket
 from ncunfold.parsing import parse_gelement, parse_polynomial
-from ncunfold.poly import Polynomial, RingContext
+from ncunfold.poly import Polynomial, RingContext, to_decimal
 from ncunfold.polyvector import GElement, ad_f
 from ncunfold.unfolding import MCSolution, mc_verify
 
@@ -502,14 +503,57 @@ def test_cochains_past_their_term_budget_exit_3_before_expanding(capsys):
         assert err.startswith(f"error: {argv[0]}: expanding these cochains may take ")
         assert err.endswith(f" or more term products, over the budget of "
                             f"{cli.COCHAIN_TERM_BUDGET}\n")
-    # the 63,254 products and the 2 + 2 slots that P{Q} and Q{P} insert into
-    assert " 63258 or more " in _within_a_second(capsys, argvs[0])[2]
+    # P{Q}: 2 slot combinations of 1 visit and 1 product each; Q{P} stops
+    # at its first combination, 1 visit and C(252, 2) = 31,626 products
+    assert " 31634 or more " in _within_a_second(capsys, argvs[0])[2]
     p, q = _power_cochain(2, 20, 0), _power_cochain(2, 0, 20)
     code, out, err = _within_a_second(
         capsys, ["hh-bracket", "--vars", "x", "--P", p, "--Q", q, "--format", "json"])
     ctx = RingContext(("x",))
     bracket = gerstenhaber_bracket(*(PolyDiffOperator.from_json(ctx, json.loads(c)) for c in (p, q)))
     assert (code, err) == (0, "") and json.loads(out) == bracket.to_json()
+
+
+def test_brace_into_an_arity_0_cochain_takes_one_derivative(capsys):
+    """An arity-0 Q_t has no argument to take a derivative: its table at
+    order alpha takes d^alpha of its coefficient only (it differentiated
+    over the whole degree box, about 10^6 derivatives here, and did not
+    finish in 60 s)."""
+    p = _power_cochain(1, 0, 1000, n=2)
+    q = _power_cochain(0, 1000, 0, n=2)
+    code, out, err = _within_a_second(
+        capsys, ["hh-brace", "--vars", "x,y", "--P", p, "--Qs", f"[{q}]"])
+    assert (code, out, err) == (0, f"({to_decimal(math.factorial(1000) ** 2)})*d[]\n", "")
+
+
+def _many_term_cochain(arity: int, count: int, seed: int) -> str:
+    """A one-term cochain in x, y with zero orders whose coefficient has
+    count terms, exponents drawn up to COCHAIN_ORDER_LIMIT."""
+    pairs = random.Random(seed).sample(range((cli.COCHAIN_ORDER_LIMIT + 1) ** 2), count)
+    exps = [divmod(e, cli.COCHAIN_ORDER_LIMIT + 1) for e in pairs]
+    coeff = {"terms": [{"exp": list(e), "num": "1", "den": "1"} for e in exps]}
+    return json.dumps({"arity": arity, "terms": [{"coeff": coeff, "alphas": [[0, 0]] * arity}]})
+
+
+def test_budget_counts_visits_and_monomial_products(capsys):
+    """The count weighs each coefficient by its terms and each slot
+    combination by P's terms, so each of these exits 3 at once: two
+    1,000-term coefficients under hh-cup (4.4 s, 12.5 MB printed) and under
+    hh-bracket (2.6 s), and 150 terms of arity 140 with two constants
+    inserted, 9,730 combinations of no product (3.3 s, to print 0)."""
+    p, q = _many_term_cochain(0, 1000, 1), _many_term_cochain(0, 1000, 2)
+    p1, q1 = _many_term_cochain(1, 1000, 1), _many_term_cochain(1, 1000, 2)
+    wide = json.dumps({"arity": 140, "terms": [
+        {"coeff": {"terms": [{"exp": [0], "num": "1", "den": "1"}]},
+         "alphas": [[2 + i // 140] if j == i % 140 else [1] for j in range(140)]}
+        for i in range(150)]})
+    const = _power_cochain(0, 0, 0)
+    for argv in (["hh-cup", "--vars", "x,y", "--P", p, "--Q", q],
+                 ["hh-bracket", "--vars", "x,y", "--P", p1, "--Q", q1],
+                 ["hh-brace", "--vars", "x", "--P", wide, "--Qs", f"[{const}, {const}]"]):
+        code, out, err = _within_a_second(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {argv[0]}: expanding these cochains may take ")
 
 
 def test_cochain_order_or_exponent_past_the_limit_exits_3(capsys):

@@ -334,10 +334,22 @@ def test_brace_cost_follows_output_size():
     assert not pq.apply([x ** 50 * y ** 60, x ** 49 * y ** 41]).is_zero()
 
 
+def test_brace_of_a_zero_cochain_returns_at_once():
+    """A zero P or Q_t has nothing to insert: brace returns the zero of the
+    output arity before visiting the C(300, 3) slot combinations (6.6 s)."""
+    q = PolyDiffOperator(CTX1, 1, {((1,),): Polynomial.one(CTX1)})
+    p = PolyDiffOperator(CTX1, 300, {((1,),) * 300: Polynomial.one(CTX1)})
+    start = time.perf_counter()
+    zero_p = brace(PolyDiffOperator(CTX1, 300), [q, q, q])
+    zero_q = brace(p, [q, PolyDiffOperator(CTX1, 2), q])
+    assert time.perf_counter() - start < 0.1
+    assert (zero_p, zero_q) == (PolyDiffOperator(CTX1, 300), PolyDiffOperator(CTX1, 301))
+
+
 def _random_cochain(rng, ctx, arity, monomial):
     terms = {}
     for _ in range(rng.randint(0, 3)):
-        alphas = tuple(tuple(rng.randint(0, 2) for _ in range(ctx.n)) for _ in range(arity))
+        alphas = tuple(tuple(rng.randint(0, 3) for _ in range(ctx.n)) for _ in range(arity))
         exps = [tuple(rng.randint(0, 3) for _ in range(ctx.n))
                 for _ in range(1 if monomial else rng.randint(1, 3))]
         terms[alphas] = Polynomial(ctx, {e: rng.randint(1, 5) for e in exps})
@@ -345,27 +357,31 @@ def _random_cochain(rng, ctx, arity, monomial):
 
 
 def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
-    """_brace_products is C(arity, l) slot combinations plus an upper bound on
-    the coefficient products brace forms, counted without any: exact when
-    every coefficient is a monomial (no derivative in a table's box
-    vanishes), an upper bound otherwise, and a partial count past limit."""
+    """_brace_products is brace's loop counted: C(arity, l) slot combinations
+    with 1 + |P| visits each, plus an upper bound on the monomial products
+    brace forms, counted without any: exact when every coefficient is a
+    monomial (no derivative in a table's box vanishes), an upper bound
+    otherwise, 0 when P or a Q is zero, and a partial count past limit."""
     products = [0]
     mul = Polynomial.__mul__
 
     def counting(a, b):
-        products[0] += isinstance(b, Polynomial)  # the table's integer scalings are not counted
+        if isinstance(b, Polynomial):  # the table's integer scalings are not counted
+            products[0] += len(a.nums) * len(b.nums)
         return mul(a, b)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     rng = random.Random(77)
-    kinds = {True: 0, False: 0}
-    for _ in range(300):
+    kinds = {True: 0, False: 0, "zero": 0, "arity 0 past the degree": 0}
+    for _ in range(400):
         ctx = RingContext(("x", "y", "z")[: rng.randint(1, 3)])
         monomial = rng.random() < 0.5
         p = _random_cochain(rng, ctx, rng.randint(1, 3), monomial)
         qs = [_random_cochain(rng, ctx, rng.randint(0, 2), monomial)
               for _ in range(rng.randint(1, p.arity))]
-        bound = _brace_products(p, qs, math.inf) - math.comb(p.arity, len(qs))
+        zero = not p.terms or not all(q.terms for q in qs)
+        visits = 0 if zero else math.comb(p.arity, len(qs)) * (1 + len(p.terms))
+        bound = _brace_products(p, qs, math.inf) - visits
         if bound > 5000:
             assert _brace_products(p, qs, 5000) > 5000
             continue
@@ -373,7 +389,14 @@ def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
         brace(p, qs)
         assert bound == products[0] if monomial else bound >= products[0]
         kinds[monomial] += 1
-    assert min(kinds.values()) >= 100, kinds
+        kinds["zero"] += zero
+        kinds["arity 0 past the degree"] += not zero and any(
+            not q.arity and any(a > c.degree_in(d) for alphas in p.terms
+                                for alpha in alphas for d, a in enumerate(alpha, 1)
+                                for c in q.terms.values())
+            for q in qs)
+    assert min(kinds[True], kinds[False]) >= 100, kinds
+    assert min(kinds["zero"], kinds["arity 0 past the degree"]) >= 50, kinds
     p = PolyDiffOperator(CTX1, 1, {((0,),): Polynomial.one(CTX1)})
     assert _brace_products(p, [], math.inf) == _brace_products(p, [p, p], math.inf) == 0
 
