@@ -178,8 +178,8 @@ def _check_products(args, count: int) -> None:
     COCHAIN_TERM_BUDGET."""
     if count > COCHAIN_TERM_BUDGET:
         raise BudgetExceeded(
-            f"{args.command}: expanding these cochains may take {count} or more term "
-            f"products, over the budget of {COCHAIN_TERM_BUDGET}"
+            f"{args.command}: expanding these cochains may take {count} or more steps, "
+            f"over the budget of {COCHAIN_TERM_BUDGET}"
         )
 
 

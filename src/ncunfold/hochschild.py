@@ -11,9 +11,12 @@ and the cochain-level HKR map are implemented on this model.
 A brace expands each inserted Q through one insertion table per
 derivative multi-index alpha at its slot: the Leibniz terms of d^alpha of
 Q's output, built once and reused by every term of P, so the cost is
-proportional to the nonzero terms of the expansion.  `_brace_products`
-runs that loop on table sizes alone, counting its slot combinations,
-visits and monomial products before anything is expanded.
+proportional to the nonzero terms of the expansion.  The arithmetic is
+the Schouten bracket's: P's coefficients and each table entry are read once
+as integer numerators (`poly.numerators`), every product runs in the ring's
+product kernel, and each output term is one `from_ints` (`poly.collect`).
+`_brace_products` runs that loop on table sizes alone, counting its slot
+combinations, visits and monomial products before anything is expanded.
 
 Sign conventions: a brace insertion P{Q_1..Q_l} carries the sign
 (-1)^(sum (q_t - 1) * o_t) where o_t is the number of argument positions
@@ -32,7 +35,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import BudgetExceeded, ContextMismatch
-from .poly import Polynomial, RingContext, TermMap, accumulate
+from .poly import Polynomial, RingContext, TermMap, collect, int_product, numerators, product_kernel
 from .polyvector import GElement, bits_of
 
 # the most output terms hkr builds: 10,000 keeps the top polyvector of
@@ -200,13 +203,15 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         return PolyDiffOperator.zero(p.ctx, out_arity)
     # the tables ask again for the same few (alpha, parts)
     splits = functools.cache(_splits)
+    pn, dp = numerators(p.terms.items())
+    dq = [math.lcm(*[c.den for c in q.terms.values()]) for q in qs]
 
     @functools.cache
     def table(t: int, alpha: tuple) -> list:
-        """[(block, coeff)]: the terms of d^alpha applied to Q_t's output.
-        gamma0, the part of alpha on Q_t's coefficient, runs over the box
-        where its derivative can be nonzero, weighted by prod C(alpha, gamma0);
-        the rest of alpha is split over Q_t's arguments, so with none gamma0 = alpha."""
+        """[(block, numerator items over dq[t])]: the terms of d^alpha of Q_t's output.
+        gamma0, the part of alpha on Q_t's coefficient, runs over the box where
+        its derivative can be nonzero, weighted by prod C(alpha, gamma0); the
+        rest of alpha is split over Q_t's arguments, so with none gamma0 = alpha."""
         entries = []
         for q_alphas, q_coeff in qs[t].terms.items():
             box = [range(0 if arities[t] else a, min(a, q_coeff.degree_in(d)) + 1)
@@ -220,29 +225,31 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
                     block = tuple(tuple(map(add, b, g)) for b, g in zip(q_alphas, rest))
                     scale = binom * multi
                     entries.append((block, dcoeff * scale if scale != 1 else dcoeff))
-        return entries
+        return [(block, nums.items()) for block, nums in numerators(entries, dq[t])[0]]
 
-    res: dict[tuple, Polynomial] = {}
+    kernel = product_kernel(p.ctx.n)
+    acc: dict = {}
     for slots in itertools.combinations(range(p.arity), l):
         # offset of block t: argument positions in front of it
-        negate = sum((arities[t] - 1) * (s + sum(arities[:t]) - t)
-                     for t, s in enumerate(slots)) & 1
-        for p_alphas, p_coeff in p.terms.items():
-            stack = [(p_alphas, -p_coeff if negate else p_coeff)]
+        sign = -1 if sum((arities[t] - 1) * (s + sum(arities[:t]) - t)
+                         for t, s in enumerate(slots)) & 1 else 1
+        for p_alphas, nums in pn:
+            stack = [(p_alphas, nums.items())]
             # insert right-to-left so earlier slot indices stay valid
-            for t in reversed(range(l)):
+            for t in reversed(range(1, l)):
                 s = slots[t]
                 entries = table(t, p_alphas[s])
-                stack = [
-                    (alphas[:s] + block + alphas[s + 1 :], coeff * dcoeff)
-                    for alphas, coeff in stack
-                    for block, dcoeff in entries
-                ]
+                stack = [(alphas[:s] + block + alphas[s + 1 :], int_product(kernel, a, b).items())
+                         for alphas, a in stack for block, b in entries]
                 if not stack:
                     break
-            for alphas, coeff in stack:
-                accumulate(res, alphas, coeff)
-    return PolyDiffOperator._make(p.ctx, res, out_arity)
+            else:  # the first insertion adds its signed products into acc
+                s = slots[0]
+                for block, b in table(0, p_alphas[s]):
+                    for alphas, a in stack:
+                        key = alphas[:s] + block + alphas[s + 1 :]
+                        kernel(acc.setdefault(key, {}), a, b, sign)
+    return PolyDiffOperator._make(p.ctx, collect(p.ctx, acc, dp * math.prod(dq)), out_arity)
 
 
 def _brace_products(p: PolyDiffOperator, qs, limit: int) -> int:

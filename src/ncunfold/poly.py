@@ -11,8 +11,8 @@ numerator, gcd(den, all numerators) = 1, and the zero polynomial is
 ({}, 1).  So equality and hashing compare (ring, den, nums) exactly.  Sums
 rescale once to the lcm of the two denominators; negation, scalar
 products, derivatives and products are integer loops with one gcd pass to
-restore the canonical form.  Every product of two numerator maps, here
-and in the Schouten bracket, runs through one kernel per number of
+restore the canonical form.  Every product of two numerator maps, here,
+in the Schouten bracket and in brace, runs through one kernel per number of
 variables n, ``product_kernel(n)``: it is built once per n from one source
 template and adds each exponent pair unpacked by name, (x0 + y0, ...,
 x{n-1} + y{n-1}), so keys stay plain tuples.  ``terms`` is a read-only
@@ -159,6 +159,14 @@ def product_kernel(n: int):
     return namespace["kernel"]
 
 
+def int_product(kernel, a, b) -> dict:
+    """The product of two numerator collections by `kernel`, the product
+    kernel of their ring, as {exps: int} with the cancelled sums removed."""
+    acc: dict = {}
+    kernel(acc, a, b, 1)
+    return {e: v for e, v in acc.items() if v}
+
+
 def _rebuild(cls, values: tuple):
     """The instance of a Value class whose slots hold values, built without
     its __init__ (copy and pickle)."""
@@ -284,6 +292,22 @@ def from_ints(ctx: RingContext, nums: dict, den: int) -> "Polynomial":
     out = Polynomial.__new__(Polynomial)
     out.ctx, out.nums, out.den = ctx, nums, den
     return out
+
+
+def numerators(items, den: int = 0) -> tuple[list, int]:
+    """A collection of (key, Polynomial) pairs as (key, {exps: int}) pairs
+    over one denominator: den, which each polynomial's divides, by default the
+    lcm of theirs.  Returns (pairs, den); a map equal to a polynomial's is its nums."""
+    den = den or math.lcm(*[c.den for _, c in items])
+    return [(k, c.nums if c.den == den else {m: v * (den // c.den) for m, v in c.nums.items()})
+            for k, c in items], den
+
+
+def collect(ctx: RingContext, acc: dict, den: int) -> dict:
+    """{key: Polynomial} from acc, {key: {exps: int}} numerator sums over den
+    that may hold cancelled zeros: one `from_ints` per key with a nonzero sum."""
+    nonzero = ((key, {m: v for m, v in sums.items() if v}) for key, sums in acc.items())
+    return {key: from_ints(ctx, nums, den) for key, nums in nonzero if nums}
 
 
 class Polynomial:
@@ -416,9 +440,8 @@ class Polynomial:
                 self.ctx, {e: c * p for e, c in self.nums.items()}, self.den * other.denominator
             )
         _check_ctx(self, other)
-        acc: dict[tuple, int] = {}
-        product_kernel(self.ctx.n)(acc, self.nums.items(), other.nums.items(), 1)
-        return from_ints(self.ctx, {e: v for e, v in acc.items() if v}, self.den * other.den)
+        nums = int_product(product_kernel(self.ctx.n), self.nums.items(), other.nums.items())
+        return from_ints(self.ctx, nums, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -54,18 +54,17 @@ pair loop, `_half_square`, with and without h.
 
 Arithmetic of the bracket: `schouten_bracket` and `_half_square` read each
 operand once as integer numerators over one denominator, the lcm of its
-term denominators, and take each operand term's d/dx_i at most once.
-Every product of numerators is added straight into one {exps: int} map
-per output term, (eps power, mask) and for `_half_square` its h power, by
-`poly.product_kernel(n)`, the same per-n kernel that `Polynomial.__mul__`
-runs; at the end each nonzero output term becomes one polynomial by one
-`from_ints` over the product of the two denominators.  No Polynomial
-arithmetic runs in between.
+term denominators (`poly.numerators`), and take each operand term's d/dx_i
+at most once.  Every product of numerators is added straight into one
+{exps: int} map per output term, (eps power, mask) and for `_half_square`
+its h power, by `poly.product_kernel(n)`; at the end `poly.collect` makes
+each nonzero output term one polynomial, one `from_ints` over the product
+of the two denominators.  No Polynomial arithmetic runs in between.
+Hochschild `brace` runs on the same three helpers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ContextMismatch
@@ -75,7 +74,8 @@ from .poly import (
     RingContext,
     TermMap,
     accumulate,
-    from_ints,
+    collect,
+    numerators,
     product_kernel,
 )
 
@@ -285,16 +285,6 @@ class GElement(TermMap):
 # ---------------------------------------------------------------------------
 # the bracket
 
-def _numerators(terms: dict) -> tuple[dict, int]:
-    """Polynomial coefficients as integer numerator maps over one denominator,
-    the lcm of theirs: ({key: {exps: int}}, den), keys kept."""
-    den = math.lcm(*[c.den for c in terms.values()])
-    return {
-        k: c.nums if c.den == den else {m: v * (den // c.den) for m, v in c.nums.items()}
-        for k, c in terms.items()
-    }, den
-
-
 def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: dict,
               sign: int, kernel) -> None:
     """Add sign * sum_i (A right-d/dd_i)(dB/dx_i) for A = a d_ma, B = b d_mb at
@@ -317,22 +307,7 @@ def _add_half(acc: dict, e: int, ma: int, a: dict, mb: int, kb, b: dict, cache: 
             continue
         if (ma >> i).bit_count() & 1:  # move d_i past the d_j with j > i
             s = -s
-        key = (e, rest | mb)
-        out = acc.get(key)
-        if out is None:
-            out = acc[key] = {}
-        kernel(out, a.items(), db, s)
-
-
-def _collect(ctx: RingContext, acc: dict, den: int) -> GElement:
-    """The element with coefficients acc / den: one `from_ints` per nonzero
-    output term."""
-    terms = {}
-    for key, sums in acc.items():
-        nums = {m: v for m, v in sums.items() if v}
-        if nums:
-            terms[key] = from_ints(ctx, nums, den)
-    return GElement._make(ctx, terms)
+        kernel(acc.setdefault((e, rest | mb), {}), a.items(), db, s)
 
 
 def schouten_bracket(x: GElement, y: GElement) -> GElement:
@@ -340,22 +315,19 @@ def schouten_bracket(x: GElement, y: GElement) -> GElement:
     evaluated term pair by term pair with the closed form given there."""
     if x.ctx != y.ctx:
         raise ContextMismatch("mixed contexts")
-    xs, dx = _numerators(x.terms)
-    ys, dy = _numerators(y.terms)
+    xs, dx = numerators(x.terms.items())
+    ys, dy = numerators(y.terms.items())
     kernel = product_kernel(x.ctx.n)
-    cx: dict = {}
-    cy: dict = {}
-    acc: dict = {}
-    for k1, a in xs.items():
+    cx, cy, acc = {}, {}, {}
+    for k1, a in xs:
         e1, m1 = k1
-        for k2, b in ys.items():
+        for k2, b in ys:
             e2, m2 = k2
-            e = e1 + e2
-            _add_half(acc, e, m1, a, m2, k2, b, cy, 1, kernel)
+            _add_half(acc, e1 + e2, m1, a, m2, k2, b, cy, 1, kernel)
             # -(-1)^((|X|-1)(|Y|-1)): eps has even degree, only |I| parity counts
             both_even = not (m1.bit_count() & 1 or m2.bit_count() & 1)
-            _add_half(acc, e, m2, b, m1, k1, a, cx, 1 if both_even else -1, kernel)
-    return _collect(x.ctx, acc, dx * dy)
+            _add_half(acc, e1 + e2, m2, b, m1, k1, a, cx, 1 if both_even else -1, kernel)
+    return GElement._make(x.ctx, collect(x.ctx, acc, dx * dy))
 
 
 def _half_square(ctx: RingContext, terms: dict, order: int) -> dict:
@@ -364,11 +336,10 @@ def _half_square(ctx: RingContext, terms: dict, order: int) -> dict:
 
     By the closed form in the header, one half per ordered pair of even
     terms with k1 + k2 <= order; odd terms cancel and are dropped."""
-    nums, den = _numerators(terms)
-    even = [(key, a) for key, a in nums.items() if not key[2].bit_count() & 1]
+    nums, den = numerators(terms.items())
+    even = [(key, a) for key, a in nums if not key[2].bit_count() & 1]
     kernel = product_kernel(ctx.n)
-    cache: dict = {}
-    accs: dict = {}
+    cache, accs = {}, {}
     for (k1, e1, m1), a in even:
         if not m1:  # no odd part: half(a, -) is zero
             continue
@@ -376,11 +347,8 @@ def _half_square(ctx: RingContext, terms: dict, order: int) -> dict:
             k2, e2, m2 = key2
             if k1 + k2 > order:
                 break
-            acc = accs.get(k1 + k2)
-            if acc is None:
-                acc = accs[k1 + k2] = {}
-            _add_half(acc, e1 + e2, m1, a, m2, key2, b, cache, 1, kernel)
-    return {k: _collect(ctx, acc, den * den) for k, acc in accs.items()}
+            _add_half(accs.setdefault(k1 + k2, {}), e1 + e2, m1, a, m2, key2, b, cache, 1, kernel)
+    return {k: GElement._make(ctx, collect(ctx, acc, den * den)) for k, acc in accs.items()}
 
 
 def _square(x: GElement) -> GElement:

@@ -668,6 +668,32 @@ def brace_oracle(p, qs):
 
 
 # ---------------------------------------------------------------------------
+# the antisymmetrized first-order part of a cochain
+
+def sigma(c):
+    """sigma(C): the part of C of order exactly one in every argument,
+    antisymmetrized with weight 1/k!, (1/k!) sum_pi sgn(pi) C(b_pi(1), ...).
+
+    Argument b_pi(j) takes term alpha_j, so a permuted term carries alpha_j
+    at position pi(j).  sigma is the identity on the image of hkr, kills
+    Hochschild coboundaries, and so turns the Gerstenhaber bracket of two
+    HKR images into their Schouten bracket up to one sign."""
+    k = c.arity
+    weight = Fraction(1, math.factorial(k))
+    res = {}
+    for alphas, coeff in c.terms.items():
+        if any(sum(a) != 1 for a in alphas):
+            continue
+        for pi in itertools.permutations(range(k)):
+            inversions = sum(pi[a] > pi[b] for a in range(k) for b in range(a + 1, k))
+            moved = [None] * k
+            for j, alpha in enumerate(alphas):
+                moved[pi[j]] = alpha
+            accumulate(res, tuple(moved), coeff * (-weight if inversions & 1 else weight))
+    return PolyDiffOperator(c.ctx, k, res)
+
+
+# ---------------------------------------------------------------------------
 # printing through the Fraction view (the reference for integer printing)
 
 def fraction_poly_str(p: Polynomial) -> str:

@@ -501,7 +501,7 @@ def test_cochains_past_their_term_budget_exit_3_before_expanding(capsys):
         code, out, err = _within_a_second(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {argv[0]}: expanding these cochains may take ")
-        assert err.endswith(f" or more term products, over the budget of "
+        assert err.endswith(f" or more steps, over the budget of "
                             f"{cli.COCHAIN_TERM_BUDGET}\n")
     # P{Q}: 2 slot combinations of 1 visit and 1 product each; Q{P} stops
     # at its first combination, 1 visit and C(252, 2) = 31,626 products

@@ -20,6 +20,7 @@ import math
 
 import pytest
 
+from ncunfold import hochschild
 from ncunfold.errors import BudgetExceeded, ContextMismatch
 from ncunfold.hochschild import (
     HKR_TERM_BUDGET,
@@ -45,6 +46,7 @@ from oracles import (
     operators_agree_on_monomials,
     rand_homogeneous,
     rand_poly,
+    sigma,
 )
 
 CTX1 = RingContext(("x",))
@@ -361,16 +363,29 @@ def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
     with 1 + |P| visits each, plus an upper bound on the monomial products
     brace forms, counted without any: exact when every coefficient is a
     monomial (no derivative in a table's box vanishes), an upper bound
-    otherwise, 0 when P or a Q is zero, and a partial count past limit."""
+    otherwise, 0 when P or a Q is zero, and a partial count past limit.
+    brace forms its products in the product kernel, len(a) * len(b) monomial
+    products a call, and multiplies no two Polynomials."""
     products = [0]
-    mul = Polynomial.__mul__
+    polynomial_products = [0]
+    kernel_of, mul = hochschild.product_kernel, Polynomial.__mul__
 
-    def counting(a, b):
-        if isinstance(b, Polynomial):  # the table's integer scalings are not counted
-            products[0] += len(a.nums) * len(b.nums)
+    def counting_kernel(n):
+        kernel = kernel_of(n)
+
+        def counted(acc, a, b, s):
+            products[0] += len(a) * len(b)
+            kernel(acc, a, b, s)
+
+        return counted
+
+    def counting_mul(a, b):
+        if isinstance(b, Polynomial):  # the table's integer scalings are allowed
+            polynomial_products[0] += 1
         return mul(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(hochschild, "product_kernel", counting_kernel)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     rng = random.Random(77)
     kinds = {True: 0, False: 0, "zero": 0, "arity 0 past the degree": 0}
     for _ in range(400):
@@ -395,6 +410,7 @@ def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
                                 for alpha in alphas for d, a in enumerate(alpha, 1)
                                 for c in q.terms.values())
             for q in qs)
+    assert polynomial_products[0] == 0
     assert min(kinds[True], kinds[False]) >= 100, kinds
     assert min(kinds["zero"], kinds["arity 0 past the degree"]) >= 50, kinds
     p = PolyDiffOperator(CTX1, 1, {((0,),): Polynomial.one(CTX1)})
@@ -663,3 +679,58 @@ def test_hkr_strict_lie_map_degree_le_one():
         # two functions
         b = GElement.from_polynomial(rand_poly(rng, CTX3, 2))
         assert gerstenhaber_bracket(hkr(a), hkr(b)).is_zero()
+
+
+# -- the two brackets against each other: sigma, the antisymmetrized first-order part
+
+
+def _wedge_homogeneous(rng, ctx, k):
+    """A polyvector of wedge degree k with one or two drawn terms."""
+    masks = [m for m in range(1 << ctx.n) if m.bit_count() == k]
+    return GElement(ctx, {(0, rng.choice(masks)): rand_poly(rng, ctx, 2, 2, zero_ok=False)
+                          for _ in range(rng.randint(1, 2))})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_inverts_hkr(n):
+    ctx = RingContext(("x", "y", "z", "w")[:n])
+    rng = random.Random(100 + n)
+    for k in range(n + 1):
+        for _ in range(4):
+            x = _wedge_homogeneous(rng, ctx, k)
+            assert sigma(hkr(x)) == hkr(x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_kills_coboundaries(n):
+    ctx = RingContext(("x", "y", "z", "w")[:n])
+    rng = random.Random(110 + n)
+    nonzero = 0
+    for _ in range(20):
+        d = hochschild_differential(rand_operator(rng, ctx, rng.randint(0, 2), 1, 3))
+        nonzero += not d.is_zero()
+        assert sigma(d).is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_of_gerstenhaber_bracket_of_hkr_images_is_schouten_bracket(n):
+    """sigma([hkr X, hkr Y]_G) = eps * hkr([X, Y]_S) in every pair of wedge
+    degrees whose bracket fits in n: hkr's failure to be a Lie map is a
+    coboundary, which sigma kills.  eps = -1 exactly when both degrees are
+    even."""
+    ctx = RingContext(("x", "y", "z", "w")[:n])
+    rng = random.Random(120 + n)
+    nonzero = 0
+    for a in range(n + 1):
+        for b in range(n + 2 - a):
+            if a + b == 0 or b > n:
+                continue
+            eps = -1 if a % 2 == 0 and b % 2 == 0 else 1
+            for _ in range(2):
+                x, y = _wedge_homogeneous(rng, ctx, a), _wedge_homogeneous(rng, ctx, b)
+                got = sigma(gerstenhaber_bracket(hkr(x), hkr(y)))
+                want = schouten_bracket(x, y).scale(eps)
+                nonzero += not want.is_zero()
+                assert got.is_zero() if want.is_zero() else got == hkr(want)
+    assert nonzero >= 6 * n
