@@ -32,7 +32,12 @@ class NotIsolated(UnfoldError):
 
 
 class NotACycle(UnfoldError):
-    """The element is not closed under the Koszul differential."""
+    """The element z is not closed under the Koszul differential; image
+    holds the nonzero [f, z]."""
+
+    def __init__(self, message: str, image=None):
+        super().__init__(message)
+        self.image = image
 
 
 class QCInvalid(UnfoldError):

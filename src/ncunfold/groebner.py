@@ -506,14 +506,15 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
 
 class GroebnerBasis(Value):
     """Reduced Groebner basis of an ideal; leads, the leading exponents of
-    the generators as the engine found them, is not compared."""
+    the generators as the engine found them, is not compared, and neither
+    is the standard-monomial walk that `standard_monomials` keeps."""
 
-    __slots__ = ("generators", "order", "leads")
+    __slots__ = ("generators", "order", "leads", "_standard")
     _fields = ("generators", "order")
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder,
                  leads: tuple[tuple, ...]):
-        self._set(generators, order, leads)
+        self._set(generators, order, leads, None)
 
     @property
     def ctx(self) -> RingContext:
@@ -689,11 +690,18 @@ def ideal_membership(
 
 
 def standard_monomials(gb: GroebnerBasis):
-    """Monomials outside the leading-term ideal, in increasing order.
+    """Monomials outside the leading-term ideal, in increasing order, as a
+    new list on each call; the basis walks its leads once.
 
     Returns the string "infinite" when some variable has no pure power
     among the leading terms (the quotient is then infinite-dimensional).
     """
+    if gb._standard is None:
+        object.__setattr__(gb, "_standard", _standard_walk(gb))
+    return INFINITE if gb._standard == INFINITE else list(gb._standard)
+
+
+def _standard_walk(gb: GroebnerBasis):
     n = gb.ctx.n
     leads = gb.leading_exponents()
     if any(all(lt[i] != sum(lt) for lt in leads) for i in range(n)):
@@ -718,7 +726,7 @@ def standard_monomials(gb: GroebnerBasis):
 
     walk((), list(zip(leads, closes)))
     out.sort(key=gb.order.key)
-    return out
+    return tuple(out)
 
 
 def quotient_dimension(gb: GroebnerBasis):

@@ -65,6 +65,7 @@ Hochschild `brace` runs on the same three helpers.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ContextMismatch
@@ -80,6 +81,8 @@ from .poly import (
 )
 
 
+# memoized: at most one entry per mask (2^n) and per mask pair (4^n) met
+@functools.cache
 def bits_of(mask: int) -> tuple[int, ...]:
     """1-based odd generator indices present in a bitmask, ascending."""
     out = []
@@ -99,6 +102,7 @@ def mask_of(indices) -> int:
     return m
 
 
+@functools.cache
 def _merge_sign(m1: int, m2: int) -> int:
     """Parity (+1/-1) of sorting the concatenation d_{m1} d_{m2}; 0 on overlap."""
     if m1 & m2:

@@ -9,7 +9,9 @@ A solution of the deformation equation is a pair of h-series (p, S) with
 order by order; the residual dw + (1/2)[w, w] of w = p*eps + S decomposes
 as -eps*[f - p, S] + (1/2)[S, S] under the bracket convention of
 ``polyvector``.  Constructive lifting against the Koszul differential
-turns the first equation into a module-preimage problem.
+turns the first equation into a module-preimage problem.  The lift's cycle
+check is the first-order condition [f, S] = 0, and its NotACycle carries
+the nonzero [f, S] as ``image``, so validation takes [f, S] once.
 
 The functions that need the Jacobian ideal take f as a Polynomial or as a
 ``Singularity``, which owns the degree guard max_degree and the Jacobian
@@ -64,16 +66,18 @@ def koszul_lift(f: Polynomial | Singularity, z: GElement) -> GElement:
     Polynomial or a Singularity.
 
     Distinct errors: NotIsolated when f has infinite Milnor number,
-    NotACycle when [f, z] != 0.  For isolated f and a cycle z the lift
-    always exists; the result is verified before returning.
+    NotACycle when [f, z] != 0, with that [f, z] as its ``image``.  For
+    isolated f and a cycle z the lift always exists; the result is
+    verified before returning.
     """
     sing = Singularity.of(f)
     f, ctx = sing.f, sing.ctx
     if not z.is_polyvector():
         raise ValueError("lift input must be eps-free")
     sing.isolated_jacobian()
-    if not ad_f(f, z).is_zero():
-        raise NotACycle("[f, z] != 0")
+    image = ad_f(f, z)
+    if not image.is_zero():
+        raise NotACycle("[f, z] != 0", image)
     if z.is_zero():
         return GElement.zero(ctx)
     k = _wedge_degree_of(z)
@@ -126,19 +130,22 @@ class QuasiClassicalDatum(Value):
         self._set(f, p_raw, p_normal, s, extension_bivector, lift)
 
 
-def _qc_violations(f: Polynomial, s: GElement) -> list[QCViolation]:
-    """The first-order conditions on S: an eps-free bivector (checked
-    first, alone), [f, S] = 0 and [S, S] = 0."""
+def _qc_lift(sing: Singularity, s: GElement) -> tuple[list[QCViolation], GElement | None]:
+    """(violations, T) for the first-order conditions on S: an eps-free
+    bivector (checked first, alone), [f, S] = 0 and [S, S] = 0; T, the
+    Koszul lift of a valid S, is None otherwise.  [f, S] is taken once: for
+    a Poisson S by `koszul_lift`'s cycle check, else here, lifting nothing."""
     if not s.is_polyvector() or not (s.wedge_degrees() <= {2}):
-        return [QCViolation("wrong_degree", "S must be an eps-free bivector", s)]
-    violations = []
-    fs = ad_f(f, s)
-    if not fs.is_zero():
-        violations.append(QCViolation("not_f_compatible", "[f, S] != 0", fs))
+        return [QCViolation("wrong_degree", "S must be an eps-free bivector", s)], None
     ss = bivector_square(s)
-    if not ss.is_zero():
-        violations.append(QCViolation("not_poisson", "[S, S] != 0", ss))
-    return violations
+    if ss.is_zero():
+        try:
+            return [], koszul_lift(sing, s)
+        except NotACycle as e:
+            return [QCViolation("not_f_compatible", "[f, S] != 0", e.image)], None
+    fs = ad_f(sing.f, s)
+    violations = [] if fs.is_zero() else [QCViolation("not_f_compatible", "[f, S] != 0", fs)]
+    return violations + [QCViolation("not_poisson", "[S, S] != 0", ss)], None
 
 
 def qc_validate(f: Polynomial | Singularity, p: Polynomial, s: GElement):
@@ -148,15 +155,15 @@ def qc_validate(f: Polynomial | Singularity, p: Polynomial, s: GElement):
     The second-order extendability is rechecked constructively: S is lifted
     once to T with [f, T] = S (this always succeeds for a valid datum), and
     S_2 = -[p, T] satisfies [f, S_2] = [p, S] by the Jacobi identity; both
-    identities are verified."""
+    identities are verified.  The lift's cycle check is the condition
+    [f, S] = 0, so [f, S] is taken once."""
     sing = Singularity.of(f)
     f = sing.f
     sing.isolated_jacobian()
-    violations = _qc_violations(f, s)
+    violations, t = _qc_lift(sing, s)
     if violations:
         return violations
     p_normal = qc_normalize(sing, p)
-    t = koszul_lift(sing, s)
     pg = GElement.from_polynomial(p)
     s2 = -schouten_bracket(pg, t)
     if ad_f(f, s2) != schouten_bracket(pg, s):
@@ -399,12 +406,11 @@ def quantize_general(
     sing = Singularity.of(f)
     f = sing.f
     sing.isolated_jacobian()
-    violations = _qc_violations(f, s1)
+    violations, t1 = _qc_lift(sing, s1)
     if violations:
         raise QCInvalid(violations)
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    t1 = koszul_lift(sing, s1)
     s2 = -schouten_bracket(GElement.from_polynomial(p1), t1)
     sol, report = _witness_form(f, p1, t1, s1, s2, max_order)
     for o in report.nonzero:

@@ -225,6 +225,20 @@ def test_qc_check_valid_and_invalid(capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_qc_check_lists_both_violations_in_order(capsys):
+    """A datum neither f-compatible nor Poisson exits 2 and lists
+    not_f_compatible, then not_poisson."""
+    code, out, err = run(
+        capsys,
+        ["qc-check", "--vars", "x,y,z", "--f", "x^2+y^2+z^2", "--p", "0",
+         "--S", "y*D(1,2) + x*D(2,3)", "--format", "json"],
+    )
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert [v["kind"] for v in report["violations"]] == ["not_f_compatible", "not_poisson"]
+
+
 def test_general_quantize_wrong_wedge_degree_exit_2(capsys):
     """A vector field where a bivector belongs is a validation failure in
     every command that validates (p, S), --general included."""

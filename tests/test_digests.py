@@ -52,6 +52,7 @@ from ncunfold.polyvector import GElement, ad_f, mc_residual, schouten_bracket
 from ncunfold.singularity import Singularity, ade_catalog, qc_subspace
 from ncunfold.unfolding import (
     MCSolution,
+    QuasiClassicalDatum,
     koszul_lift,
     qc_validate,
     quantize_general,
@@ -137,10 +138,9 @@ def _trivector(rng, ctx):
 
 def _bivector(rng, ctx, kind, f):
     """S of one kind: a Koszul boundary [f, T] (f-compatible, and Poisson
-    for n = 3), the boundary of a T with coefficients of degree 1,
-    constant coefficients (Poisson),
-    random coefficients (usually neither), a vector field or an eps term
-    (wrong degree), or zero."""
+    for n = 3), the boundary of a T with coefficients of degree 1, constant
+    coefficients (Poisson), random coefficients (usually neither), a
+    vector field or an eps term (wrong degree), or zero."""
     masks = [m for m in range(1 << ctx.n) if m.bit_count() == 2]
     if kind == "boundary":
         return ad_f(f, _trivector(rng, ctx))
@@ -182,9 +182,9 @@ def _outcome_json(out):
                 for v in out]
     if isinstance(out, MCSolution):
         return out.to_json()
-    if hasattr(out, "lift"):
+    if isinstance(out, QuasiClassicalDatum):
         return _jsons((out.p_normal, out.s, out.extension_bivector, out.lift))
-    return [out.failing_order, out.obstruction.to_json(), out.kind]
+    return [out.failing_order, out.obstruction.to_json(), out.kind]  # an ObstructionReport
 
 
 def _gens(rng, ctx, count, max_degree=3):

@@ -133,6 +133,38 @@ def test_standard_monomials():
     assert quotient_dimension(gb3) == INFINITE
 
 
+def test_standard_monomials_are_walked_once_and_returned_as_new_lists(monkeypatch):
+    """A basis walks its leads once; each call returns an equal list of its
+    own, so changing one leaves the next unchanged.  jacobian asks for the
+    Milnor number and W and walks once."""
+    walks = []
+    real = groebner._standard_walk
+
+    def counting(gb):
+        walks.append(gb)
+        return real(gb)
+
+    monkeypatch.setattr(groebner, "_standard_walk", counting)
+    x, y, z = xyz()
+    gb = buchberger([x ** 3 + y * z, y ** 2 - x, z ** 2])
+    first = standard_monomials(gb)
+    second = standard_monomials(gb)
+    assert first == second and first is not second
+    first.append((9, 9, 9))
+    first[0] = (8, 8, 8)
+    assert standard_monomials(gb) == second and quotient_dimension(gb) == len(second)
+    assert len(walks) == 1
+    infinite = buchberger([x, y])
+    assert standard_monomials(infinite) == quotient_dimension(infinite) == INFINITE
+    assert standard_monomials(infinite) == INFINITE and len(walks) == 2
+    for f in (x ** 3 + y ** 4 + z ** 2, x ** 2 * y):  # isolated, and not
+        walks.clear()
+        data = jacobian(f)
+        assert len(walks) == 1
+        assert data.w_basis == (() if data.milnor == INFINITE else tuple(standard_monomials(data.gb)))
+        assert len(walks) == 1
+
+
 def test_spolynomials_reduce_to_zero_post_hoc():
     rng = random.Random(31)
     for _ in range(10):

@@ -33,6 +33,7 @@ from ncunfold.unfolding import (
     EXACT,
     MCSolution,
     ObstructionReport,
+    QCViolation,
     koszul_lift,
     mc_verify,
     qc_normalize,
@@ -81,8 +82,26 @@ def test_lift_not_a_cycle_reported():
 def test_lift_top_wedge_degree_is_never_a_cycle():
     # [f, g*D(1,2,3)] = g*sum(+-df/dx_i * d_jk) is nonzero for nonconstant f
     for _, f in ade_catalog():
-        with pytest.raises(NotACycle, match=r"^\[f, z\] != 0$"):
+        with pytest.raises(NotACycle, match=r"^\[f, z\] != 0$") as info:
             koszul_lift(f, g("x*D(1,2,3)"))
+        assert info.value.image == ad_f(f, g("x*D(1,2,3)"))
+
+
+def test_not_a_cycle_carries_the_image():
+    """NotACycle.image is [f, z], nonzero, for every z the lift refuses."""
+    rng = random.Random(29)
+    refused = 0
+    for _, f in ade_catalog():
+        for _ in range(4):
+            z = rand_bivector(rng, CTX3)
+            try:
+                koszul_lift(f, z)
+            except NotACycle as e:
+                refused += 1
+                assert e.image == ad_f(f, z) and not e.image.is_zero()
+            else:
+                assert ad_f(f, z).is_zero()
+    assert refused >= 30
 
 
 def test_lift_not_isolated_reported():
@@ -215,6 +234,67 @@ def test_validate_rejects_non_poisson_n4():
     assert not bivector_square(s).is_zero()
     viols = qc_validate(f, Polynomial.zero(ctx4), s)
     assert [v.kind for v in viols] == ["not_poisson"]
+
+
+def _violations_by_definition(f, s):
+    """The violation list of an eps-free bivector S, from the definitions:
+    [f, S] != 0 first, then [S, S] != 0, each with its nonzero bracket."""
+    out = []
+    fs, ss = ad_f(f, s), bivector_square(s)
+    if not fs.is_zero():
+        out.append(QCViolation("not_f_compatible", "[f, S] != 0", fs))
+    if not ss.is_zero():
+        out.append(QCViolation("not_poisson", "[S, S] != 0", ss))
+    return out
+
+
+def _invalid_data():
+    """(f, S) of each invalid class: not f-compatible, not Poisson (n = 4),
+    and both at once; then random bivectors over the ADE catalog."""
+    ctx4 = RingContext(("x", "y", "z", "w"))
+    rot = lambda t: parse_gelement(t, ctx4)
+    yield a_k(1), g("x*D(1,2)")
+    yield parse_polynomial("x^2+y^2+z^2+w^2", ctx4), (
+        rot("x*D(2) - y*D(1)") * rot("x*D(3) - z*D(1)")
+        + rot("x*D(4) - w*D(1)") * rot("y*D(4) - w*D(2)"))
+    yield parse_polynomial("x^2+y^2+z^2", CTX3), g("y*D(1,2) + x*D(2,3)")
+    rng = random.Random(31)
+    for _, f in ade_catalog():
+        for _ in range(3):
+            yield f, rand_bivector(rng, CTX3)
+
+
+def test_invalid_data_report_both_conditions_and_lift_nothing(monkeypatch):
+    """qc_validate, quantize_n3 and quantize_general report the violations
+    the definitions give, in their order and with their brackets, for data
+    of each invalid class, and run no module preimage: [f, S] is taken
+    once, by the lift's cycle check when [S, S] = 0 and directly
+    otherwise, and nothing is lifted."""
+    preimages = []
+    real = unfolding.module_preimage
+
+    def counting(*args, **kwargs):
+        preimages.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unfolding, "module_preimage", counting)
+    kinds = set()
+    for f, s in _invalid_data():
+        expected = _violations_by_definition(f, s)
+        if not expected:
+            continue
+        kinds.add(tuple(v.kind for v in expected))
+        p = Polynomial.zero(f.ctx)
+        assert qc_validate(f, p, s) == expected
+        calls = [lambda: quantize_general(f, p, s, max_order=1)]
+        if f.ctx.n == 3:
+            calls.append(lambda: quantize_n3(f, p, s))
+        for call in calls:
+            with pytest.raises(QCInvalid) as info:
+                call()
+            assert info.value.violations == expected
+    assert kinds == {("not_f_compatible",), ("not_poisson",), ("not_f_compatible", "not_poisson")}
+    assert preimages == []
 
 
 def test_validate_zero_bivector_any_p():
@@ -639,11 +719,12 @@ def test_quantize_n3_lifts_s_once(monkeypatch):
 
 
 def test_quantizers_take_only_the_brackets_they_need(monkeypatch):
-    """quantize_n3 takes seven brackets, all in qc_validate: [f, S_1]; the
-    lift's cycle check, its one column and its check; S_2 = -[p1, T_1] and
-    both sides of [f, S_2] = [p1, S_1].  quantize_general takes the same
-    less the two Jacobi sides.  S = S_1*h + S_2*h^2 reuses S_1 and S_2,
-    and the residual is one square, so neither takes another."""
+    """quantize_n3 takes six brackets, all in qc_validate: the lift's cycle
+    check, which is the condition [f, S_1] = 0, its one column and its
+    check; S_2 = -[p1, T_1] and both sides of [f, S_2] = [p1, S_1].
+    quantize_general takes the same less the two Jacobi sides.
+    S = S_1*h + S_2*h^2 reuses S_1 and S_2, and the residual is one square,
+    so neither takes another."""
     calls, in_witness_form = [], []
     real_bracket, real_witness_form = polyvector.schouten_bracket, unfolding._witness_form
 
@@ -664,10 +745,10 @@ def test_quantizers_take_only_the_brackets_they_need(monkeypatch):
     p1, s1 = _ade_datum(f)
     calls.clear()
     quantize_n3(f, p1, s1)
-    assert len(calls) == 7
+    assert len(calls) == 6
     calls.clear()
     quantize_general(f, p1, s1, max_order=4)
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert in_witness_form == [0, 0]
 
 

@@ -20,6 +20,8 @@ from ncunfold.groebner import (
     buchberger,
     module_buchberger,
     normal_form,
+    quotient_dimension,
+    standard_monomials,
 )
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import HSeries, Polynomial, RingContext, Substitution
@@ -290,6 +292,21 @@ def test_basis_records_keep_their_fields():
     mgb = ModuleGroebnerBasis(MGB.generators, GREVLEX, 2)
     assert mgb.source == () and mgb.source_cofactors == ()
     assert mgb.to_json() == MGB.to_json()
+
+
+def test_standard_monomials_kept_by_a_basis_change_no_value_semantics():
+    """The walk a basis keeps for `standard_monomials` is out of ==, hash and
+    repr, and copies and pickles, walked or not, give the same monomials."""
+    walked, fresh = (buchberger([poly("x^2 - y"), poly("x*y - 1")]) for _ in range(2))
+    monomials = standard_monomials(walked)
+    assert walked == fresh == GB and hash(walked) == hash(fresh) == hash(GB)
+    assert repr(walked) == repr(fresh)
+    for value in (walked, fresh):
+        for trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            twin = trip(value)
+            assert type(twin) is GroebnerBasis and twin == walked and hash(twin) == hash(walked)
+            assert standard_monomials(twin) == monomials
+            assert quotient_dimension(twin) == len(monomials)
 
 
 def test_reduction_trace_rechecks_its_identity():
