@@ -21,17 +21,16 @@ from .errors import (
     NotIsolated,
     ParseError,
     QCInvalid,
+    budget,
 )
 from .groebner import GREVLEX, MonomialOrder, ideal_membership
 from .hochschild import (
     PolyDiffOperator,
-    _brace_products,
     brace,
     cup,
     gerstenhaber_bracket,
     hkr,
     hochschild_differential,
-    multiplication_cochain,
 )
 from .parsing import (
     format_gelement,
@@ -62,12 +61,12 @@ USAGE_ERROR, VALIDATION_ERROR, DEGREE_ABORT = 1, 2, 3
 # past this order it is refused (exit 3) before any series is parsed.
 JSON_ORDER_BUDGET = 10_000
 
-# The hh-* commands cost what their output costs.  Past COCHAIN_TERM_BUDGET
-# slot combinations, visits and monomial products, counted before expanding
-# anything, they are refused (exit 3); the bracket of x^250 with the 250th
-# derivative in two arguments would form 63,254.  A derivative order or
-# exponent past COCHAIN_ORDER_LIMIT, which bounds the size of the
-# coefficients that derivatives make, is refused (exit 3) on reading.
+# The hh-* commands cost what their output costs: they run under a budget of
+# COCHAIN_TERM_BUDGET steps, charged by brace and cup before each slot
+# combination, visit, derivative, table entry and monomial product, and the
+# first charge past it exits 3.  A derivative order or exponent past
+# COCHAIN_ORDER_LIMIT, which bounds the size of the coefficients that
+# derivatives make, is refused (exit 3) on reading.
 COCHAIN_TERM_BUDGET = 10_000
 COCHAIN_ORDER_LIMIT = 1_000
 
@@ -173,22 +172,6 @@ def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
     return p
 
 
-def _check_products(args, count: int) -> None:
-    """BudgetExceeded when the command's count of its work is over
-    COCHAIN_TERM_BUDGET."""
-    if count > COCHAIN_TERM_BUDGET:
-        raise BudgetExceeded(
-            f"{args.command}: expanding these cochains may take {count} or more steps, "
-            f"over the budget of {COCHAIN_TERM_BUDGET}"
-        )
-
-
-def _bracket_products(p: PolyDiffOperator, q: PolyDiffOperator) -> int:
-    """The count of [P, Q], the braces P{Q} and Q{P}."""
-    return (_brace_products(p, [q], COCHAIN_TERM_BUDGET)
-            + _brace_products(q, [p], COCHAIN_TERM_BUDGET))
-
-
 def _check_json_order(args) -> None:
     """BudgetExceeded when JSON output would list more than
     JSON_ORDER_BUDGET orders."""
@@ -238,34 +221,20 @@ def _report_text(report) -> str:
 def _run(args) -> int:
     ctx = _ctx(args)
 
-    if args.command in ("hh-cup", "hh-bracket"):
-        p = _cochain(ctx, _json(args.P))
-        q = _cochain(ctx, _json(args.Q))
-        if args.command == "hh-cup":
-            _check_products(args, sum(len(c.nums) for c in p.terms.values())
-                            * sum(len(c.nums) for c in q.terms.values()))
-            out = cup(p, q)
-        else:
-            _check_products(args, _bracket_products(p, q))
-            out = gerstenhaber_bracket(p, q)
-        _emit(args, out.to_json, lambda: str(out))
-        return 0
-
-    if args.command == "hh-brace":
-        p = _cochain(ctx, _json(args.P))
-        qs = _json(args.Qs)
-        if not isinstance(qs, list):
-            raise ValueError("--Qs must be a JSON list of cochains")
-        qs = [_cochain(ctx, item) for item in qs]
-        _check_products(args, _brace_products(p, qs, COCHAIN_TERM_BUDGET))
-        out = brace(p, qs)
-        _emit(args, out.to_json, lambda: str(out))
-        return 0
-
-    if args.command == "hh-d":
-        p = _cochain(ctx, _json(args.P))
-        _check_products(args, _bracket_products(multiplication_cochain(ctx), p))
-        out = hochschild_differential(p)
+    if args.command.startswith("hh-"):
+        with budget(COCHAIN_TERM_BUDGET, f"{args.command}: expanding these cochains"):
+            p = _cochain(ctx, _json(args.P))
+            if args.command == "hh-d":
+                out = hochschild_differential(p)
+            elif args.command == "hh-brace":
+                qs = _json(args.Qs)
+                if not isinstance(qs, list):
+                    raise ValueError("--Qs must be a JSON list of cochains")
+                out = brace(p, [_cochain(ctx, item) for item in qs])
+            elif args.command == "hh-cup":
+                out = cup(p, _cochain(ctx, _json(args.Q)))
+            else:
+                out = gerstenhaber_bracket(p, _cochain(ctx, _json(args.Q)))
         _emit(args, out.to_json, lambda: str(out))
         return 0
 

@@ -15,8 +15,9 @@ proportional to the nonzero terms of the expansion.  The arithmetic is
 the Schouten bracket's: P's coefficients and each table entry are read once
 as integer numerators (`poly.numerators`), every product runs in the ring's
 product kernel, and each output term is one `from_ints` (`poly.collect`).
-`_brace_products` runs that loop on table sizes alone, counting its slot
-combinations, visits and monomial products before anything is expanded.
+Under an open `errors.budget` it charges, before doing it, each slot combination
+and (combination, term of P) visit, the terms each table derivative and entry
+read, and the monomial products of each insertion; `cup` charges its products.
 
 Sign conventions: a brace insertion P{Q_1..Q_l} carries the sign
 (-1)^(sum (q_t - 1) * o_t) where o_t is the number of argument positions
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import BudgetExceeded, ContextMismatch
+from .errors import BudgetExceeded, ContextMismatch, charger
 from .poly import Polynomial, RingContext, TermMap, collect, int_product, numerators, product_kernel
 from .polyvector import GElement, bits_of
 
@@ -147,6 +148,8 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     """(P cup Q)(b_1..b_{p+q}) = P(b_1..b_p) * Q(b_{p+1}..b_{p+q})."""
     if p.ctx != q.ctx:
         raise ContextMismatch("mixed contexts")
+    charger()(sum(len(c.nums) for c in p.terms.values())
+              * sum(len(c.nums) for c in q.terms.values()))
     # distinct term pairs give distinct keys, and no product of nonzero terms is 0
     res = {a1 + a2: c1 * c2 for a1, c1 in p.terms.items() for a2, c2 in q.terms.items()}
     return PolyDiffOperator._make(p.ctx, res, p.arity + q.arity)
@@ -160,7 +163,6 @@ def _splits(alpha: tuple, parts: int) -> tuple:
     coordinates of alpha_d! / prod(pieces[t][d]!).  Zero pieces split
     alpha = 0 once, into the empty tuple, and any other alpha never.
     """
-    n = len(alpha)
 
     def splits_1d(total: int, k: int) -> list:
         """The compositions of total into k parts in lexicographic order: the
@@ -176,13 +178,9 @@ def _splits(alpha: tuple, parts: int) -> tuple:
          for split in splits_1d(a, parts)]
         for a in alpha
     ]
-    return tuple(
-        (
-            tuple(tuple(combo[d][0][t] for d in range(n)) for t in range(parts)),
-            math.prod(combo[d][1] for d in range(n)),
-        )
-        for combo in itertools.product(*per_coord)
-    )
+    # combo holds each coordinate's (split, multinomial); zip reads the pieces off
+    return tuple((tuple(zip(*(split for split, _ in combo))), math.prod(m for _, m in combo))
+                 for combo in itertools.product(*per_coord))
 
 
 def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
@@ -203,33 +201,44 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
         return PolyDiffOperator.zero(p.ctx, out_arity)
     # the tables ask again for the same few (alpha, parts)
     splits = functools.cache(_splits)
+    charge = charger()
     pn, dp = numerators(p.terms.items())
     dq = [math.lcm(*[c.den for c in q.terms.values()]) for q in qs]
+    # each term of each Q_t with its coefficient's degree in each variable
+    shapes = [[(a, c, tuple(map(max, zip(*c.nums)))) for a, c in q.terms.items()] for q in qs]
 
     @functools.cache
-    def table(t: int, alpha: tuple) -> list:
-        """[(block, numerator items over dq[t])]: the terms of d^alpha of Q_t's output.
-        gamma0, the part of alpha on Q_t's coefficient, runs over the box where
-        its derivative can be nonzero, weighted by prod C(alpha, gamma0); the
-        rest of alpha is split over Q_t's arguments, so with none gamma0 = alpha."""
+    def table(t: int, alpha: tuple) -> tuple:
+        """([(block, numerator items over dq[t])], their monomial count): the
+        terms of d^alpha of Q_t's output.  gamma0, the part of alpha on Q_t's
+        coefficient, runs over the box where its derivative can be nonzero,
+        weighted by prod C(alpha, gamma0); the rest is split over Q_t's k
+        arguments, C(rest + k - 1, k - 1) ways a coordinate (none: gamma0 = alpha).
+        A derivative (but d^0) and an entry are charged their coefficient's terms."""
+        k = arities[t]
         entries = []
-        for q_alphas, q_coeff in qs[t].terms.items():
-            box = [range(0 if arities[t] else a, min(a, q_coeff.degree_in(d)) + 1)
-                   for d, a in enumerate(alpha, 1)]
+        for q_alphas, q_coeff, degrees in shapes[t]:
+            box = [range(0 if k else a, min(a, m) + 1) for a, m in zip(alpha, degrees)]
             for gamma0 in itertools.product(*box):
+                charge(len(q_coeff.nums) if any(gamma0) else 0)
                 dcoeff = q_coeff.derive(gamma0)
                 if dcoeff.is_zero():
                     continue
+                rest = tuple(map(sub, alpha, gamma0))
+                charge(len(dcoeff.nums)
+                       * (math.prod(math.comb(r + k - 1, k - 1) for r in rest) if k else 1))
                 binom = math.prod(map(math.comb, alpha, gamma0))
-                for rest, multi in splits(tuple(map(sub, alpha, gamma0)), arities[t]):
-                    block = tuple(tuple(map(add, b, g)) for b, g in zip(q_alphas, rest))
+                for pieces, multi in splits(rest, k):
+                    block = tuple(tuple(map(add, b, g)) for b, g in zip(q_alphas, pieces))
                     scale = binom * multi
                     entries.append((block, dcoeff * scale if scale != 1 else dcoeff))
-        return [(block, nums.items()) for block, nums in numerators(entries, dq[t])[0]]
+        entries = [(block, nums.items()) for block, nums in numerators(entries, dq[t])[0]]
+        return entries, sum(len(b) for _, b in entries)
 
     kernel = product_kernel(p.ctx.n)
     acc: dict = {}
     for slots in itertools.combinations(range(p.arity), l):
+        charge(1 + len(pn))  # the combination and its visit of each term of P
         # offset of block t: argument positions in front of it
         sign = -1 if sum((arities[t] - 1) * (s + sum(arities[:t]) - t)
                          for t, s in enumerate(slots)) & 1 else 1
@@ -238,66 +247,21 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
             # insert right-to-left so earlier slot indices stay valid
             for t in reversed(range(1, l)):
                 s = slots[t]
-                entries = table(t, p_alphas[s])
+                entries, size = table(t, p_alphas[s])
+                charge(sum(len(a) for _, a in stack) * size)
                 stack = [(alphas[:s] + block + alphas[s + 1 :], int_product(kernel, a, b).items())
                          for alphas, a in stack for block, b in entries]
                 if not stack:
                     break
             else:  # the first insertion adds its signed products into acc
                 s = slots[0]
-                for block, b in table(0, p_alphas[s]):
+                entries, size = table(0, p_alphas[s])
+                charge(sum(len(a) for _, a in stack) * size)
+                for block, b in entries:
                     for alphas, a in stack:
                         key = alphas[:s] + block + alphas[s + 1 :]
                         kernel(acc.setdefault(key, {}), a, b, sign)
     return PolyDiffOperator._make(p.ctx, collect(p.ctx, acc, dp * math.prod(dq)), out_arity)
-
-
-def _brace_products(p: PolyDiffOperator, qs, limit: int) -> int:
-    """brace(p, qs)'s own loop, run without derivatives or products: 1 per
-    slot combination and 1 per term of P in it, plus an upper bound on the
-    monomial products of each insertion; once past limit, the count so far.
-
-    stack bounds the terms of the coefficients on brace's stack, so an
-    insertion forms at most stack * size monomial products; it starts at
-    the term count of P's coefficient.  Per term of Q_t and coordinate,
-    the table of Q_t at order a takes gamma0 in 0..m, m = min(a, the
-    coefficient's degree), and splits a - gamma0 over the k arguments in
-    C(a - gamma0 + k - 1, k - 1) ways: C(a + k, k) in all, less
-    C(a - m - 1 + k, k) when m < a.  Each entry is weighted by the term
-    count of Q_t's coefficient, which no derivative raises.
-    """
-    l = len(qs)
-    if not qs or l > p.arity or not p.terms or not all(q.terms for q in qs):
-        return 0
-    n = p.ctx.n
-    shapes = [(q.arity, [(tuple(c.degree_in(d) for d in range(1, n + 1)), len(c.nums))
-                         for c in q.terms.values()])
-              for q in qs]
-
-    @functools.cache
-    def size(t: int, alpha: tuple) -> int:
-        k, coeffs = shapes[t]
-        out = 0
-        for degree, count in coeffs:
-            for a, m in zip(alpha, degree):
-                count *= math.comb(a + k, k) - (math.comb(a - m - 1 + k, k) if m < a else 0)
-            out += count
-        return out
-
-    total = 0
-    for slots in itertools.combinations(range(p.arity), l):
-        total += 1
-        for p_alphas, p_coeff in p.terms.items():
-            total += 1
-            stack = len(p_coeff.nums)
-            for t in reversed(range(l)):
-                stack *= size(t, p_alphas[slots[t]])
-                if not stack:
-                    break
-                total += stack
-            if total > limit:
-                return total
-    return total
 
 
 def gerstenhaber_bracket(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:

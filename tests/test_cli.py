@@ -505,8 +505,8 @@ def _power_cochain(arity: int, exponent: int, order: int, n: int = 1) -> str:
 def test_cochains_past_their_term_budget_exit_3_before_expanding(capsys):
     """[P, Q] for P = x^250 (arity 2, zero orders) and Q = the 250th
     derivative in both arguments forms 63,254 term products: expanding it
-    took 1.8 s and printed 19 MB.  Past COCHAIN_TERM_BUDGET, hh-bracket,
-    hh-brace and hh-d are refused before any product; k = 20 runs."""
+    took 1.8 s and printed 19 MB.  hh-bracket, hh-brace and hh-d are
+    refused at the first step charged past COCHAIN_TERM_BUDGET; k = 20 runs."""
     p, q = _power_cochain(2, 250, 0), _power_cochain(2, 0, 250)
     argvs = [["hh-bracket", "--vars", "x", "--P", p, "--Q", q],
              ["hh-brace", "--vars", "x", "--P", q, "--Qs", f"[{p}]"],
@@ -517,9 +517,12 @@ def test_cochains_past_their_term_budget_exit_3_before_expanding(capsys):
         assert err.startswith(f"error: {argv[0]}: expanding these cochains may take ")
         assert err.endswith(f" or more steps, over the budget of "
                             f"{cli.COCHAIN_TERM_BUDGET}\n")
-    # P{Q}: 2 slot combinations of 1 visit and 1 product each; Q{P} stops
-    # at its first combination, 1 visit and C(252, 2) = 31,626 products
-    assert " 31634 or more " in _within_a_second(capsys, argvs[0])[2]
+    # P{Q}: 2 slot combinations of 1 visit and 1 product each, and a table
+    # of 1 entry, d^0 being free (7 steps); Q{P}: its first combination and
+    # visit (2), then for gamma0 = 0..43 the derivative d^gamma0 of x^250
+    # (but d^0) and its 251 - gamma0 entries, 43 + 10,098 steps, the last
+    # past the budget
+    assert " 10150 or more " in _within_a_second(capsys, argvs[0])[2]
     p, q = _power_cochain(2, 20, 0), _power_cochain(2, 0, 20)
     code, out, err = _within_a_second(
         capsys, ["hh-bracket", "--vars", "x", "--P", p, "--Q", q, "--format", "json"])
@@ -538,6 +541,21 @@ def test_brace_into_an_arity_0_cochain_takes_one_derivative(capsys):
     code, out, err = _within_a_second(
         capsys, ["hh-brace", "--vars", "x,y", "--P", p, "--Qs", f"[{q}]"])
     assert (code, out, err) == (0, f"({to_decimal(math.factorial(1000) ** 2)})*d[]\n", "")
+
+
+def test_brace_splitting_an_order_10_9_ways_exits_3_at_once(capsys):
+    """An arity-2 constant inserted at the derivative order (1000, 1000,
+    1000) has an insertion table of 1001^3 splits of that order; their count
+    is charged before any is built (the 61^3 splits of (60, 60, 60) take
+    1.5 s to build)."""
+    p = _power_cochain(1, 0, 1000, n=3)
+    q = _power_cochain(2, 0, 0, n=3)
+    code, out, err = _within_a_second(
+        capsys, ["hh-brace", "--vars", "x,y,z", "--P", p, "--Qs", f"[{q}]"])
+    assert (code, out) == (3, "")
+    # 1 combination, 1 visit, d^0 (free), then the 1001^3 entries
+    assert err == (f"error: hh-brace: expanding these cochains may take {2 + 1001 ** 3} "
+                   f"or more steps, over the budget of {cli.COCHAIN_TERM_BUDGET}\n")
 
 
 def _many_term_cochain(arity: int, count: int, seed: int) -> str:

@@ -154,9 +154,9 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
     and --order up to 10^6 with JSON output.  Each exits 0, 1, 2 or 3,
     with no traceback, in under 2 s; E powers past --max-degree are
     refused before they are expanded, JSON orders past
-    cli.JSON_ORDER_BUDGET before any series is parsed, and cochains past
-    cli.COCHAIN_ORDER_LIMIT or cli.COCHAIN_TERM_BUDGET before any product
-    is formed."""
+    cli.JSON_ORDER_BUDGET before any series is parsed, cochains past
+    cli.COCHAIN_ORDER_LIMIT on reading, and cochain work at the first step
+    charged past cli.COCHAIN_TERM_BUDGET."""
     rng = random.Random(2026)
     codes, commands = set(), set()
     large_orders = {"refused": 0, "passed": 0}

@@ -21,11 +21,10 @@ import math
 import pytest
 
 from ncunfold import hochschild
-from ncunfold.errors import BudgetExceeded, ContextMismatch
+from ncunfold.errors import BudgetExceeded, ContextMismatch, budget
 from ncunfold.hochschild import (
     HKR_TERM_BUDGET,
     PolyDiffOperator,
-    _brace_products,
     _splits,
     brace,
     cup,
@@ -358,34 +357,63 @@ def _random_cochain(rng, ctx, arity, monomial):
     return PolyDiffOperator(ctx, arity, terms)
 
 
-def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
-    """_brace_products is brace's loop counted: C(arity, l) slot combinations
-    with 1 + |P| visits each, plus an upper bound on the monomial products
-    brace forms, counted without any: exact when every coefficient is a
-    monomial (no derivative in a table's box vanishes), an upper bound
-    otherwise, 0 when P or a Q is zero, and a partial count past limit.
-    brace forms its products in the product kernel, len(a) * len(b) monomial
-    products a call, and multiplies no two Polynomials."""
-    products = [0]
-    polynomial_products = [0]
-    kernel_of, mul = hochschild.product_kernel, Polynomial.__mul__
+class _WorkCounts:
+    """Counts, where brace and cup do it, the work they charge: the terms
+    read by derivatives (d^0 reads none), the terms of table entries, split
+    entries materialized and monomial products (brace's in the product
+    kernel, cup's in Polynomial.__mul__), and brace's Polynomial products."""
 
-    def counting_kernel(n):
-        kernel = kernel_of(n)
+    def __init__(self, monkeypatch):
+        self.derivatives = self.entries = self.materialized = self.products = 0
+        self.polynomial_products = 0
+        kernel_of, derive, mul = hochschild.product_kernel, Polynomial.derive, Polynomial.__mul__
+        numerators, splits = hochschild.numerators, hochschild._splits
 
-        def counted(acc, a, b, s):
-            products[0] += len(a) * len(b)
-            kernel(acc, a, b, s)
+        def counting_kernel(n):
+            kernel = kernel_of(n)
 
-        return counted
+            def counted(acc, a, b, s):
+                self.products += len(a) * len(b)
+                kernel(acc, a, b, s)
 
-    def counting_mul(a, b):
-        if isinstance(b, Polynomial):  # the table's integer scalings are allowed
-            polynomial_products[0] += 1
-        return mul(a, b)
+            return counted
 
-    monkeypatch.setattr(hochschild, "product_kernel", counting_kernel)
-    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        def counting_derive(c, alpha):
+            self.derivatives += len(c.nums) if any(alpha) else 0
+            return derive(c, alpha)
+
+        def counting_mul(a, b):
+            if isinstance(b, Polynomial):  # the table's integer scalings are not products
+                self.polynomial_products += 1
+                self.products += len(a.nums) * len(b.nums)
+            return mul(a, b)
+
+        def counting_numerators(items, den=0):
+            if den:  # a table's entries, not P's terms
+                self.entries += sum(len(c.nums) for _, c in items)
+            return numerators(items, den)
+
+        def counting_splits(alpha, parts):
+            out = splits(alpha, parts)
+            self.materialized += len(out)
+            return out
+
+        monkeypatch.setattr(hochschild, "product_kernel", counting_kernel)
+        monkeypatch.setattr(Polynomial, "derive", counting_derive)
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(hochschild, "numerators", counting_numerators)
+        monkeypatch.setattr(hochschild, "_splits", counting_splits)
+
+
+def test_brace_charges_exactly_the_work_it_does(monkeypatch):
+    """Under an open budget, brace charges C(arity, l) slot combinations
+    with 1 + |P| visits each, the terms of each derivative and entry of its
+    insertion tables, and the monomial products of each insertion: on every
+    draw, monomial or not, zero or inserting an arity-0 Q past its degree,
+    the charge less the visits, derivatives and entries equals the kernel's
+    sum of len(a) * len(b).  brace multiplies no two Polynomials, and a
+    brace with nothing to insert charges nothing."""
+    work = _WorkCounts(monkeypatch)
     rng = random.Random(77)
     kinds = {True: 0, False: 0, "zero": 0, "arity 0 past the degree": 0}
     for _ in range(400):
@@ -396,13 +424,10 @@ def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
               for _ in range(rng.randint(1, p.arity))]
         zero = not p.terms or not all(q.terms for q in qs)
         visits = 0 if zero else math.comb(p.arity, len(qs)) * (1 + len(p.terms))
-        bound = _brace_products(p, qs, math.inf) - visits
-        if bound > 5000:
-            assert _brace_products(p, qs, 5000) > 5000
-            continue
-        products[0] = 0
-        brace(p, qs)
-        assert bound == products[0] if monomial else bound >= products[0]
+        work.derivatives = work.entries = work.products = 0
+        with budget(math.inf, "brace") as spent:
+            brace(p, qs)
+        assert spent[0] - visits - work.derivatives - work.entries == work.products
         kinds[monomial] += 1
         kinds["zero"] += zero
         kinds["arity 0 past the degree"] += not zero and any(
@@ -410,11 +435,61 @@ def test_brace_product_bound_counts_the_products_brace_forms(monkeypatch):
                                 for alpha in alphas for d, a in enumerate(alpha, 1)
                                 for c in q.terms.values())
             for q in qs)
-    assert polynomial_products[0] == 0
+    assert work.polynomial_products == 0
     assert min(kinds[True], kinds[False]) >= 100, kinds
     assert min(kinds["zero"], kinds["arity 0 past the degree"]) >= 50, kinds
     p = PolyDiffOperator(CTX1, 1, {((0,),): Polynomial.one(CTX1)})
-    assert _brace_products(p, [], math.inf) == _brace_products(p, [p, p], math.inf) == 0
+    with budget(math.inf, "brace") as spent:
+        brace(p, [])
+    assert spent == [0]
+
+
+def test_budget_stops_the_work_within_one_charge_of_its_limit(monkeypatch):
+    """With a budget open at a limit below what brace, the bracket, the
+    differential or cup charge in all, the first charge past the limit
+    raises BudgetExceeded, naming the count so far, and the work done before
+    it (terms read by derivatives, split entries materialized and monomial
+    products, counted where they are done) is at most the limit: each piece
+    is charged before it is done, so only the charge that raises goes unpaid."""
+    rng = random.Random(12)
+    operations = [lambda p, q: brace(p, [q]), gerstenhaber_bracket,
+                  lambda p, q: hochschild_differential(p), cup]
+    charger = hochschild.charger
+    raised = 0
+    for _ in range(300):
+        ctx = RingContext(("x", "y", "z")[: rng.randint(1, 3)])
+        monomial = rng.random() < 0.5
+        p = _random_cochain(rng, ctx, rng.randint(1, 3), monomial)
+        q = _random_cochain(rng, ctx, rng.randint(0, 2), monomial)
+        operation = rng.choice(operations)
+        with budget(math.inf, "all") as total:
+            expected = operation(p, q)
+        if not total[0]:
+            continue
+        limit = rng.randrange(total[0])
+        charges = []
+
+        def recording():
+            charge = charger()
+
+            def recorded(steps):
+                charges.append(steps)
+                charge(steps)
+
+            return recorded
+
+        with monkeypatch.context() as patch:
+            work = _WorkCounts(patch)
+            patch.setattr(hochschild, "charger", recording)
+            with pytest.raises(BudgetExceeded) as info, budget(limit, "op") as spent:
+                operation(p, q)
+        assert work.derivatives + work.materialized + work.products <= limit
+        assert spent[0] == sum(charges) and spent[0] - charges[-1] <= limit < spent[0]
+        assert str(info.value) == f"op may take {spent[0]} or more steps, over the budget of {limit}"
+        with budget(total[0], "op"):
+            assert operation(p, q) == expected
+        raised += 1
+    assert raised >= 150, raised
 
 
 # -- Gerstenhaber bracket -----------------------------------------------------------

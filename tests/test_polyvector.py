@@ -163,7 +163,7 @@ def test_ad_f_and_g_differential_at_n1_and_n5():
             assert g_differential(f, x) == -schouten_oracle(feps, x)
 
 
-def test_bracket_products_that_cancel():
+def test_bracket_terms_that_cancel():
     # the terms at d_1 ^ d_2 cancel outright, and at d_1 the x^2*y parts
     # cancel while -x survives
     x = g("x*y*D(1) + x*D(1,2)", CTX2)

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from ncunfold import errors
 from ncunfold.errors import ContextMismatch
 from ncunfold.groebner import (
     GREVLEX,
@@ -236,6 +237,30 @@ def test_series_and_solutions_copy_and_pickle():
         for trip in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             twin = trip(value)
             assert type(twin) is type(value) and twin == value
+
+
+def test_every_error_pickles_with_its_payload():
+    """Each exception class of the errors module round-trips through pickle
+    with its message and payload (ParseError lost its position and
+    QCInvalid its violations, and neither could be unpickled)."""
+    violations = [QCViolation("not_poisson", "[S, S] != 0", gel("D(1,2)")),
+                  QCViolation("wrong_degree", "S is not a bivector")]
+    cases = [errors.UnfoldError("base"), errors.ContextMismatch("mixed"),
+             errors.ParseError("bad", 3), errors.DegreeGuardExceeded("degree 9"),
+             errors.BudgetExceeded("stage: 10001 steps"), errors.NotIsolated("mu infinite"),
+             errors.NotACycle("not closed", gel("x*D(1)")), errors.QCInvalid(violations)]
+    assert {type(e) for e in cases} == {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.UnfoldError)}
+    for error in cases:
+        twin = pickle.loads(pickle.dumps(error))
+        assert type(twin) is type(error) and str(twin) == str(error)
+        assert twin.args == error.args
+    parse, cycle, invalid = (pickle.loads(pickle.dumps(cases[i])) for i in (2, 6, 7))
+    assert (parse.position, parse.reason) == (3, "bad")
+    assert cycle.image == gel("x*D(1)")
+    assert invalid.violations == violations
+    assert str(invalid) == "[S, S] != 0; S is not a bivector"
 
 
 def test_copies_keep_working():
