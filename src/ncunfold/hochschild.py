@@ -237,10 +237,11 @@ def brace(p: PolyDiffOperator, qs) -> PolyDiffOperator:
 
     kernel = product_kernel(p.ctx.n)
     acc: dict = {}
+    # offsets[t]: argument positions of the blocks in front of block t
+    offsets = list(itertools.accumulate(arities, initial=0))
     for slots in itertools.combinations(range(p.arity), l):
         charge(1 + len(pn))  # the combination and its visit of each term of P
-        # offset of block t: argument positions in front of it
-        sign = -1 if sum((arities[t] - 1) * (s + sum(arities[:t]) - t)
+        sign = -1 if sum((arities[t] - 1) * (s + offsets[t] - t)
                          for t, s in enumerate(slots)) & 1 else 1
         for p_alphas, nums in pn:
             stack = [(p_alphas, nums.items())]

@@ -8,9 +8,11 @@ k[x_1..x_n] / (df/dx_1, ..., df/dx_n).
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import warnings
+from fractions import Fraction
 
 from .errors import NotIsolated
 from .groebner import (
@@ -21,18 +23,28 @@ from .groebner import (
     quotient_dimension,
     standard_monomials,
 )
-from .poly import INFINITE, Polynomial, RingContext, Substitution, Value
+from .poly import INFINITE, Polynomial, RingContext, Substitution, Value, from_ints
 
 
 class JacobianData(Value):
-    """Partials, their reduced Groebner basis, the Milnor number (an int or
-    "infinite"), and the standard-monomial basis of the complement W."""
+    """Partials, the reduced Groebner basis gb of the ideal J they span, the
+    Milnor number (an int or "infinite"), and the standard-monomial basis of
+    the complement W.  gb may be given as a function of no arguments, called
+    on the first read: `jacobian` gives one when it read the Milnor number
+    and W off the leading forms of the partials."""
 
-    __slots__ = _fields = ("partials", "gb", "milnor", "w_basis")
+    __slots__ = ("partials", "_gb", "milnor", "w_basis")
+    _fields = ("partials", "gb", "milnor", "w_basis")
 
     def __init__(self, partials: tuple[Polynomial, ...], gb: GroebnerBasis, milnor,
                  w_basis: tuple[tuple, ...]):
         self._set(partials, gb, milnor, w_basis)
+
+    @property
+    def gb(self) -> GroebnerBasis:
+        if not isinstance(self._gb, GroebnerBasis):
+            object.__setattr__(self, "_gb", self._gb())
+        return self._gb
 
     def report(self) -> dict:
         return {
@@ -59,20 +71,51 @@ def _require_nonconstant(f: Polynomial) -> None:
                       stacklevel=level)
 
 
+def _top_form(p: Polynomial) -> Polynomial:
+    """The homogeneous part of p of top degree; p itself when p is homogeneous."""
+    d = p.total_degree()
+    top = {e: c for e, c in p.nums.items() if sum(e) == d}
+    return p if len(top) == len(p.nums) else from_ints(p.ctx, top, p.den)
+
+
+def _may_be_regular(forms: tuple[Polynomial, ...]) -> bool:
+    """False when the n forms have a common zero besides 0 by one of two key
+    lookups: no form holds a pure power of some x_i (then the x_i axis is
+    one), or two forms are proportional (then n - 1 forms span the ideal)."""
+    n = len(forms)
+    degrees = [t.total_degree() for t in forms]
+    if not all(any((0,) * i + (d,) + (0,) * (n - 1 - i) in t.nums for t, d in zip(forms, degrees))
+               for i in range(n)):
+        return False
+    return not any(a.nums.keys() == b.nums.keys()
+                   and len({Fraction(a.nums[m], b.nums[m]) for m in a.nums}) < 2
+                   for j, a in enumerate(forms) for b in forms[j + 1:])
+
+
 def jacobian(
     f: Polynomial,
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
 ) -> JacobianData:
-    """Partials, reduced GB of the Jacobian ideal, Milnor number, W basis."""
+    """Partials, reduced GB of the Jacobian ideal J, Milnor number, W basis.
+
+    Under grevlex, when the top forms t of the partials are not the partials
+    and k[x]/(t) is finite, t is a regular sequence, the partials are an
+    H-basis of J and LT(J) = LT((t)): mu and W are read off the basis of (t),
+    and that of J is built on the first read of `gb`.  Otherwise, and under
+    lex, both come from the basis of J.  Every basis obeys max_degree.
+    """
     _require_nonconstant(f)
     partials = tuple(f.partial(i) for i in range(1, f.ctx.n + 1))
-    gb = buchberger(partials, order, max_degree)
-    mu = quotient_dimension(gb)
-    if mu == INFINITE:
-        w_basis = ()
-    else:
-        w_basis = tuple(standard_monomials(gb))
+    gb = functools.partial(buchberger, partials, order, max_degree)
+    tops = tuple(map(_top_form, partials)) if order == GREVLEX else partials
+    basis = None
+    if tops != partials and _may_be_regular(tops):
+        basis = buchberger(tops, order, max_degree)
+    if basis is None or quotient_dimension(basis) == INFINITE:
+        basis = gb = gb()
+    mu = quotient_dimension(basis)
+    w_basis = () if mu == INFINITE else tuple(standard_monomials(basis))
     return JacobianData(partials=partials, gb=gb, milnor=mu, w_basis=w_basis)
 
 

@@ -558,6 +558,18 @@ def test_brace_splitting_an_order_10_9_ways_exits_3_at_once(capsys):
                    f"or more steps, over the budget of {cli.COCHAIN_TERM_BUDGET}\n")
 
 
+def test_brace_of_a_thousand_constants_signs_each_combination_in_linear_time(capsys):
+    """P of arity 1,001, order 1 in each argument, braced with 1,000 arity-0
+    constants: 1,001 slot combinations, each of which kills every term.
+    The sign of a combination read the offset of each block as a fresh sum
+    over the blocks in front of it, O(l^2) per combination (3.5 s here)."""
+    p = _power_cochain(1001, 0, 1)
+    const = _power_cochain(0, 0, 0)
+    code, _, err = _within_a_second(
+        capsys, ["hh-brace", "--vars", "x", "--P", p, "--Qs", "[" + ", ".join([const] * 1000) + "]"])
+    assert code == 0, err
+
+
 def _many_term_cochain(arity: int, count: int, seed: int) -> str:
     """A one-term cochain in x, y with zero orders whose coefficient has
     count terms, exponents drawn up to COCHAIN_ORDER_LIMIT."""

@@ -801,12 +801,16 @@ def _dense(rng, n, d):
 
 @pytest.mark.parametrize("n,d", [(3, 4), (3, 5), (4, 4)])
 def test_dense_jacobian_has_no_reduction_to_zero(n, d, monkeypatch):
-    """The partials of a dense f form a regular sequence, on which the
-    signature loop reduces nothing to zero; mu is the Bezout count."""
+    """The partials of a dense f form a regular sequence, and so do their
+    leading forms: the signature loop reduces nothing to zero on either,
+    the basis of the partials being built on the first read of gb; mu is
+    the Bezout count."""
     f = _dense(random.Random(45), n, d)
     counter = LoopCounter()
     counter.install(monkeypatch)
-    assert milnor_number(f) == (d - 1) ** n
+    data = jacobian(f)
+    assert data.milnor == milnor_number(f) == (d - 1) ** n
+    assert data.gb.leading_exponents()
     assert counter.to_zero == 0
 
 

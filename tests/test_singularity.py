@@ -9,7 +9,15 @@ import pytest
 from ncunfold.errors import DegreeGuardExceeded, NotIsolated
 from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext
-from ncunfold.groebner import ideal_membership, normal_form
+from ncunfold.groebner import (
+    GREVLEX,
+    LEX,
+    buchberger,
+    ideal_membership,
+    normal_form,
+    quotient_dimension,
+    standard_monomials,
+)
 from ncunfold.singularity import (
     ADE_CONTEXT,
     Singularity,
@@ -23,6 +31,8 @@ from ncunfold.singularity import (
     milnor_number,
     monicize,
     qc_subspace,
+    _may_be_regular,
+    _top_form,
 )
 
 from oracles import milnor_oracle, rand_poly
@@ -269,3 +279,89 @@ def test_jacobian_and_singularity_abort_alike():
             aborts += free == "abort"
             results += free != "abort"
     assert aborts and results
+
+
+# -- mu and W from the leading forms of the partials -------------------------
+
+
+def _dense_f(rng, ctx, lo, d):
+    """f on every monomial of degree lo..d, coefficients in [-9, 9]."""
+    monomials = [e for e in itertools.product(range(d + 1), repeat=ctx.n) if lo <= sum(e) <= d]
+    return Polynomial(ctx, {e: rng.randint(-9, 9) for e in monomials})
+
+
+def _degenerate_top(rng, ctx, d):
+    """L^2 * g + lower terms, L a linear form on every variable and g dense
+    of degree d - 2: the top forms of the partials all vanish on L = 0, yet
+    for a generic draw each variable has a pure power among them and no two
+    are proportional, and the lower terms, linear ones among them, leave mu
+    finite."""
+    lin = Polynomial(ctx, {e: rng.choice([-3, -2, -1, 1, 2, 3])
+                           for e in itertools.product(range(2), repeat=ctx.n) if sum(e) == 1})
+    return lin * lin * _dense_f(rng, ctx, d - 2, d - 2) + _dense_f(rng, ctx, 1, d - 1)
+
+
+def _leading_form_draw():
+    """(f, order, check with the oracle) over dense and sparse f for
+    n = 2..4, the ADE catalog, and f whose top forms are degenerate: a
+    common zero on an axis, two proportional forms (scaled alike or not),
+    and forms that pass both prechecks yet are not regular."""
+    rng = random.Random(29)
+    ctxs = {n: RingContext(("x", "y", "z", "w")[:n]) for n in (2, 3, 4)}
+    draw = [(f, GREVLEX, False) for _, f in ade_catalog()]
+    for n, d in [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]:
+        draw.append((_dense_f(rng, ctxs[n], 2, d), GREVLEX, (n, d) == (2, 4)))
+    for _ in range(24):
+        n = rng.choice((2, 2, 3, 4))
+        f = rand_poly(rng, ctxs[n], rng.randint(2, 5), n_terms=rng.randint(2, 6))
+        if not f.is_constant():
+            draw.append((f - f.constant_term(), GREVLEX, n == 2))
+    for n, d in [(2, 3), (2, 4), (2, 4), (2, 5), (3, 4), (3, 4)]:
+        draw.append((_degenerate_top(rng, ctxs[n], d), GREVLEX, n == 2))
+    for text in ("(x+y)^3 + x^2 - y^2 + x", "(x+2*y)^3 + x^2 + y"):
+        draw.append((parse_polynomial(text, CTX2), GREVLEX, True))
+    x, y, z, w = (Polynomial.variable(ctxs[4], i) for i in range(1, 5))
+    draw += [((x + y + z + w) ** 4 + x ** 5, GREVLEX, False),
+             ((x + y + z + w) ** 3 + y ** 4 + x * z * w, GREVLEX, False)]
+    for n, d in [(2, 4), (2, 5), (3, 3)]:
+        draw.append((_dense_f(rng, ctxs[n], 2, d), LEX, False))
+    return draw
+
+
+def test_leading_form_path_matches_the_basis_of_the_partials():
+    """mu, isolatedness and W from `jacobian` equal those read off
+    buchberger(partials) under the same order on every f of the draw, and
+    the lazily built gb is that basis; `milnor_oracle` checks mu where it
+    is quick.  The prechecks reject only top forms that are not regular,
+    and the draw reaches every case of the path."""
+    cases = ("homogeneous", "lex", "regular", "rejected", "passed, not regular")
+    kinds = dict.fromkeys(cases, 0)
+    for f, order, oracle in _leading_form_draw():
+        partials = tuple(f.partial(i) for i in range(1, f.ctx.n + 1))
+        full = buchberger(partials, order)
+        mu = quotient_dimension(full)
+        data = jacobian(f, order)
+        assert (data.milnor, data.w_basis) == (mu, () if mu == INFINITE else
+                                               tuple(standard_monomials(full))), str(f)
+        assert is_isolated(f) == (mu != INFINITE)
+        assert data.gb == full
+        if oracle:
+            assert milnor_oracle(f) == mu, str(f)
+        tops = tuple(map(_top_form, partials))
+        regular = quotient_dimension(buchberger(tops)) != INFINITE
+        passed = _may_be_regular(tops)
+        assert passed or not regular, str(f)
+        if tops == partials:
+            kind = "homogeneous"
+        elif order == LEX:
+            kind = "lex"
+        elif not passed:
+            kind = "rejected"
+        elif regular:
+            kind = "regular"
+        elif mu != INFINITE:
+            kind = "passed, not regular"
+        else:
+            continue
+        kinds[kind] += 1
+    assert min(kinds[case] for case in cases) >= 3, kinds
