@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     QCInvalid,
     budget,
+    charger,
 )
 from .groebner import GREVLEX, MonomialOrder, ideal_membership
 from .hochschild import (
@@ -56,18 +57,13 @@ from .unfolding import (
 
 USAGE_ERROR, VALIDATION_ERROR, DEGREE_ABORT = 1, 2, 3
 
-# The JSON output of `mc-verify` and `quantize --general` lists every order
-# through --order, so its size grows with --order whatever the series hold;
-# past this order it is refused (exit 3) before any series is parsed.
-JSON_ORDER_BUDGET = 10_000
-
-# The hh-* commands cost what their output costs: they run under a budget of
-# COCHAIN_TERM_BUDGET steps, charged by brace and cup before each slot
-# combination, visit, derivative, table entry and monomial product, and the
-# first charge past it exits 3.  A derivative order or exponent past
-# COCHAIN_ORDER_LIMIT, which bounds the size of the coefficients that
-# derivatives make, is refused (exit 3) on reading.
-COCHAIN_TERM_BUDGET = 10_000
+# Every command runs under one budget of WORK_BUDGET steps, each charged
+# before its work, and the first charge past it exits 3: brace, cup and hkr
+# charge theirs, and the JSON output of mc-verify and quantize --general,
+# which lists every order, --order steps before any series is parsed.  A
+# cochain's derivative order or exponent past COCHAIN_ORDER_LIMIT (it bounds
+# the coefficients derivatives make) is an input size, refused on reading.
+WORK_BUDGET = 10_000
 COCHAIN_ORDER_LIMIT = 1_000
 
 
@@ -172,16 +168,6 @@ def _cochain(ctx: RingContext, data) -> PolyDiffOperator:
     return p
 
 
-def _check_json_order(args) -> None:
-    """BudgetExceeded when JSON output would list more than
-    JSON_ORDER_BUDGET orders."""
-    if args.format == "json" and args.order > JSON_ORDER_BUDGET:
-        raise BudgetExceeded(
-            f"{args.command}: JSON output lists every order, and --order "
-            f"{args.order} is over the budget of {JSON_ORDER_BUDGET}"
-        )
-
-
 def _emit(args, payload, text) -> None:
     """Print the JSON payload or the text, each given as a zero-argument
     callable: only the form that --format asks for is built."""
@@ -222,19 +208,18 @@ def _run(args) -> int:
     ctx = _ctx(args)
 
     if args.command.startswith("hh-"):
-        with budget(COCHAIN_TERM_BUDGET, f"{args.command}: expanding these cochains"):
-            p = _cochain(ctx, _json(args.P))
-            if args.command == "hh-d":
-                out = hochschild_differential(p)
-            elif args.command == "hh-brace":
-                qs = _json(args.Qs)
-                if not isinstance(qs, list):
-                    raise ValueError("--Qs must be a JSON list of cochains")
-                out = brace(p, [_cochain(ctx, item) for item in qs])
-            elif args.command == "hh-cup":
-                out = cup(p, _cochain(ctx, _json(args.Q)))
-            else:
-                out = gerstenhaber_bracket(p, _cochain(ctx, _json(args.Q)))
+        p = _cochain(ctx, _json(args.P))
+        if args.command == "hh-d":
+            out = hochschild_differential(p)
+        elif args.command == "hh-brace":
+            qs = _json(args.Qs)
+            if not isinstance(qs, list):
+                raise ValueError("--Qs must be a JSON list of cochains")
+            out = brace(p, [_cochain(ctx, item) for item in qs])
+        elif args.command == "hh-cup":
+            out = cup(p, _cochain(ctx, _json(args.Q)))
+        else:
+            out = gerstenhaber_bracket(p, _cochain(ctx, _json(args.Q)))
         _emit(args, out.to_json, lambda: str(out))
         return 0
 
@@ -320,8 +305,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "quantize":
-        if args.general:
-            _check_json_order(args)
+        if args.general and args.format == "json":
+            charger()(args.order)
         f = parse_polynomial(args.f, ctx, guard)
         p = parse_polynomial(args.p, ctx, guard)
         s = parse_gelement(args.S, ctx, guard)
@@ -347,7 +332,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mc-verify":
-        _check_json_order(args)
+        if args.format == "json":
+            charger()(args.order)
         f = parse_polynomial(args.f, ctx, guard)
         p_series = parse_poly_series(args.p, ctx, args.order, guard)
         s_series = parse_series(args.S, ctx, args.order, guard)
@@ -370,7 +356,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        with budget(WORK_BUDGET, args.command):
+            return _run(args)
     except (_UsageError, ParseError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

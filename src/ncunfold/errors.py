@@ -29,9 +29,9 @@ class DegreeGuardExceeded(UnfoldError):
 
 
 class BudgetExceeded(UnfoldError):
-    """A stage would do more work than its fixed budget allows, naming the
-    stage and the count: refused before the work starts, or under an open
-    `budget` at the first charge past it, after at most that much work."""
+    """Work or input past a fixed limit: under an open `budget`, the first
+    charge past it, naming the stage and the steps charged, after at most
+    the limit's worth of work; or an input read past a size limit."""
 
 
 # the charge(steps) of the budget open in this context, a no-op with none

@@ -17,7 +17,8 @@ as integer numerators (`poly.numerators`), every product runs in the ring's
 product kernel, and each output term is one `from_ints` (`poly.collect`).
 Under an open `errors.budget` it charges, before doing it, each slot combination
 and (combination, term of P) visit, the terms each table derivative and entry
-read, and the monomial products of each insertion; `cup` charges its products.
+read, and the monomial products of each insertion; `cup` charges its products
+and key alphas, `hkr` its terms.  With no budget open nothing is bounded.
 
 Sign conventions: a brace insertion P{Q_1..Q_l} carries the sign
 (-1)^(sum (q_t - 1) * o_t) where o_t is the number of argument positions
@@ -35,13 +36,9 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import BudgetExceeded, ContextMismatch, charger
+from .errors import ContextMismatch, charger
 from .poly import Polynomial, RingContext, TermMap, collect, int_product, numerators, product_kernel
 from .polyvector import GElement, bits_of
-
-# the most output terms hkr builds: 10,000 keeps the top polyvector of
-# n <= 7 variables (7! = 5040 terms) and stops n = 8 (40,320)
-HKR_TERM_BUDGET = 10_000
 
 
 class PolyDiffOperator(TermMap):
@@ -148,8 +145,10 @@ def cup(p: PolyDiffOperator, q: PolyDiffOperator) -> PolyDiffOperator:
     """(P cup Q)(b_1..b_{p+q}) = P(b_1..b_p) * Q(b_{p+1}..b_{p+q})."""
     if p.ctx != q.ctx:
         raise ContextMismatch("mixed contexts")
+    # the monomial products, and the p + q alphas of each term pair's key
     charger()(sum(len(c.nums) for c in p.terms.values())
-              * sum(len(c.nums) for c in q.terms.values()))
+              * sum(len(c.nums) for c in q.terms.values())
+              + len(p.terms) * len(q.terms) * (p.arity + q.arity))
     # distinct term pairs give distinct keys, and no product of nonzero terms is 0
     res = {a1 + a2: c1 * c2 for a1, c1 in p.terms.items() for a2, c2 in q.terms.items()}
     return PolyDiffOperator._make(p.ctx, res, p.arity + q.arity)
@@ -288,8 +287,8 @@ def hkr(x: GElement) -> PolyDiffOperator:
     (a / k!) * sum over permutations of sgn * prod_j d_{i_sigma(j)} b_j,
     so that k = 1 is the identity embedding of vector fields.
 
-    The output has k! terms per term of X; past HKR_TERM_BUDGET of them
-    BudgetExceeded is raised before any permutation is expanded.
+    The output has k! terms per term of X, charged to the open budget
+    before any permutation is expanded.
     """
     if not x.is_polyvector():
         raise ValueError("hkr is defined on eps-free elements only")
@@ -301,11 +300,7 @@ def hkr(x: GElement) -> PolyDiffOperator:
     if k == 0:
         return PolyDiffOperator.constant(x.polynomial_part())
     perms = math.factorial(k)
-    count = len(x.terms) * perms
-    if count > HKR_TERM_BUDGET:
-        raise BudgetExceeded(
-            f"hkr: the cochain would have {count} terms, over the budget of {HKR_TERM_BUDGET}"
-        )
+    charger()(len(x.terms) * perms)
     res: dict[tuple, Polynomial] = {}
     norm = Fraction(1, perms)
     for (e, mask), coeff in x.terms.items():

@@ -64,19 +64,23 @@ def _expr(rng, names, graded=False, series=False):
     return text
 
 
-def _cochain(rng, n, wide=False, large=0):
+def _cochain(rng, n, wide=False, large=0, long=False):
     """Cochain JSON of arity 0-2, now and then with a key dropped, a value
     of the wrong type or the text cut, or nested up to 10^4 deep.  A wide
     one (for hh-d) now and then has arity up to 2,000, with derivative
-    orders 0 so that its output stays small.  Given large, it has arity 1
-    or 2, and each derivative order and exponent is 0 or, twice as often,
-    large."""
+    orders 0 so that its output stays small.  A long one (for hh-cup) has
+    arity up to 1,000 and up to 100 terms, with derivative orders up to 2,
+    so that its keys are long.  Given large, it has arity 1 or 2, and each
+    derivative order and exponent is 0 or, twice as often, large."""
     if rng.random() < 0.05:
         depth = int(10 ** rng.uniform(0, 4))
         opener, closer = rng.choice([("[", "]"), ('{"terms": ', "}")])
         return opener * depth + ("0" + closer * depth if rng.random() < 0.5 else "")
     arity = int(10 ** rng.uniform(0, 3.3)) if wide and rng.random() < 0.2 else rng.randint(0, 2)
     top = 2 if arity <= 2 else 0
+    count = rng.randint(0, 2)
+    if long:
+        arity, count, top = rng.randint(1, 1000), rng.randint(1, 100), 2
     order, exponent = (lambda: rng.randint(0, top)), (lambda: rng.randint(0, 3))
     if large:
         arity = rng.randint(1, 2)
@@ -84,7 +88,7 @@ def _cochain(rng, n, wide=False, large=0):
     terms = [{"coeff": {"terms": [{"exp": [exponent() for _ in range(n)],
                                    "num": str(rng.randint(-5, 5)), "den": str(rng.randint(1, 3))}]},
               "alphas": [[order() for _ in range(n)] for _ in range(arity)]}
-             for _ in range(rng.randint(0, 2))]
+             for _ in range(count)]
     data = {"arity": arity, "terms": terms}
     roll = rng.random()
     if roll < 0.1:
@@ -112,8 +116,11 @@ def _argv(rng):
     series = command == "mc-verify"
     # a quarter of the hh-* commands take cochains of one large order, from
     # 100 to 2,000: on both sides of cli.COCHAIN_ORDER_LIMIT and, in
-    # products, of cli.COCHAIN_TERM_BUDGET
+    # products, of cli.WORK_BUDGET
     large = int(10 ** rng.uniform(2, 3.3)) if rng.random() < 0.25 else 0
+    # a quarter of the other hh-cup draws take two long cochains, whose cup
+    # builds up to 10^4 keys of up to 2,000 alphas
+    long = command == "hh-cup" and not large and rng.random() < 0.25
     big_order = False
     for flag in cli._COMMANDS[command][1].split():
         if flag == "--f":
@@ -123,7 +130,7 @@ def _argv(rng):
         elif flag in ("--S", "--X", "--Y") or (flag == "--T" and rng.random() < 0.5):
             argv += [flag, _expr(rng, names, graded=True, series=series)]
         elif flag in ("--P", "--Q"):
-            argv += [flag, _cochain(rng, n, wide=command == "hh-d", large=large)]
+            argv += [flag, _cochain(rng, n, wide=command == "hh-d", large=large, long=long)]
         elif flag == "--Qs":
             cochains = [_cochain(rng, n, large=large) for _ in range(rng.randint(0, 2))]
             argv += [flag, "[" + ", ".join(cochains) + "]"]
@@ -150,13 +157,13 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
     E, h and D(...) with bad indices, powers from 0 to 10^6 and (1+E)^k up
     to k = 2000, parentheses up to 400 deep, stray symbols, non-ASCII
     digits, valid and malformed cochain JSON, nested up to 10^4 deep, of
-    arity up to 2,000 or with derivative orders and exponents up to 2,000,
-    and --order up to 10^6 with JSON output.  Each exits 0, 1, 2 or 3,
-    with no traceback, in under 2 s; E powers past --max-degree are
-    refused before they are expanded, JSON orders past
-    cli.JSON_ORDER_BUDGET before any series is parsed, cochains past
-    cli.COCHAIN_ORDER_LIMIT on reading, and cochain work at the first step
-    charged past cli.COCHAIN_TERM_BUDGET."""
+    arity up to 2,000, of arity up to 1,000 with up to 100 terms, or with
+    derivative orders and exponents up to 2,000, and --order up to 10^6
+    with JSON output.  Each exits 0, 1, 2 or 3, with no traceback, in under
+    2 s; E powers past --max-degree are refused before they are expanded,
+    cochains past cli.COCHAIN_ORDER_LIMIT on reading, and JSON orders
+    (charged before any series is parsed) and cochain work at the first
+    step charged past cli.WORK_BUDGET."""
     rng = random.Random(2026)
     codes, commands = set(), set()
     large_orders = {"refused": 0, "passed": 0}
@@ -176,8 +183,8 @@ def test_every_drawn_argv_exits_with_a_documented_code_at_once():
         commands.add(argv[0])
         order = argv[argv.index("--order") + 1] if "--order" in argv else ""
         if order.isdigit() and int(order) > 100 and argv[-2:] == ["--format", "json"]:
-            if "JSON output lists every order" in err.getvalue():
-                assert code == 3 and int(order) > cli.JSON_ORDER_BUDGET, argv
+            if f" may take {int(order)} or more steps" in err.getvalue():
+                assert code == 3 and int(order) > cli.WORK_BUDGET, argv
                 large_orders["refused"] += 1
             else:
                 large_orders["passed"] += 1

@@ -23,7 +23,6 @@ import pytest
 from ncunfold import hochschild
 from ncunfold.errors import BudgetExceeded, ContextMismatch, budget
 from ncunfold.hochschild import (
-    HKR_TERM_BUDGET,
     PolyDiffOperator,
     _splits,
     brace,
@@ -361,7 +360,8 @@ class _WorkCounts:
     """Counts, where brace and cup do it, the work they charge: the terms
     read by derivatives (d^0 reads none), the terms of table entries, split
     entries materialized and monomial products (brace's in the product
-    kernel, cup's in Polynomial.__mul__), and brace's Polynomial products."""
+    kernel, cup's in Polynomial.__mul__), and Polynomial products (cup forms
+    one per key it builds, brace none)."""
 
     def __init__(self, monkeypatch):
         self.derivatives = self.entries = self.materialized = self.products = 0
@@ -448,9 +448,10 @@ def test_budget_stops_the_work_within_one_charge_of_its_limit(monkeypatch):
     """With a budget open at a limit below what brace, the bracket, the
     differential or cup charge in all, the first charge past the limit
     raises BudgetExceeded, naming the count so far, and the work done before
-    it (terms read by derivatives, split entries materialized and monomial
-    products, counted where they are done) is at most the limit: each piece
-    is charged before it is done, so only the charge that raises goes unpaid."""
+    it (terms read by derivatives, split entries materialized, monomial
+    products and the alphas of cup's keys, counted where they are done) is
+    at most the limit: each piece is charged before it is done, so only the
+    charge that raises goes unpaid."""
     rng = random.Random(12)
     operations = [lambda p, q: brace(p, [q]), gerstenhaber_bracket,
                   lambda p, q: hochschild_differential(p), cup]
@@ -483,13 +484,29 @@ def test_budget_stops_the_work_within_one_charge_of_its_limit(monkeypatch):
             patch.setattr(hochschild, "charger", recording)
             with pytest.raises(BudgetExceeded) as info, budget(limit, "op") as spent:
                 operation(p, q)
-        assert work.derivatives + work.materialized + work.products <= limit
+        keys = work.polynomial_products * (p.arity + q.arity)  # cup's, of p + q alphas each
+        assert work.derivatives + work.materialized + work.products + keys <= limit
         assert spent[0] == sum(charges) and spent[0] - charges[-1] <= limit < spent[0]
         assert str(info.value) == f"op may take {spent[0]} or more steps, over the budget of {limit}"
         with budget(total[0], "op"):
             assert operation(p, q) == expected
         raised += 1
     assert raised >= 150, raised
+
+
+def test_cup_charges_its_products_and_the_alphas_of_its_keys(monkeypatch):
+    """Under an open budget, cup charges the monomial products of each term
+    pair and the p + q alphas of the key it builds, all before the first."""
+    work = _WorkCounts(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(100):
+        ctx = RingContext(("x", "y", "z")[: rng.randint(1, 3)])
+        p, q = (_random_cochain(rng, ctx, rng.randint(0, 3), rng.random() < 0.5) for _ in "pq")
+        work.products = work.polynomial_products = 0
+        with budget(math.inf, "cup") as spent:
+            cup(p, q)
+        assert work.polynomial_products == len(p.terms) * len(q.terms)
+        assert spent[0] == work.products + work.polynomial_products * (p.arity + q.arity)
 
 
 # -- Gerstenhaber bracket -----------------------------------------------------------
@@ -671,10 +688,10 @@ def test_hkr_rejects_eps():
 
 
 def test_hkr_output_budget_counts_k_factorial_per_term():
-    # on 8 variables, 13 six-vectors make 13 * 6! = 9360 terms, within the
-    # budget of 10,000, and 14 make 10,080, past it; so does the top
-    # polyvector (8! = 40,320), which is refused before any permutation
-    # is expanded
+    # under an open budget of 10,000 steps on 8 variables, 13 six-vectors
+    # make 13 * 6! = 9360 terms, within it, and 14 make 10,080, past it;
+    # so does the top polyvector (8! = 40,320), which is refused before any
+    # permutation is expanded.  With no budget open, hkr is not bounded.
     ctx = RingContext(tuple(f"x{i}" for i in range(1, 9)))
     one = Polynomial.one(ctx)
     masks = [mask_of(c) for c in itertools.combinations(range(1, 9), 6)]
@@ -682,14 +699,18 @@ def test_hkr_output_budget_counts_k_factorial_per_term():
     def six_vectors(count):
         return GElement(ctx, {(0, m): one for m in masks[:count]})
 
-    assert 13 * 720 <= HKR_TERM_BUDGET < 14 * 720
-    assert len(hkr(six_vectors(13)).terms) == 13 * 720
-    with pytest.raises(BudgetExceeded, match=r"hkr.* 10080 terms"):
-        hkr(six_vectors(14))
+    with budget(10_000, "hkr"):
+        assert len(hkr(six_vectors(13)).terms) == 13 * 720
+    with pytest.raises(BudgetExceeded, match=r"^hkr may take 10080 or more steps, "
+                                             r"over the budget of 10000$"):
+        with budget(10_000, "hkr"):
+            hkr(six_vectors(14))
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"hkr.* 40320 terms"):
-        hkr(GElement.wedge_monomial(ctx, range(1, 9)))
+    with pytest.raises(BudgetExceeded, match=r"^hkr may take 40320 or more steps"):
+        with budget(10_000, "hkr"):
+            hkr(GElement.wedge_monomial(ctx, range(1, 9)))
     assert time.perf_counter() - start < 1.0
+    assert len(hkr(six_vectors(14)).terms) == 14 * 720
 
 
 def test_hkr_scales_each_coefficient_once_per_term(monkeypatch):
