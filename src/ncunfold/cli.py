@@ -24,7 +24,7 @@ from .errors import (
     budget,
     charger,
 )
-from .groebner import GREVLEX, MonomialOrder, ideal_membership
+from .groebner import ModuleElement, MonomialOrder, module_normal_form
 from .hochschild import (
     PolyDiffOperator,
     brace,
@@ -49,7 +49,6 @@ from .unfolding import (
     ObstructionReport,
     koszul_lift,
     mc_verify,
-    qc_normalize,
     qc_validate,
     quantize_general,
     quantize_n3,
@@ -294,10 +293,9 @@ def _run(args) -> int:
     if args.command == "qc-normalize":
         f = parse_polynomial(args.f, ctx, guard)
         p = parse_polynomial(args.p, ctx, guard)
-        sing = Singularity(f, guard)
-        w_part = qc_normalize(sing, p)
-        # W's terms are standard and never reduce: these are the cofactors of p
-        cofactors = ideal_membership(p - w_part, sing.jacobian().partials, GREVLEX, guard)
+        basis = Singularity(f, guard).cofactor_basis()
+        trace = module_normal_form(ModuleElement((p,)), basis, guard).over_source(basis)
+        (w_part,), cofactors = trace.remainder.components, trace.cofactors
         _emit(args, lambda: {
             "w_part": w_part.to_json(),
             "cofactors": [c.to_json() for c in cofactors],

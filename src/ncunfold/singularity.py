@@ -8,18 +8,21 @@ k[x_1..x_n] / (df/dx_1, ..., df/dx_n).
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import warnings
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotIsolated
 from .groebner import (
     GREVLEX,
     GroebnerBasis,
+    ModuleElement,
+    ModuleGroebnerBasis,
     MonomialOrder,
     buchberger,
+    module_buchberger,
     quotient_dimension,
     standard_monomials,
 )
@@ -27,24 +30,17 @@ from .poly import INFINITE, Polynomial, RingContext, Substitution, Value, from_i
 
 
 class JacobianData(Value):
-    """Partials, the reduced Groebner basis gb of the ideal J they span, the
-    Milnor number (an int or "infinite"), and the standard-monomial basis of
-    the complement W.  gb may be given as a function of no arguments, called
-    on the first read: `jacobian` gives one when it read the Milnor number
-    and W off the leading forms of the partials."""
+    """Partials, the generators whose reduced Groebner basis was built (the
+    top forms of the partials when `jacobian` read mu and W off them, the
+    partials otherwise), that basis, the Milnor number (an int or "infinite")
+    and the standard-monomial basis of the complement W.  A plain record:
+    reading it builds nothing.  `Singularity.cofactor_basis` reduces modulo J."""
 
-    __slots__ = ("partials", "_gb", "milnor", "w_basis")
-    _fields = ("partials", "gb", "milnor", "w_basis")
+    __slots__ = _fields = ("partials", "generators", "basis", "milnor", "w_basis")
 
-    def __init__(self, partials: tuple[Polynomial, ...], gb: GroebnerBasis, milnor,
-                 w_basis: tuple[tuple, ...]):
-        self._set(partials, gb, milnor, w_basis)
-
-    @property
-    def gb(self) -> GroebnerBasis:
-        if not isinstance(self._gb, GroebnerBasis):
-            object.__setattr__(self, "_gb", self._gb())
-        return self._gb
+    def __init__(self, partials: tuple[Polynomial, ...], generators: tuple[Polynomial, ...],
+                 basis: GroebnerBasis, milnor, w_basis: tuple[tuple, ...]):
+        self._set(partials, generators, basis, milnor, w_basis)
 
     def report(self) -> dict:
         return {
@@ -97,26 +93,24 @@ def jacobian(
     order: MonomialOrder = GREVLEX,
     max_degree: int | None = None,
 ) -> JacobianData:
-    """Partials, reduced GB of the Jacobian ideal J, Milnor number, W basis.
+    """Partials, the generators of J whose basis is built, the basis, mu, W.
 
     Under grevlex, when the top forms t of the partials are not the partials
     and k[x]/(t) is finite, t is a regular sequence, the partials are an
     H-basis of J and LT(J) = LT((t)): mu and W are read off the basis of (t),
-    and that of J is built on the first read of `gb`.  Otherwise, and under
-    lex, both come from the basis of J.  Every basis obeys max_degree.
+    and t are the generators.  Otherwise, and under lex, the partials are,
+    and both come from the basis of J.  Every basis obeys max_degree.
     """
     _require_nonconstant(f)
     partials = tuple(f.partial(i) for i in range(1, f.ctx.n + 1))
-    gb = functools.partial(buchberger, partials, order, max_degree)
     tops = tuple(map(_top_form, partials)) if order == GREVLEX else partials
-    basis = None
-    if tops != partials and _may_be_regular(tops):
-        basis = buchberger(tops, order, max_degree)
-    if basis is None or quotient_dimension(basis) == INFINITE:
-        basis = gb = gb()
+    gens = tops if tops != partials and _may_be_regular(tops) else partials
+    basis = buchberger(gens, order, max_degree)
+    if gens is not partials and quotient_dimension(basis) == INFINITE:
+        gens, basis = partials, buchberger(partials, order, max_degree)
     mu = quotient_dimension(basis)
     w_basis = () if mu == INFINITE else tuple(standard_monomials(basis))
-    return JacobianData(partials=partials, gb=gb, milnor=mu, w_basis=w_basis)
+    return JacobianData(partials, gens, basis, mu, w_basis)
 
 
 def milnor_number(f: Polynomial, max_degree: int | None = None):
@@ -139,19 +133,19 @@ class Singularity(Value):
     """A polynomial f viewed as a map-germ; the base ring k[y] acts via y = f.
 
     Owner of the data derived from the Jacobian ideal of f: its
-    JacobianData is computed on first use, once, under the degree guard
-    max_degree given here, and kept out of equality.  The unfolding
-    functions accept a Singularity in place of f and hand it on, so one
-    top-level call computes it once; this is the only place they take a
-    degree guard from.
+    JacobianData and its cofactor basis are each computed on first use,
+    once, under the degree guard max_degree given here, and kept out of
+    equality.  The unfolding functions accept a Singularity in place of f
+    and hand it on, so one top-level call computes them once; this is the
+    only place they take a degree guard from.
     """
 
-    __slots__ = ("f", "max_degree", "_jacobian")
+    __slots__ = ("f", "max_degree", "_jacobian", "_basis")
     _fields = ("f", "max_degree")
 
     def __init__(self, f: Polynomial, max_degree: int | None = None):
         _require_nonconstant(f)
-        self._set(f, max_degree, None)
+        self._set(f, max_degree, None, None)
 
     @classmethod
     def of(cls, f) -> "Singularity":
@@ -178,6 +172,24 @@ class Singularity(Value):
         if data.milnor == INFINITE:
             raise NotIsolated("f is not an isolated singularity")
         return data
+
+    def cofactor_basis(self) -> ModuleGroebnerBasis:
+        """A Groebner basis of J over the partials as source; NotIsolated for
+        infinite mu.  Each element g = sum(c_i * g_i) of the module basis of
+        the JacobianData's generators g_i is lifted to sum(c_i * df/dx_i), g
+        itself when they are the partials.  Over the top forms t the loop
+        keeps c_i homogeneous of degree deg g - deg t_i, so the lift keeps the
+        leading term of g, and LT(J) = LT((t)) makes the lifts a basis of J."""
+        if self._basis is None:
+            data = self.isolated_jacobian()
+            gb = module_buchberger([ModuleElement((g,)) for g in data.generators], GREVLEX,
+                                   self.max_degree)
+            lifts = tuple(ModuleElement((sum(map(mul, row, data.partials)),))
+                          for row in gb.source_cofactors)
+            source = tuple(ModuleElement((d,)) for d in data.partials)
+            object.__setattr__(self, "_basis", ModuleGroebnerBasis(
+                lifts, GREVLEX, 1, source, gb.source_cofactors))
+        return self._basis
 
     def milnor_number(self):
         return self.jacobian().milnor
@@ -208,22 +220,11 @@ def monicize(f: Polynomial) -> tuple[Substitution, Polynomial]:
     ctx = f.ctx
     if is_monic_in_last(f):
         return Substitution.identity(ctx), f
-    n = ctx.n
-
-    def candidate(exponents: list[int]) -> Substitution:
-        images = []
-        xn = Polynomial.variable(ctx, n)
-        for i in range(1, n):
-            images.append(Polynomial.variable(ctx, i) + xn ** exponents[i - 1])
-        images.append(xn)
-        return Substitution(ctx, tuple(images))
-
-    d_n = max(f.degree_in(n), 0)
-    attempts = [[d_n + i for i in range(1, n)]]
-    base = f.total_degree() + 1
-    attempts.append([base ** i for i in range(1, n)])
-    for exponents in attempts:
-        sigma = candidate(exponents)
+    n, xn = ctx.n, Polynomial.variable(ctx, ctx.n)
+    d_n, base = max(f.degree_in(n), 0), f.total_degree() + 1
+    for exponents in ([d_n + i for i in range(1, n)], [base ** i for i in range(1, n)]):
+        sigma = Substitution(ctx, tuple(Polynomial.variable(ctx, i) + xn ** exponents[i - 1]
+                                        for i in range(1, n)) + (xn,))
         image = sigma(f)
         if is_monic_in_last(image):
             return sigma, image
@@ -236,11 +237,7 @@ ADE_CONTEXT = RingContext(("x", "y", "z"))
 
 
 def _xyz():
-    return (
-        Polynomial.variable(ADE_CONTEXT, 1),
-        Polynomial.variable(ADE_CONTEXT, 2),
-        Polynomial.variable(ADE_CONTEXT, 3),
-    )
+    return tuple(Polynomial.variable(ADE_CONTEXT, i) for i in (1, 2, 3))
 
 
 def a_k(k: int) -> Polynomial:

@@ -14,10 +14,10 @@ check is the first-order condition [f, S] = 0, and its NotACycle carries
 the nonzero [f, S] as ``image``, so validation takes [f, S] once.
 
 The functions that need the Jacobian ideal take f as a Polynomial or as a
-``Singularity``, which owns the degree guard max_degree and the Jacobian
-data, and hand that one Singularity on, so a call computes the data once.
-A guarded computation passes ``Singularity(f, max_degree)``; a Polynomial f
-runs unguarded.
+``Singularity``, which owns the degree guard max_degree, the Jacobian data
+and the cofactor basis of J, and hand that one Singularity on, so a call
+computes each once.  A guarded computation passes ``Singularity(f,
+max_degree)``; a Polynomial f runs unguarded.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotACycle, QCInvalid
-from .groebner import GREVLEX, ModuleElement, module_preimage, normal_form
+from .groebner import GREVLEX, ModuleElement, module_normal_form, module_preimage, normal_form
 from .poly import HSeries, Polynomial, RingContext, Value, accumulate
 from .polyvector import (
     GElement,
@@ -101,10 +101,15 @@ def koszul_lift(f: Polynomial | Singularity, z: GElement) -> GElement:
 def qc_normalize(f: Polynomial | Singularity, p: Polynomial) -> Polynomial:
     """The W-part of p: its normal form modulo the Jacobian ideal, supported
     on W, with p - W-part in the ideal; f is a Polynomial or a Singularity.
-    Idempotent on W-supported inputs.  `ideal_membership(p - W-part,
-    partials)` expresses the rest over the partials."""
+    Idempotent on W-supported inputs.  p is reduced by the JacobianData's
+    basis when that spans J, else by `Singularity.cofactor_basis`, whose
+    normal form also expresses p - W-part over the partials."""
     sing = Singularity.of(f)
-    return normal_form(p, sing.isolated_jacobian().gb, sing.max_degree).remainder
+    data = sing.isolated_jacobian()
+    if data.generators == data.partials:
+        return normal_form(p, data.basis, sing.max_degree).remainder
+    trace = module_normal_form(ModuleElement((p,)), sing.cofactor_basis(), sing.max_degree)
+    return trace.remainder.components[0]
 
 
 class QCViolation(Value):

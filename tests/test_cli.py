@@ -23,6 +23,7 @@ from ncunfold.hochschild import PolyDiffOperator, gerstenhaber_bracket
 from ncunfold.parsing import parse_gelement, parse_polynomial
 from ncunfold.poly import Polynomial, RingContext, to_decimal
 from ncunfold.polyvector import GElement, ad_f
+from ncunfold.singularity import jacobian
 from ncunfold.unfolding import MCSolution, mc_verify
 
 from oracles import decimal_value
@@ -789,18 +790,27 @@ def test_degree_guard_exit_3(capsys):
 
 def test_degree_guard_agrees_across_jacobian_commands(capsys):
     """Every command builds the Jacobian basis by one loop, so under one
-    guard they abort, or succeed, together."""
-    f = "--f=-2*y*z^2 + 3*x*y^2 + z^2 - 2*y*z - 3*x^2"
-    payloads = {}
-    for command in ("milnor", "jacobian", "qc-subspace"):
-        code, out, _ = run(
-            capsys, [command, "--vars", "x,y,z", f, "--max-degree", "3", "--format", "json"]
-        )
-        assert code == 0, command
-        payloads[command] = json.loads(out)
-    assert payloads["milnor"]["milnor"] == payloads["jacobian"]["milnor"] == 5
-    assert payloads["qc-subspace"]["w_basis"] == payloads["jacobian"]["w_basis"]
-    assert len(payloads["jacobian"]["w_basis"]) == 5
+    guard they abort, or succeed, together.  The second f takes the
+    leading-form path at the least guard its parse admits: qc-normalize
+    runs the loop on the same top forms, with cofactors, where it built the
+    basis of the partials before."""
+    cases = [("-2*y*z^2 + 3*x*y^2 + z^2 - 2*y*z - 3*x^2", "3", 5),
+             ("x^4 + y^4 + z^4 + x*y*z - 2*x^2*y", "4", 27)]
+    for f, guard, mu in cases:
+        payloads = {}
+        for command in ("milnor", "jacobian", "qc-subspace", "qc-normalize"):
+            p = ["--p", "x*y*z + x^2 - 1"] if command == "qc-normalize" else []
+            code, out, _ = run(capsys, [command, "--vars", "x,y,z", "--f", f, *p,
+                                        "--max-degree", guard, "--format", "json"])
+            assert code == 0, (command, f)
+            payloads[command] = json.loads(out)
+        assert payloads["milnor"]["milnor"] == payloads["jacobian"]["milnor"] == mu
+        assert payloads["qc-subspace"]["w_basis"] == payloads["jacobian"]["w_basis"]
+        assert len(payloads["jacobian"]["w_basis"]) == mu
+        w_part = payloads["qc-normalize"]["w_part"]["terms"]
+        assert {tuple(t["exp"]) for t in w_part} <= set(map(tuple, payloads["jacobian"]["w_basis"]))
+    data = jacobian(parse_polynomial(cases[1][0], CTX3))
+    assert data.generators != data.partials  # the leading-form path
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -161,7 +161,7 @@ def test_standard_monomials_are_walked_once_and_returned_as_new_lists(monkeypatc
         walks.clear()
         data = jacobian(f)
         assert len(walks) == 1
-        assert data.w_basis == (() if data.milnor == INFINITE else tuple(standard_monomials(data.gb)))
+        assert data.w_basis == (() if data.milnor == INFINITE else tuple(standard_monomials(data.basis)))
         assert len(walks) == 1
 
 
@@ -645,7 +645,7 @@ def test_basis_without_cofactors():
     assert module.remainder.components[0] == trace.remainder
     # Singularity.jacobian, which qc_normalize reads, is the same basis
     f = x ** 3 + x * y ** 3 + z ** 2
-    assert Singularity(f).jacobian().gb == jacobian(f).gb
+    assert Singularity(f).jacobian().basis == jacobian(f).basis
 
 
 def test_dense_jacobian_basis_matches_naive_buchberger():
@@ -803,14 +803,14 @@ def _dense(rng, n, d):
 def test_dense_jacobian_has_no_reduction_to_zero(n, d, monkeypatch):
     """The partials of a dense f form a regular sequence, and so do their
     leading forms: the signature loop reduces nothing to zero on either,
-    the basis of the partials being built on the first read of gb; mu is
-    the Bezout count."""
+    `jacobian` running it on the leading forms and the test on the
+    partials; mu is the Bezout count."""
     f = _dense(random.Random(45), n, d)
     counter = LoopCounter()
     counter.install(monkeypatch)
     data = jacobian(f)
     assert data.milnor == milnor_number(f) == (d - 1) ** n
-    assert data.gb.leading_exponents()
+    assert buchberger(data.partials).leading_exponents()
     assert counter.to_zero == 0
 
 

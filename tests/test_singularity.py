@@ -1,19 +1,24 @@
 """Jacobian data, Milnor numbers, the complement W, and monicization."""
 
 import itertools
+import json
+import operator
 import random
 import warnings
 
 import pytest
 
+from ncunfold import groebner, singularity, unfolding
+from ncunfold.cli import main
 from ncunfold.errors import DegreeGuardExceeded, NotIsolated
 from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext
 from ncunfold.groebner import (
     GREVLEX,
     LEX,
+    ModuleElement,
     buchberger,
-    ideal_membership,
+    module_normal_form,
     normal_form,
     quotient_dimension,
     standard_monomials,
@@ -34,6 +39,7 @@ from ncunfold.singularity import (
     _may_be_regular,
     _top_form,
 )
+from ncunfold.unfolding import qc_normalize
 
 from oracles import milnor_oracle, rand_poly
 
@@ -154,7 +160,7 @@ def test_w_basis_monomials_are_their_own_normal_forms():
         data = jacobian(f)
         for exps in data.w_basis:
             m = Polynomial.monomial(ADE_CONTEXT, exps)
-            assert normal_form(m, data.gb).remainder == m
+            assert normal_form(m, data.basis).remainder == m
 
 
 def test_singularity_wrapper():
@@ -237,15 +243,18 @@ def test_monicize_random_preserves_milnor():
 def test_singularity_jacobian_is_the_free_jacobian():
     """Singularity.jacobian, which the Koszul lifts and qc_normalize read,
     builds the same cofactor-free basis as jacobian(f); cofactors over the
-    partials come from ideal_membership where they are needed."""
+    partials come from one normal form over `Singularity.cofactor_basis`,
+    whose remainder is the normal form over that cofactor-free basis."""
     p = parse_polynomial("x^3*y + z^4", ADE_CONTEXT)
     for _, f in ade_catalog():
-        data = Singularity(f).jacobian()
-        free = jacobian(f)
-        assert data.gb == free.gb
+        sing = Singularity(f)
+        data, free = sing.jacobian(), jacobian(f)
+        assert data.basis == free.basis
         assert data.partials == free.partials
-        w = normal_form(p, data.gb).remainder
-        cofs = ideal_membership(p - w, data.partials)
+        basis = sing.cofactor_basis()
+        trace = module_normal_form(ModuleElement((p,)), basis).over_source(basis)
+        (w,), cofs = trace.remainder.components, trace.cofactors
+        assert w == normal_form(p, data.basis).remainder
         assert w + sum((c * q for c, q in zip(cofs, data.partials)),
                        Polynomial.zero(ADE_CONTEXT)) == p
 
@@ -255,7 +264,7 @@ def _outcome(build):
         data = build()
     except DegreeGuardExceeded:
         return "abort"
-    return data.gb, data.milnor
+    return data.basis, data.milnor
 
 
 def test_jacobian_and_singularity_abort_alike():
@@ -330,10 +339,13 @@ def _leading_form_draw():
 
 def test_leading_form_path_matches_the_basis_of_the_partials():
     """mu, isolatedness and W from `jacobian` equal those read off
-    buchberger(partials) under the same order on every f of the draw, and
-    the lazily built gb is that basis; `milnor_oracle` checks mu where it
-    is quick.  The prechecks reject only top forms that are not regular,
-    and the draw reaches every case of the path."""
+    buchberger(partials) under the same order on every f of the draw; its
+    basis is that of its generators, the top forms on the regular case
+    and the partials otherwise, and under grevlex the lifted
+    `Singularity.cofactor_basis` of an isolated f has the leading terms of
+    buchberger(partials); `milnor_oracle` checks mu where it is quick.  The
+    prechecks reject only top forms that are not regular, and the draw
+    reaches every case of the path."""
     cases = ("homogeneous", "lex", "regular", "rejected", "passed, not regular")
     kinds = dict.fromkeys(cases, 0)
     for f, order, oracle in _leading_form_draw():
@@ -344,7 +356,11 @@ def test_leading_form_path_matches_the_basis_of_the_partials():
         assert (data.milnor, data.w_basis) == (mu, () if mu == INFINITE else
                                                tuple(standard_monomials(full))), str(f)
         assert is_isolated(f) == (mu != INFINITE)
-        assert data.gb == full
+        assert data.basis == buchberger(data.generators, order)
+        if order == GREVLEX and mu != INFINITE:
+            lifts = Singularity(f).cofactor_basis()
+            leads = [max(g.components[0].nums, key=GREVLEX.key) for g in lifts.generators]
+            assert leads == full.leading_exponents(), str(f)
         if oracle:
             assert milnor_oracle(f) == mu, str(f)
         tops = tuple(map(_top_form, partials))
@@ -363,5 +379,53 @@ def test_leading_form_path_matches_the_basis_of_the_partials():
             kind = "passed, not regular"
         else:
             continue
+        assert data.generators == (tops if kind == "regular" else partials), str(f)
         kinds[kind] += 1
     assert min(kinds[case] for case in cases) >= 3, kinds
+
+
+def test_qc_normalize_reduces_once_over_the_cofactor_basis(capsys, monkeypatch):
+    """Differential gate of `Singularity.cofactor_basis`.  On each f of the
+    draw that is isolated under grevlex, for 3 seeded dense p, qc_normalize
+    and the w_part that `unfold qc-normalize` prints equal the normal form
+    over buchberger(partials), the route before the cofactor basis, kept
+    here as the oracle, and the printed cofactors c satisfy p = w_part +
+    sum(c_i * df/dx_i).  The command runs module_buchberger once, calls no
+    module_preimage, and on the leading-form path builds no basis but that
+    of the top forms of the partials."""
+    calls = {"buchberger": [], "module_buchberger": [], "module_preimage": []}
+    for module, name in [(singularity, "buchberger"), (singularity, "module_buchberger"),
+                         (groebner, "module_preimage"), (unfolding, "module_preimage")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k:
+                            calls[name].append(a[0]) or real(*a, **k))
+    rng = random.Random(31)
+    paths = {"leading forms": 0, "partials": 0}
+    for f, order, _ in _leading_form_draw():
+        data = jacobian(f)
+        if order != GREVLEX or data.milnor == INFINITE:
+            continue
+        ctx, partials = f.ctx, data.partials
+        assert data.generators in (partials, tuple(map(_top_form, partials)))
+        paths["partials" if data.generators == partials else "leading forms"] += 1
+        full = buchberger(partials)
+        monomials = [e for e in itertools.product(range(f.total_degree() + 1), repeat=ctx.n)
+                     if sum(e) <= f.total_degree()]
+        for _ in range(3):
+            p = Polynomial(ctx, {e: rng.randint(-5, 5) for e in monomials})
+            want = normal_form(p, full).remainder
+            assert qc_normalize(f, p) == want, (str(f), str(p))
+            for found in calls.values():
+                found.clear()
+            code = main(["qc-normalize", "--vars", ",".join(ctx.names), "--f", str(f),
+                         "--p", str(p), "--format", "json"])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0
+            w = Polynomial.from_json(ctx, out["w_part"])
+            cofs = [Polynomial.from_json(ctx, c) for c in out["cofactors"]]
+            assert w == want and len(cofs) == ctx.n, str(f)
+            assert w + sum(map(operator.mul, cofs, partials)) == p, str(f)
+            assert calls["buchberger"][-1] == data.generators
+            assert calls["buchberger"] == [data.generators] or data.generators == partials
+            assert len(calls["module_buchberger"]) == 1 and calls["module_preimage"] == []
+    assert min(paths.values()) >= 5, paths

@@ -4,11 +4,13 @@ immutability, and copy and pickle round trips."""
 
 import copy
 import inspect
+import itertools
 import pickle
+import random
 
 import pytest
 
-from ncunfold import errors
+from ncunfold import errors, groebner, singularity
 from ncunfold.errors import ContextMismatch
 from ncunfold.groebner import (
     GREVLEX,
@@ -129,7 +131,8 @@ SIGNATURES = {
                           ("source", ()), ("source_cofactors", ())],
     ReductionTrace: [("input", EMPTY), ("basis", EMPTY), ("remainder", EMPTY),
                      ("cofactors", EMPTY)],
-    JacobianData: [("partials", EMPTY), ("gb", EMPTY), ("milnor", EMPTY), ("w_basis", EMPTY)],
+    JacobianData: [("partials", EMPTY), ("generators", EMPTY), ("basis", EMPTY),
+                   ("milnor", EMPTY), ("w_basis", EMPTY)],
     Singularity: [("f", EMPTY), ("max_degree", None)],
     QCViolation: [("kind", EMPTY), ("message", EMPTY), ("element", None)],
     QuasiClassicalDatum: [("f", EMPTY), ("p_raw", EMPTY), ("p_normal", EMPTY), ("s", EMPTY),
@@ -152,7 +155,7 @@ COMPARED = {
     GroebnerBasis: ("generators", "order"),
     ModuleGroebnerBasis: ("generators", "order", "rank", "source"),
     ReductionTrace: ("input", "basis", "remainder", "cofactors"),
-    JacobianData: ("partials", "gb", "milnor", "w_basis"),
+    JacobianData: ("partials", "generators", "basis", "milnor", "w_basis"),
     Singularity: ("f", "max_degree"),
     QCViolation: ("kind", "message", "element"),
     QuasiClassicalDatum: None,
@@ -332,6 +335,32 @@ def test_standard_monomials_kept_by_a_basis_change_no_value_semantics():
             assert type(twin) is GroebnerBasis and twin == walked and hash(twin) == hash(walked)
             assert standard_monomials(twin) == monomials
             assert quotient_dimension(twin) == len(monomials)
+
+
+def test_jacobian_data_compares_prints_and_pickles_without_building_a_basis(monkeypatch):
+    """==, hash, repr, copy and pickle of a JacobianData read its fields and
+    build nothing.  On the dense (3, 7) f that random.Random(45) draws as
+    bench's milnor_dense does, jacobian(f) reads mu off the basis of the top
+    forms of the partials, and no buchberger or module_buchberger runs after
+    it returns (the basis of the partials alone takes about a second)."""
+    rng = random.Random(45)
+    f = P(CTX3, {e: rng.randint(-9, 9) for e in itertools.product(range(8), repeat=3)
+                 if 2 <= sum(e) <= 7})
+    calls = []
+    for module in (groebner, singularity):
+        for name in ("buchberger", "module_buchberger"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, **k: calls.append(a[0]) or real(*a, **k))
+    data, again = jacobian(f), jacobian(f)
+    assert data.milnor == 216 and data.generators != data.partials
+    assert calls == [data.generators] * 2
+    calls.clear()
+    assert data == again and hash(data) == hash(again) and repr(data) == repr(again)
+    for trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = trip(data)
+        assert type(twin) is JacobianData and twin == data and twin.basis == data.basis
+    assert calls == []
 
 
 def test_reduction_trace_rechecks_its_identity():
