@@ -294,6 +294,8 @@ def _run(args) -> int:
         f = parse_polynomial(args.f, ctx, guard)
         p = parse_polynomial(args.p, ctx, guard)
         basis = Singularity(f, guard).cofactor_basis()
+        if p.total_degree() > guard:  # where the normal form's first guard would fire
+            raise DegreeGuardExceeded(f"--p has degree {p.total_degree()}, past the limit {guard}")
         trace = module_normal_form(ModuleElement((p,)), basis, guard).over_source(basis)
         (w_part,), cofactors = trace.remainder.components, trace.cofactors
         _emit(args, lambda: {

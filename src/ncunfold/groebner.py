@@ -392,17 +392,18 @@ def _signature_entries(
     (of two entries whose leading terms share a component) are then taken
     in increasing signature: the signature of ua * a - ub * b is the larger
     of ua * sig(a) and ub * sig(b), a signature of an earlier index being
-    the smaller.  A pair is skipped when its signature is a multiple of a
-    signature that reduced to zero or, for an ideal (rank 1), of an
-    earlier-index leading monomial (both are signatures of syzygies; the
-    principal syzygies g_i e_j - g_j e_i behind the second exist only among
-    scalars), when both sides have the same signature, when its signature
-    was already processed, or when an entry added after its top side has a
-    signature dividing it (the rewrite criterion).  A reducer is admitted
-    only when its shifted signature is below the pair's, so the result
-    keeps the pair's signature, and every result with a nonzero module part
-    is added, also one whose leading term only a reducer of equal signature
-    divides.  On a regular sequence nothing reduces to zero.
+    the smaller.  A pair is not made when both sides have the same
+    signature or, for an ideal (rank 1), when an earlier-index leading
+    monomial divides its signature (that of a principal syzygy
+    g_i e_j - g_j e_i, which exist only among scalars; these leads are
+    fixed for the whole index).  A pair is skipped when it is taken if its
+    signature is a multiple of a signature that reduced to zero, was
+    already processed, or is divided by the signature of an entry added
+    after its top side (the rewrite criterion).  A reducer is admitted only
+    when its shifted signature is below the pair's, so the result keeps the
+    pair's signature, and every result with a nonzero module part is added,
+    also one whose leading term only a reducer of equal signature divides.
+    On a regular sequence nothing reduces to zero.
 
     Signatures are packed like terms, so a larger signature has the
     smaller key, and the pair heap is ordered by negated keys.
@@ -440,11 +441,13 @@ def _signature_entries(
                 lcm_ab = monomial_lcm(a.lead[1], b.lead[1])
                 sa = checked(sig + key(0, monomial_div(lcm_ab, a.lead[1])) - one)
                 if b.sig[0] < idx:
-                    heappush(pairs, (-sa, -k, j))
-                    continue
-                sb = checked(b.sig[1] + key(0, monomial_div(lcm_ab, b.lead[1])) - one)
-                if sa != sb:
+                    top, other, s = k, j, sa
+                else:
+                    sb = checked(b.sig[1] + key(0, monomial_div(lcm_ab, b.lead[1])) - one)
+                    if sa == sb:
+                        continue
                     top, other, s = (k, j, sa) if sa < sb else (j, k, sb)
+                if not any(divides(m, s) for m in earlier):
                     heappush(pairs, (-s, -top, other))
 
         append(ints, one)
@@ -453,7 +456,6 @@ def _signature_entries(
             sig, top = -sig, -top
             if (
                 sig in done
-                or any(divides(m, sig) for m in earlier)
                 or any(divides(m, sig) for m in zeros)
                 or any(divides(e.sig[1], sig) for e in entries[top + 1:])
             ):
@@ -485,21 +487,23 @@ def _interreduce(ctx: RingContext, rank: int, entries: list, pk: _Packing,
 
     One interreduction pass in entry order.  An entry whose leading term
     another entry's divides would reduce to zero and is dropped unreduced;
-    every other entry is reduced once against the current others, so its
-    leading term stays and its tail becomes standard.  The reduced basis is
-    unique but its cofactors are not: these are the ones that repeating
-    such passes until nothing changes gives, since a second pass changes
-    nothing.
+    an entry with a tail term that another entry's leading term divides is
+    reduced once against the current others, so its leading term stays and
+    its tail becomes standard; any other entry is already reduced and is
+    kept as it is.  The reduced basis is unique but its cofactors are not:
+    these are the ones that repeating such passes until nothing changes
+    gives, since a second pass changes nothing.
     """
+    module = rank << pk.cshift  # no leading term divides a cofactor key
     for idx, entry in enumerate(entries):
         others = [e for e in entries if e is not None and e is not entry]
         if any(pk.divides(e.key, entry.key) for e in others):
             entries[idx] = None
-            continue
-        cur = dict(entry.tail)
-        cur[entry.key] = entry.lc
-        ints, _ = _reduce(rank, cur, entry.lc, others, pk, max_degree)
-        entries[idx] = _make_entry(ints, rank, entry.space)
+        elif any(pk.divides(e.key, k) for k, _ in entry.tail if k < module for e in others):
+            cur = dict(entry.tail)
+            cur[entry.key] = entry.lc
+            ints, _ = _reduce(rank, cur, entry.lc, others, pk, max_degree)
+            entries[idx] = _make_entry(ints, rank, entry.space)
     # increasing leading term, the higher component first: decreasing key
     return sorted((e for e in entries if e is not None), key=lambda e: -e.key)
 

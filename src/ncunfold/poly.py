@@ -28,7 +28,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from operator import ge, neg, sub
+from operator import ge, le, neg, sub
 from types import MappingProxyType
 
 from .errors import ContextMismatch
@@ -44,15 +44,15 @@ INFINITE = "infinite"
 
 def monomial_divides(a: tuple, b: tuple) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(exps: tuple) -> tuple:

@@ -813,6 +813,22 @@ def test_degree_guard_agrees_across_jacobian_commands(capsys):
     assert data.generators != data.partials  # the leading-form path
 
 
+def test_qc_normalize_names_a_p_past_the_degree_guard(capsys):
+    """Each power of x^3*y^3 is within --max-degree 4, so the parser takes
+    it, but its degree 6 is not: qc-normalize exits 3 naming --p, once the
+    basis of an isolated f is built.  A non-isolated f still exits 2."""
+    argv = ["qc-normalize", "--vars", "x,y", "--f", "x^4+y^4+x*y^2", "--p", "x^3*y^3",
+            "--max-degree", "4"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: --p has degree 6, past the limit 4\n"
+    argv[argv.index("--f") + 1] = "x*y^2"
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "Traceback" not in err
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

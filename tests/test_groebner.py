@@ -25,7 +25,7 @@ from ncunfold.groebner import (
 )
 from ncunfold.parsing import parse_polynomial
 from ncunfold.poly import INFINITE, Polynomial, RingContext, grevlex_key, monomial_divides
-from ncunfold.singularity import Singularity, jacobian, milnor_number
+from ncunfold.singularity import Singularity, ade_catalog, jacobian, milnor_number
 
 from oracles import _normal_form_naive, _term_key, naive_buchberger, oracle_vector, rand_poly
 
@@ -812,6 +812,33 @@ def test_dense_jacobian_has_no_reduction_to_zero(n, d, monkeypatch):
     assert data.milnor == milnor_number(f) == (d - 1) ** n
     assert buchberger(data.partials).leading_exponents()
     assert counter.to_zero == 0
+
+
+def test_signature_loop_pushes_only_the_pairs_it_can_take(monkeypatch):
+    """A pair whose signature an earlier-index leading monomial divides is
+    dropped when it is made, not pushed and popped: on 8 dense f and the
+    ADE catalog the loop pushes 209 pairs (where testing that criterion
+    only at pop time pushed 912) and reduces the same 97."""
+    counts = {"pushed": 0, "reduced": 0}
+    push, spair = groebner.heappush, groebner._spair
+
+    def counted_push(heap, item):
+        counts["pushed"] += isinstance(item, tuple)  # pairs; _reduce pushes keys
+        push(heap, item)
+
+    def counted_spair(*args):
+        counts["reduced"] += 1
+        return spair(*args)
+
+    monkeypatch.setattr(groebner, "heappush", counted_push)
+    monkeypatch.setattr(groebner, "_spair", counted_spair)
+    rng = random.Random(45)
+    dense = [_dense(rng, 3, 4) for _ in range(6)] + [_dense(rng, 3, 5) for _ in range(2)]
+    assert [jacobian(f).milnor for f in dense] == [27] * 6 + [64] * 2
+    assert counts == {"pushed": 207, "reduced": 95}
+    for _, f in ade_catalog():
+        jacobian(f)
+    assert counts == {"pushed": 209, "reduced": 97}
 
 
 def test_dense_jacobian_under_lex():
